@@ -324,11 +324,27 @@ def parse_scenario(text: str) -> dict[str, dict[int, FaultInjection]]:
         if len(parts) < 5 or parts[0] not in staged:
             raise ConfigError(f"scenario line {lineno}: expected "
                               f"'<prep|round1|round2> <instance> <step> <gate> <pauli>'")
-        stage, inst, step, gate, pauli = parts[0], int(parts[1]), parts[2], parts[3], parts[4]
-        if gate == "mem":
-            fault = Fault(int(step), -1, pauli, (int(parts[5]), int(parts[6])))
+        stage, pauli = parts[0], parts[4]
+
+        def integer(field: str, text: str) -> int:
+            try:
+                return int(text)
+            except ValueError:
+                raise ConfigError(f"scenario line {lineno}: {field}: expected an integer, "
+                                  f"got {text!r}") from None
+
+        inst, step = integer("instance", parts[1]), integer("step", parts[2])
+        if parts[3] == "mem":
+            if stage != "prep":
+                raise ConfigError(f"scenario line {lineno}: gate: memory faults are not "
+                                  f"supported in {stage}")
+            if len(parts) < 7:
+                raise ConfigError(f"scenario line {lineno}: gate: 'mem' needs "
+                                  f"'<block> <qubit>' after the Pauli")
+            loc = (integer("block", parts[5]), integer("qubit", parts[6]))
+            fault = Fault(step, -1, pauli, loc)
         else:
-            fault = Fault(int(step), int(gate), pauli)
+            fault = Fault(step, integer("gate", parts[3]), pauli)
         staged[stage].setdefault(inst, []).append(fault)
     return {
         stage: {inst: FaultInjection(tuple(fl)) for inst, fl in d.items()}

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import gf2
 from .codes import LinearCode
 from .gf2 import BitMatrix, BitVec
@@ -453,9 +455,13 @@ class WeightTable:
     """Minimum equivalent Pauli weights keyed by generalized syndrome.
 
     Two tables are kept: X-side syndromes (bits of every spec element's Z
-    part against an X error pattern) and Z-side syndromes.  Entries are
-    filled in increasing weight order up to ``w_cap``, so each stored value
-    is the true minimum weight of the syndrome's equivalence class.
+    part against an X error pattern) and Z-side syndromes.  Each is a
+    sorted array of the syndromes of every error of weight <= ``w_cap``
+    with the smallest weight that reaches it, which is the true minimum
+    weight of the syndrome's equivalence class.  A side's syndrome bits
+    number only the elements with a nonzero part on that side and are
+    packed 63 to an int64 key word; keys of more than one word sort as
+    records, word 0 first.
     """
 
     def __init__(self, spec: AncillaSpec, w_cap: int = 4):
@@ -465,64 +471,85 @@ class WeightTable:
         sizes = spec.block_sizes
         n_total = spec.total_qubits
 
-        def col_masks(part: str) -> list[int]:
+        def col_masks(part: str) -> tuple[list[int], int]:
             masks = [0] * n_total
-            for idx, el in enumerate(elems):
+            bit = 0
+            for el in elems:
+                parts = el.z if part == "z" else el.x
+                if not any(parts):
+                    continue
                 off = 0
                 for b in range(spec.m):
-                    p = el.z[b] if part == "z" else el.x[b]
+                    p = parts[b]
                     while p:
                         q = (p & -p).bit_length() - 1
-                        masks[off + q] |= 1 << idx
+                        masks[off + q] |= 1 << bit
                         p &= p - 1
                     off += sizes[b]
-            return masks
+                bit += 1
+            return masks, bit
 
-        self._x_cols = col_masks("z")  # Z parts detect X errors
-        self._z_cols = col_masks("x")
-        self.x_map = self._build(self._x_cols, n_total, w_cap)
-        self.z_map = self._build(self._z_cols, n_total, w_cap)
+        self._x = self._build(*col_masks("z"), sizes, w_cap)  # Z parts detect X errors
+        self._z = self._build(*col_masks("x"), sizes, w_cap)
 
     @staticmethod
-    def _build(cols: list[int], n_total: int, w_cap: int) -> dict[int, int]:
-        table: dict[int, int] = {}
-        for w in range(w_cap + 1):
-            for combo in itertools.combinations(range(n_total), w):
-                syn = 0
-                for q in combo:
-                    syn ^= cols[q]
-                table.setdefault(syn, w)
-        return table
+    def _keys(syn: np.ndarray) -> np.ndarray:
+        """(count, words) syndromes as one sortable key per row."""
+        if syn.shape[1] == 1:
+            return syn[:, 0]
+        record = np.dtype([(f"w{i}", np.int64) for i in range(syn.shape[1])])
+        return np.ascontiguousarray(syn).view(record)[:, 0]
 
-    def syndrome_x(self, e: tuple[int, ...]) -> int:
-        syn = 0
+    @classmethod
+    def _build(cls, cols: list[int], bits: int, sizes: tuple[int, ...], w_cap: int):
+        """Per-block, per-key-word syndrome byte tables, then the sorted
+        syndromes of all errors of weight <= w_cap with their minimum
+        weights."""
+        words = max(1, -(-bits // 63))
+        split = [[(c >> (63 * i)) & ((1 << 63) - 1) for i in range(words)] for c in cols]
+        tables = []
         off = 0
-        for b, n in enumerate(self.spec.block_sizes):
-            bits = e[b]
-            while bits:
-                q = (bits & -bits).bit_length() - 1
-                syn ^= self._x_cols[off + q]
-                bits &= bits - 1
+        for n in sizes:
+            block = split[off: off + n]
+            tables.append([gf2.byte_tables([c[i] for c in block]) for i in range(words)])
             off += n
-        return syn
+        # Weight-w errors extend weight-(w-1) ones by a qubit above their
+        # highest, so every subset is enumerated once, in weight order.
+        col_words = np.array(split, dtype=np.int64).reshape(len(cols), words)
+        syn, top = np.zeros((1, words), dtype=np.int64), np.full(1, -1)
+        syns, weights = [syn], [np.zeros(1, dtype=np.int64)]
+        for w in range(1, w_cap + 1):
+            grown = [syn[top < q] ^ col for q, col in enumerate(col_words)]
+            top = np.repeat(np.arange(len(cols)), [len(g) for g in grown])
+            syn = np.concatenate(grown)
+            syns.append(syn)
+            weights.append(np.full(len(syn), w, dtype=np.int64))
+        keys, first = np.unique(cls._keys(np.concatenate(syns)), return_index=True)
+        return tables, keys, np.concatenate(weights)[first]
 
-    def syndrome_z(self, f: tuple[int, ...]) -> int:
-        syn = 0
-        off = 0
-        for b, n in enumerate(self.spec.block_sizes):
-            bits = f[b]
-            while bits:
-                q = (bits & -bits).bit_length() - 1
-                syn ^= self._z_cols[off + q]
-                bits &= bits - 1
-            off += n
-        return syn
+    def weights(self, side: str, frames: np.ndarray) -> np.ndarray:
+        """Minimum weights of the X errors (side ``"x"``, e frames) or Z
+        errors (side ``"z"``, f frames) in the rows of an (count, m) array
+        of per-block words (:func:`gf2.word_array`); -1 where the class is
+        beyond the table."""
+        tables, keys, values = self._x if side == "x" else self._z
+        syn = np.zeros((len(frames), len(tables[0])), dtype=np.int64)
+        for b, per_word in enumerate(tables):
+            for i, tab in enumerate(per_word):
+                syn[:, i] ^= gf2.xor_lookup(tab, frames[:, b])
+        syn = self._keys(syn)
+        idx = np.minimum(np.searchsorted(keys, syn), len(keys) - 1)
+        return np.where(keys[idx] == syn, values[idx], -1)
+
+    def _weight(self, side: str, frame: tuple[int, ...]) -> int | None:
+        w = int(self.weights(side, gf2.word_array([frame]))[0])
+        return None if w < 0 else w
 
     def x_weight(self, e: tuple[int, ...]) -> int | None:
-        return self.x_map.get(self.syndrome_x(e))
+        return self._weight("x", e)
 
     def z_weight(self, f: tuple[int, ...]) -> int | None:
-        return self.z_map.get(self.syndrome_z(f))
+        return self._weight("z", f)
 
 
 def residual_weight(

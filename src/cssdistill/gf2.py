@@ -4,12 +4,16 @@ Vectors are stored as Python integers (bit i of ``bits`` is coordinate i),
 matrices as a tuple of row integers.  XOR/AND on machine-word-backed ints is
 the whole arithmetic, which is what the Monte Carlo hot loop needs.  All
 values are immutable after construction and safe to share between workers.
+Linear maps applied to whole arrays of packed words go through byte-indexed
+lookup tables (:func:`byte_tables`, :func:`xor_lookup`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 def _mask(n: int) -> int:
@@ -367,6 +371,48 @@ def iter_row_space(m: BitMatrix) -> Iterator[int]:
     for g in range(1, 1 << rnk):
         cur ^= basis[(g & -g).bit_length() - 1]
         yield cur
+
+
+def byte_tables(cols: Sequence[int]) -> np.ndarray:
+    """Lookup tables of the GF(2)-linear map sending bit i to ``cols[i]``.
+
+    Row k holds the image of every value of input byte k, so the image of a
+    packed word is the XOR of one entry per byte (:func:`xor_lookup`).
+    Images must fit an int64.
+    """
+    tables = np.zeros((max(1, -(-len(cols) // 8)), 256), dtype=np.int64)
+    for i in range(8 * len(tables)):
+        k, bit = divmod(i, 8)
+        # Values with this bit set: the values below it, plus its image.
+        tables[k, 1 << bit: 2 << bit] = tables[k, : 1 << bit] ^ (cols[i] if i < len(cols) else 0)
+    return tables
+
+
+def xor_lookup(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Elementwise image of integer ``words`` under a :func:`byte_tables` map.
+
+    ``words`` may also be an object array of Python ints (see
+    :func:`word_array`).
+    """
+    wide = words.dtype == object
+
+    def octet(k: int) -> np.ndarray:
+        byte = (words >> (8 * k)) & 0xFF if k else words & 0xFF
+        return byte.astype(np.intp) if wide else byte
+
+    out = tables[0][octet(0)]
+    for k in range(1, len(tables)):
+        out ^= tables[k][octet(k)]
+    return out
+
+
+def word_array(rows) -> np.ndarray:
+    """Packed words as an int64 array, or as an object array of Python ints
+    when some word needs more than 63 bits."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def parse_matrix(text: str) -> BitMatrix:

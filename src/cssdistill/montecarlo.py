@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .css import AncillaSpec
-from .distill import DistillationConfig, ProtocolRunner
+from .distill import BATCH, BatchOutcome, DistillationConfig, ProtocolRunner
 from .frames import FailureModel
 
 _ENV_WORKERS = "CSSDISTILL_WORKERS"
@@ -50,7 +50,8 @@ class PStats:
     hist_z: list[int] = field(default_factory=lambda: [0] * 5)
 
     def merge(self, other: "PStats") -> None:
-        assert self.p == other.p
+        if self.p != other.p:
+            raise ValueError(f"cannot merge counters of p={other.p} into p={self.p}")
         self.trials += other.trials
         self.aborted += other.aborted
         self.cand1 += other.cand1
@@ -127,30 +128,23 @@ class RunStats:
         return cls.from_dict(json.loads(text))
 
 
-def classify_outcome(outcome, table, stats: PStats, w_cap: int) -> None:
-    """Fold one trial into the counters."""
-    stats.trials += 1
-    stats.cand1 += outcome.cand1
-    stats.rej1 += outcome.rej1
-    stats.cand2 += outcome.cand2
-    stats.rej2 += outcome.rej2
-    if outcome.aborted:
-        stats.aborted += 1
-        return
-    hist_x = stats.hist_x
-    hist_z = stats.hist_z
-    for e, f in outcome.outputs:
-        stats.accepted += 1
-        if any(e):
-            wx = table.x_weight(e)
-            hist_x[wx if wx is not None and wx <= 3 else 4] += 1
-        else:
-            hist_x[0] += 1
-        if any(f):
-            wz = table.z_weight(f)
-            hist_z[wz if wz is not None and wz <= 3 else 4] += 1
-        else:
-            hist_z[0] += 1
+def classify_outcome(batch: BatchOutcome, table, stats: PStats) -> None:
+    """Fold a batch of trials into the counters."""
+    stats.trials += len(batch.aborted)
+    stats.aborted += int(batch.aborted.sum())
+    stats.cand1 += int(batch.cand1.sum())
+    stats.rej1 += int(batch.rej1.sum())
+    stats.cand2 += int(batch.cand2.sum())
+    stats.rej2 += int(batch.rej2.sum())
+    stats.accepted += len(batch.out_trial)
+    for hist, weights in (
+        (stats.hist_x, table.weights("x", batch.out_e)),
+        (stats.hist_z, table.weights("z", batch.out_f)),
+    ):
+        # Bins 0..3 exact; weight 4 and beyond the table (-1) share bin 4.
+        counts = np.bincount(np.where((weights >= 0) & (weights <= 3), weights, 4), minlength=5)
+        for w in range(5):
+            hist[w] += int(counts[w])
 
 
 # Worker-global state, built once per process from the pickled config.
@@ -159,29 +153,23 @@ _WORKER: dict = {}
 
 def _init_worker(config: DistillationConfig, p_grid, seed: int, w_cap: int) -> None:
     _WORKER["runners"] = {}
+    _WORKER["compiled"] = None
     _WORKER["config"] = config
     _WORKER["p_grid"] = list(p_grid)
     _WORKER["seed"] = seed
-    _WORKER["w_cap"] = w_cap
     _WORKER["table"] = config.spec.weight_table(w_cap)
 
 
 def _runner_for(p_index: int) -> ProtocolRunner:
+    """The worker's runner for one grid point: one compiled protocol,
+    shared by every p."""
     runner = _WORKER["runners"].get(p_index)
     if runner is None:
-        config: DistillationConfig = _WORKER["config"]
+        if _WORKER["compiled"] is None:
+            _WORKER["compiled"] = ProtocolRunner(_WORKER["config"])
         p = _WORKER["p_grid"][p_index]
-        model = FailureModel(p_gate=p, p_meas=p, p_mem=config.model.p_mem)
-        cfg = DistillationConfig(
-            spec=config.spec,
-            code_c1=config.code_c1,
-            code_c2=config.code_c2,
-            code_d1=config.code_d1,
-            code_d2=config.code_d2,
-            model=model,
-            n_extra=config.n_extra,
-        )
-        runner = ProtocolRunner(cfg)
+        model = FailureModel(p_gate=p, p_meas=p, p_mem=_WORKER["config"].model.p_mem)
+        runner = _WORKER["compiled"].with_model(model)
         _WORKER["runners"][p_index] = runner
     return runner
 
@@ -192,10 +180,9 @@ def _run_chunk(task: tuple[int, int, int]) -> tuple[int, dict]:
     stats = PStats(p=_WORKER["p_grid"][p_index])
     table = _WORKER["table"]
     seed = _WORKER["seed"]
-    w_cap = _WORKER["w_cap"]
-    for trial in range(start, start + count):
-        outcome = runner.run_trial(runner._trial_rng(seed, p_index, trial))
-        classify_outcome(outcome, table, stats, w_cap)
+    for first in range(start, start + count, BATCH):
+        batch = runner.run_batch(seed, p_index, first, min(BATCH, start + count - first))
+        classify_outcome(batch, table, stats)
     return p_index, stats.to_dict()
 
 

@@ -127,6 +127,22 @@ class TestInject:
         scen.write_text("round1 0 99 0 XI\n")
         assert main(["inject", "--scenario", str(scen), "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("line,field", [
+        ("prep x 0 0 X", "instance"),
+        ("prep 0 s 0 X", "step"),
+        ("prep 0 0 zz X", "gate"),
+        ("round1 0 0 mem X 0 0", "gate"),
+        ("round2 0 0 mem Z 0 0", "gate"),
+    ])
+    def test_malformed_scenario_line(self, tmp_path, capsys, line, field):
+        cfg_path = write_config(tmp_path, combination="D")
+        scen = tmp_path / "bad.txt"
+        scen.write_text(f"# header\n{line}\n")
+        assert main(["inject", "--scenario", str(scen), "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario line 2: ")
+        assert f" {field}: " in err
+
     def test_two_fault_scenario_reports_heavy_block(self, tmp_path, capsys):
         # One distillation CNOT fault plus one preparation fault, Hamming
         # check code, postselection off: the report names an output block

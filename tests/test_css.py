@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cssdistill import gf2
-from cssdistill.codes import registry
+from cssdistill.codes import build_code, registry
 from cssdistill.css import (
     PauliElement,
     apply_bitwise_phase,
@@ -244,6 +244,38 @@ class TestResidualWeight:
                 e |= 1 << q
             e_blocks = split(e)
             assert tab.x_weight(e_blocks) == oracle_x(e_blocks)
+
+
+    def test_wide_spec_oracle(self):
+        # The Steane code plus 60 unencoded qubits: its zero state has 64
+        # elements with a Z part, so X-side syndromes take two key words,
+        # and frames that touch qubits 63..66 are Python ints.
+        n, w_cap = 67, 2
+        code = build_code(BitMatrix(3, n, registry("hamming7").h.data), d=1)
+        spec = build_ancilla_spec(build_css(code, code), "zero")
+        tab = spec.weight_table(w_cap)
+        assert len(tab._x[0][0]) == 2
+
+        def oracle_x(e):
+            target = generalized_syndrome(spec, (e,), (0,))
+            for w in range(w_cap + 1):
+                for combo in itertools.combinations(range(n), w):
+                    if generalized_syndrome(spec, (sum(1 << q for q in combo),), (0,)) == target:
+                        return w
+            return None
+
+        rng = random.Random(67)
+        frames, want = [], []
+        for i in range(12):
+            e = sum(1 << q for q in rng.sample(range(n), rng.randint(0, 3)))
+            e |= (i % 2) << rng.randrange(63, n)
+            frames.append((e,))
+            want.append(oracle_x(e))
+            assert tab.x_weight((e,)) == want[-1]
+        words = gf2.word_array(frames)
+        assert words.dtype == object
+        got = tab.weights("x", words)
+        assert got.tolist() == [-1 if w is None else w for w in want]
 
 
 class TestPhaseGate:

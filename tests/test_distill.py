@@ -23,6 +23,8 @@ from cssdistill.distill import (
     steane_extract,
 )
 from cssdistill.frames import (
+    PAULI_1Q,
+    PAULI_2Q,
     FailureModel,
     Fault,
     FaultInjection,
@@ -31,7 +33,7 @@ from cssdistill.frames import (
     run_noisy,
     sample_failures,
 )
-from cssdistill.gf2 import BitVec
+from cssdistill.gf2 import BitMatrix, BitVec
 
 GOLAY_LOGICAL = BitVec.from_string("00000000000101011100011")
 
@@ -430,6 +432,112 @@ class TestRoundEngineEquivalence:
             assert (got.cand1, got.rej1, got.cand2, got.rej2) == (
                 want["cand1"], want["rej1"], want["cand2"], want["rej2"])
             assert got.outputs == want["outputs"]
+
+    @staticmethod
+    def _decode_sample(runner, sample):
+        """A sampled trial as circuit-level injections.
+
+        The gate space is laid out unit by unit over the encoder's CNOT
+        then preparation locations, then group by group over each round's
+        (layer, qubit) CNOT locations; the readout space group by group
+        over each round's (check slot, qubit) measurements.
+        """
+        gate_pos, draw15, draw3, meas_pos = (a.tolist() for a in sample)
+        n = runner.n
+        rounds = (runner.round1, runner.round2)
+        gates = [{loc: key for key, loc in rnd._gate_index.items()} for rnd in rounds]
+        reads = [{loc: key for key, loc in rnd._meas_index.items()} for rnd in rounds]
+        enc_locs = runner.enc_cnot_locs + runner.enc_prep_locs
+        gate_starts = [runner.n_units * len(enc_locs)]
+        gate_starts.append(gate_starts[0] + runner.groups1 * len(rounds[0].layers) * n)
+        read_starts = [0, runner.groups1 * rounds[0].r_c * n]
+        prep: dict[int, list] = {}
+        staged: tuple[dict[int, list], dict[int, list]] = ({}, {})
+        for pos, d15, d3 in zip(gate_pos, draw15, draw3):
+            if pos < gate_starts[0]:
+                unit, loc = divmod(pos, len(enc_locs))
+                pauli = PAULI_2Q[d15] if loc < len(runner.enc_cnot_locs) else PAULI_1Q[d3]
+                prep.setdefault(unit, []).append(Fault(*enc_locs[loc], pauli))
+                continue
+            idx = int(pos >= gate_starts[1])
+            group, rel = divmod(pos - gate_starts[idx], len(rounds[idx].layers) * n)
+            layer, q = divmod(rel, n)
+            fault = Fault(*gates[idx][(layer, 0, q)], PAULI_2Q[d15])
+            staged[idx].setdefault(group, []).append(fault)
+        for pos in meas_pos:
+            idx = int(pos >= read_starts[1])
+            group, rel = divmod(pos - read_starts[idx], rounds[idx].r_c * n)
+            slot, q = divmod(rel, n)
+            flip = "X" if rounds[idx].bases[0] == "Z" else "Z"
+            staged[idx].setdefault(group, []).append(Fault(*reads[idx][(slot, 0, q)], flip))
+
+        def injections(faults):
+            return {k: FaultInjection(tuple(v)) for k, v in faults.items()}
+
+        return injections(prep), injections(staged[0]), injections(staged[1])
+
+    @pytest.mark.parametrize(
+        "c_name,d1,d2,p,n_extra",
+        [
+            ("bch15_7_5", "golay23", "golay23_dual", 1.6e-3, 6),
+            ("rep3", "golay23", "golay23_dual", 0.02, 2),
+            ("rep3", None, None, 0.02, 2),
+            ("rep3", "ideal", "ideal", 0.01, 2),
+        ],
+    )
+    def test_sampled_trials_match_reference(self, zero_spec, c_name, d1, d2, p, n_extra):
+        # Sampled positions, decoded here independently of the engine and
+        # replayed through the reference, give the batched engine's outcome.
+        code_c = registry(c_name)
+        cfg = DistillationConfig(
+            spec=zero_spec, code_c1=code_c, code_c2=code_c,
+            code_d1=registry(d1) if isinstance(d1, str) and d1 != "ideal" else d1,
+            code_d2=registry(d2) if isinstance(d2, str) and d2 != "ideal" else d2,
+            model=FailureModel.uniform(p), n_extra=n_extra,
+        )
+        runner = ProtocolRunner(cfg)
+        seed, p_index, trials = 23, 1, 50
+        batch = runner.run_batch(seed, p_index, 0, trials)
+        rejected = 0
+        for t in range(trials):
+            sample = runner._sample(runner._trial_rng(seed, p_index, t))
+            want = self._reference(runner, *self._decode_sample(runner, sample))
+            got = batch.outcome(t)
+            assert got.aborted == want["aborted"], t
+            assert (got.cand1, got.rej1, got.cand2, got.rej2) == (
+                want["cand1"], want["rej1"], want["cand2"], want["rej2"]), t
+            assert got.outputs == want["outputs"], t
+            rejected += got.rej1 + got.rej2
+        assert rejected or d1 is None
+
+    @pytest.mark.parametrize("n", [62, 63, 67])
+    def test_wide_blocks_match_reference(self, n):
+        # The Steane code plus n - 7 unencoded qubits is an [[n, n - 6]]
+        # code whose zero state has |SE| = n - 3.  Up to n = 62 it fits the
+        # batched kernel's int64 words; wider blocks run on the scalar
+        # engine, and past 63 qubits their output words are Python ints.
+        code = build_code(BitMatrix(3, n, registry("hamming7").h.data), d=1)
+        spec = build_ancilla_spec(build_css(code, code), "zero")
+        rep3 = registry("rep3")
+        cfg = DistillationConfig(
+            spec=spec, code_c1=rep3, code_c2=rep3, code_d1=None, code_d2=None,
+            model=FailureModel.uniform(0.01), n_extra=2,
+        )
+        runner = ProtocolRunner(cfg)
+        assert runner.batched == (n <= 62)
+        seed, p_index, trials = 7, 0, 20
+        batch = runner.run_batch(seed, p_index, 0, trials)
+        residual = 0
+        for t in range(trials):
+            sample = runner._sample(runner._trial_rng(seed, p_index, t))
+            want = self._reference(runner, *self._decode_sample(runner, sample))
+            got = batch.outcome(t)
+            assert got.aborted == want["aborted"], t
+            assert (got.cand1, got.rej1, got.cand2, got.rej2) == (
+                want["cand1"], want["rej1"], want["cand2"], want["rej2"]), t
+            assert got.outputs == want["outputs"], t
+            residual += any(any(e) or any(f) for e, f in got.outputs)
+        assert residual
 
     def _random_faults(self, runner, p, rng):
         model = FailureModel.uniform(p)

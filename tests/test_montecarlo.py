@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -65,10 +66,33 @@ class TestRunExperiment:
         assert sum(s.hist_x) == s.accepted
         assert sum(s.hist_z) == s.accepted
 
+    def test_pinned_counters(self, comb_a_config):
+        # Counters recorded with the scalar per-trial engine for this seed:
+        # the batched engine must reproduce them bit for bit, here with
+        # chunks of 37 trials so that batches end at chunk edges.
+        cfg = dataclasses.replace(comb_a_config, n_extra=6)
+        stats = run_experiment(cfg, [1e-4, 1.6e-3], 300, seed=2718, workers=1, chunk_size=37)
+        assert [s.to_dict() for s in stats.per_p] == [
+            {"p": 1e-4, "trials": 300, "aborted": 0, "cand1": 44100, "rej1": 17,
+             "cand2": 14700, "rej2": 113, "accepted": 14587,
+             "hist_x": [14165, 419, 3, 0, 0], "hist_z": [14531, 56, 0, 0, 0]},
+            {"p": 1.6e-3, "trials": 300, "aborted": 16, "cand1": 44100, "rej1": 8301,
+             "cand2": 13916, "rej2": 12177, "accepted": 1739,
+             "hist_x": [1206, 441, 82, 9, 1], "hist_z": [1483, 183, 35, 38, 0]},
+        ]
+
     def test_json_roundtrip(self, comb_a_config):
         stats = run_experiment(comb_a_config, [1e-3, 2e-3], 20, seed=1, workers=1)
         again = RunStats.from_json(stats.to_json())
         assert again.to_dict() == stats.to_dict()
+
+
+class TestPStats:
+    def test_merge_other_p_rejected(self):
+        a = PStats(p=1e-3, trials=2)
+        with pytest.raises(ValueError, match="p="):
+            a.merge(PStats(p=2e-3, trials=1))
+        assert a.trials == 2
 
 
 class TestWilson:
