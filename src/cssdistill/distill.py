@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gf2
 from .codes import LinearCode
-from .css import AncillaSpec, CssCode, PauliElement
+from .css import AncillaSpec, PauliElement
 from .frames import (
     PAULI_1Q,
     PAULI_2Q,
@@ -40,7 +40,7 @@ from .frames import (
     run_noisy,
     synth_encoding_circuit,
 )
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 # Component codes for a two-qubit Pauli on (control, target):
 # bit 0 = X on control, bit 1 = Z on control, bit 2 = X on target, bit 3 = Z on target.
@@ -55,7 +55,7 @@ PAULI15_CODE = tuple(pauli2_code(p) for p in PAULI_2Q)
 PAULI3_CODE = tuple(_CHAR_CODE[p] for p in PAULI_1Q)
 _PAULI15_CODES = np.array(PAULI15_CODE, dtype=np.intp)
 
-# Trials per batch of the single-block engine.  Larger batches spread the
+# Trials per batch of the trial-batched engine.  Larger batches spread the
 # fixed numpy call cost of a batch over more trials, but the temporaries
 # grow as BATCH * groups * |SE| words.  On the reference workload (2-vCPU
 # Xeon VM, five alternating pairs of 60 s benchmark runs), 64 read a median
@@ -63,8 +63,9 @@ _PAULI15_CODES = np.array(PAULI15_CODE, dtype=np.intp)
 # 44.3 against 43.4 MiB; the scalar engine it replaced read 43.7 MiB.
 BATCH = 64
 
-# Largest block length, |SE| and round-code length the batched kernel packs
-# into int64 words, and the most syndrome bits of its dense decoder tables.
+# Largest unit width (m blocks of n qubits), |SE| and round-code length the
+# batched kernel packs into int64 words, and the most syndrome bits of its
+# dense decoder tables.
 _WORD_BITS = 62
 _DENSE_BITS = 20
 
@@ -78,6 +79,11 @@ def _dense_table(table: dict[int, int], bits: int) -> np.ndarray:
         table.values(), np.int64, len(table)
     )
     return out
+
+
+def _pack(blocks: Sequence[int], n: int) -> int:
+    """Per-block words as one unit word, block b in bits [b*n, (b+1)*n)."""
+    return sum(word << (b * n) for b, word in enumerate(blocks))
 
 
 def _by_code(single: np.ndarray, codes) -> np.ndarray:
@@ -482,30 +488,6 @@ def correct_block(
     return new_e, new_f, False
 
 
-def steane_extract(
-    data: PauliFrame, x_anc: PauliFrame, z_anc: PauliFrame, css: CssCode
-) -> tuple[BitVec, BitVec]:
-    """Steane-type syndrome extraction parities from three frames.
-
-    Transversal CNOTs copy the data X errors onto the Z-measured ancilla
-    and the data Z errors onto the X-measured ancilla; the returned bits
-    are the error contributions to the measured check and logical
-    parities (stacked checks-then-logicals).
-    """
-    e_d, f_d = data.e[0], data.f[0]
-    e_x, f_x = x_anc.e[0], x_anc.f[0]
-    e_z, f_z = z_anc.e[0], z_anc.f[0]
-    # data -> x ancilla (data controls): e copies forward, f flows back.
-    e_x ^= e_d
-    f_d ^= f_x
-    # z ancilla -> data (ancilla controls): e flows into data, data f flows back.
-    e_d ^= e_z
-    f_z ^= f_d
-    nu_z = BitVec(css.n, e_x)  # bitwise Z measurement of the X ancilla
-    nu_x = BitVec(css.n, f_z)  # bitwise X measurement of the Z ancilla
-    return gf2.mat_vec(css.hp_z, nu_z), gf2.mat_vec(css.hp_x, nu_x)
-
-
 class CompiledRound:
     """Precompiled tables for one distillation round."""
 
@@ -635,48 +617,59 @@ class CompiledRound:
             [i for i in range(self.r_c) if code_c.a.get(i, j)] for j in range(self.k_c)
         ]
 
-        # Dense tables of the trial-batched single-block kernel: blocks,
-        # sigma rows, estimated SE rows and check-slot masks are packed into
-        # int64 words, and both decoders become arrays over every syndrome.
-        # Rounds beyond these sizes run on the scalar engine.
-        blk0 = spec.blocks[0]
-        corr_code = blk0.code_z if self.bases[0] == "Z" else blk0.code_x
-        self.gen_count = self.gen_counts[0]
-        corr_bits = max(corr_code.r, self.gen_count)
+        # Dense tables of the trial-batched kernel: a unit's m blocks are
+        # packed into one int64 word, block b in bits [b*n, (b+1)*n), and so
+        # are sigma rows, estimated SE rows and check-slot masks; every
+        # decoder becomes an array over all its syndromes.  Round 1 measures
+        # Z and corrects e on every block, round 2 X and f; rounds of other
+        # shapes or sizes run on the scalar engine.
+        corr_codes = [
+            blk.code_z if basis == "Z" else blk.code_x for blk, basis in zip(spec.blocks, self.bases)
+        ]
+        correctors = spec.correctors1 if round_ == 1 else spec.correctors2
+        measured = "Z" if round_ == 1 else "X"
         self.batched = (
-            m == 1
-            and max(n, self.n_se, self.n_c) <= _WORD_BITS
-            and max(self.r_c, corr_bits) <= _DENSE_BITS
+            all(basis == measured for basis in self.bases)
+            and not any(any(cor.z if round_ == 1 else cor.x) for cor in correctors)
+            and max(m * n, self.n_se, self.n_c) <= _WORD_BITS
+            and max(self.r_c, *(max(c.r, k) for c, k in zip(corr_codes, self.gen_counts)))
+            <= _DENSE_BITS
         )
         if self.batched:
-            if self.bases[0] != ("Z" if round_ == 1 else "X"):
-                raise ValueError("single-block rounds measure Z in round 1 and X in round 2")
-            # Per layer and Pauli code: bitmasks of the check slots whose
-            # records flip and of the slots whose e / f parts flip.
+            # Per layer, block and Pauli code: bitmasks of the check slots
+            # whose records flip and of the slots whose e / f parts flip.
             single = np.array([
-                [[sum(1 << s for s in slots) for slots in combo[bit]] for bit in (1, 2, 4, 8)]
-                for (combo,) in self.eff
-            ], dtype=np.int64).reshape(len(self.layers), 4, 3)
+                [[[sum(1 << s for s in slots) for slots in combo[bit]] for bit in (1, 2, 4, 8)]
+                 for combo in per_block]
+                for per_block in self.eff
+            ], dtype=np.int64).reshape(len(self.layers), m, 4, 3)
             self.eff_masks = _by_code(single, range(16))
-            self.nu_to_sigma = gf2.byte_tables(self.se_cols[0])
+            self.nu_to_sigma = gf2.byte_tables([c for cols in self.se_cols for c in cols])
             self.hd_parity = gf2.byte_tables(self.hd_masks) if self.hd_masks else None
             self.leaders = _dense_table(code_c.systematic_table, self.r_c)
-            # Corrections are XORed into block words, logical correctors too.
-            word = np.int32 if n < 32 else np.int64
-            self.corrections = _dense_table(corr_code.syndrome_table, corr_bits).astype(word)
-            correctors = spec.correctors1 if round_ == 1 else spec.correctors2
+            # Per block: its correction table, shifted to the block's bits
+            # (-1 still marks a miss), and the offset and mask of its
+            # generator syndrome in the estimated SE rows.
+            self.word = np.int32 if m * n < 32 else np.int64
+            self.corrections = []
+            off = 0
+            for b, (code, count) in enumerate(zip(corr_codes, self.gen_counts)):
+                table = _dense_table(code.syndrome_table, max(code.r, count)).astype(np.int64)
+                table[table > 0] <<= b * n
+                self.corrections.append((table.astype(self.word), off, (1 << count) - 1))
+                off += count
             # Per logical: the parity of a correction against its measured
             # part (byte tables), its corrector and its bit in the SE rows.
             self.logical_fix = []
-            for t, lg in enumerate(self.s[self.gen_count:]):
-                rep = lg.z[0] if self.bases[0] == "Z" else lg.x[0]
-                cor = correctors[t].x[0] if self.bases[0] == "Z" else correctors[t].z[0]
-                parity = gf2.byte_tables([(rep >> q) & 1 for q in range(n)])
-                self.logical_fix.append((parity, cor, self.gen_count + t))
+            for t, lg in enumerate(self.s[off:]):
+                rep = _pack(lg.z if round_ == 1 else lg.x, n)
+                parity = gf2.byte_tables([(rep >> i) & 1 for i in range(m * n)])
+                cor = _pack(correctors[t].x if round_ == 1 else correctors[t].z, n)
+                self.logical_fix.append((parity, cor, off + t))
             self.row_data_idx = [np.array(cols, dtype=np.intp) + self.r_c for cols in self.row_data]
 
     def batch_records(self, meas, flow, hits) -> np.ndarray:
-        """Check records of (trials, groups, n_c) single-block words.
+        """Check records of (trials, groups, n_c) unit words.
 
         Transversal propagation: measured parts flow data -> check, the
         opposite parts check -> data (``flow`` is updated in place),
@@ -703,21 +696,22 @@ class CompiledRound:
         leader = self.leaders[_bit_transpose(sigma, -(-self.n_se // 8) * 8)]
         return (leader >= 0).all(axis=1), _bit_transpose(leader >> self.r_c, self.k_c)
 
-    def fault_hits(self, trial, group, layer, q, code, m_trial, m_group, m_slot, m_q):
+    def fault_hits(self, trial, group, layer, qubit, code, m_trial, m_group, m_slot, m_qubit):
         """Round faults of a batch as XOR hits on (trial, group, slot) words.
 
         CNOT faults are (trial, group, layer, qubit, Pauli code) arrays,
-        readout flips (trial, group, check slot, qubit).  Returns three
-        (trial, group, slot, bit) array tuples: on the check records, on
-        the e parts and on the f parts.  Single-block rounds only.
+        readout flips (trial, group, check slot, qubit); qubit q of block
+        blk is bit ``blk * n + q`` of the unit word.  Returns three (trial,
+        group, slot, bit) array tuples: on the check records, on the e
+        parts and on the f parts.
         """
-        bit = np.left_shift(1, q)
-        masks = self.eff_masks[layer, code]
+        bit = np.left_shift(1, qubit)
+        masks = self.eff_masks[layer, qubit // self.n, code]
         hits = []
         for part, width in enumerate((self.r_c, self.n_c, self.n_c)):
             k, slot = np.nonzero((masks[:, part, None] >> np.arange(width)) & 1)
             hits.append((trial[k], group[k], slot, bit[k]))
-        flips = (m_trial, m_group, m_slot, np.left_shift(1, m_q))
+        flips = (m_trial, m_group, m_slot, np.left_shift(1, m_qubit))
         hits[0] = tuple(np.concatenate(pair) for pair in zip(hits[0], flips))
         return tuple(hits)
 
@@ -848,12 +842,13 @@ class ProtocolRunner:
             list(range(g * self.n_c1, (g + 1) * self.n_c1)) for g in range(self.groups1)
         ]
         self._g1_data = [u[self.r_c1:] for u in self._g1_units]
-        # Single-block protocols whose rounds fit the batched kernel run
-        # trial-batched; the rest run trial by trial on the scalar engine.
+        # Protocols whose rounds fit the batched kernel run trial-batched;
+        # the rest run trial by trial on the scalar engine.
         self.batched = self.round1.batched and self.round2.batched
         if self.batched:
-            # Frames of a batch hold one block per word.
-            self._word = np.int32 if n < 32 else np.int64
+            # Frames of a batch hold one unit, all m blocks, per word.
+            self._word = self.round1.word
+            self._block_shifts = np.arange(m, dtype=self._word) * n
             # Encoding effects by (location, draw): the 15-way draw indexes
             # a CNOT location's Paulis, the 3-way draw a preparation's.
             self._enc_eff = np.zeros((self.n_enc_locs, 15, 2), dtype=self._word)
@@ -861,7 +856,7 @@ class ProtocolRunner:
                 (self.enc_cnot_eff, (1, 2, 4, 8), PAULI15_CODE, slice(0, self.n_enc_cnots)),
                 (self.enc_prep_eff, (1, 2), PAULI3_CODE, slice(self.n_enc_cnots, None)),
             ):
-                single = np.array([[(combo[bit][0][0], combo[bit][1][0]) for bit in bits]
+                single = np.array([[(_pack(combo[bit][0], n), _pack(combo[bit][1], n)) for bit in bits]
                                    for combo in combos], dtype=self._word)
                 self._enc_eff[locs, :len(codes)] = _by_code(single.reshape(-1, len(bits), 2), codes)
             self._g1_data_ids = np.array(self._g1_data, dtype=np.intp).reshape(self.groups1, self.k_c1)
@@ -1037,8 +1032,9 @@ class ProtocolRunner:
 
         Protocols on the batched engine run a batch of one unless a trace
         is requested."""
-        e = [0] * (self.n_units * self.m)
-        f = [0] * (self.n_units * self.m)
+        m, n = self.m, self.n
+        e = [0] * (self.n_units * m)
+        f = [0] * (self.n_units * m)
         r1_faults: dict[int, list] = {}
         r2_faults: dict[int, list] = {}
         m1_flips: dict[int, list] = {}
@@ -1054,8 +1050,8 @@ class ProtocolRunner:
                     eff = self.enc_prep_eff[prep_idx[key]][_CHAR_CODE[fault.pauli[0]]]
                 else:
                     raise ValueError(f"fault does not address an encoding location: {fault}")
-                base = unit * self.m
-                for b in range(self.m):
+                base = unit * m
+                for b in range(m):
                     e[base + b] ^= eff[0][b]
                     f[base + b] ^= eff[1][b]
         for store, flips, compiled, src in (
@@ -1078,17 +1074,18 @@ class ProtocolRunner:
             for rnd, faults, flips in (
                 (self.round1, r1_faults, m1_flips), (self.round2, r2_faults, m2_flips)
             ):
-                cnots = np.array([(g, layer, q, code) for g, fl in faults.items()
-                                  for layer, _, q, code in fl], dtype=np.int64).reshape(-1, 4)
-                reads = np.array([(g, slot, q) for g, fl in flips.items()
-                                  for slot, _, q in fl], dtype=np.int64).reshape(-1, 3)
+                cnots = np.array([(g, layer, blk * n + q, code) for g, fl in faults.items()
+                                  for layer, blk, q, code in fl], dtype=np.int64).reshape(-1, 4)
+                reads = np.array([(g, slot, blk * n + q) for g, fl in flips.items()
+                                  for slot, blk, q in fl], dtype=np.int64).reshape(-1, 3)
                 hits.append(rnd.fault_hits(np.zeros(len(cnots), np.int64), *cnots.T,
                                            np.zeros(len(reads), np.int64), *reads.T))
-            core = self._run_protocol_core(np.array([e], self._word), np.array([f], self._word), *hits)
-            return core.outcome(0)
+            e, f = (np.array([[_pack(x[u * m:(u + 1) * m], n) for u in range(self.n_units)]],
+                             self._word) for x in (e, f))
+            return self._run_protocol_core(e, f, *hits).outcome(0)
         return self._run_protocol_scalar(e, f, r1_faults, r2_faults, m1_flips, m2_flips, trace, None)
 
-    # ---- trial-batched single-block engine --------------------------------
+    # ---- trial-batched engine ----------------------------------------------
 
     def _execute(self, gate_faults, meas_faults, n_trials: int) -> BatchOutcome:
         """Scatter a batch's sampled faults and run the protocol on it.
@@ -1109,6 +1106,8 @@ class ProtocolRunner:
         np.bitwise_xor.at(f, (trial[prep], unit), eff[:, 1])
         code = _PAULI15_CODES[draw15]
         m_trial, m_pos = meas_faults.T
+        # Round locations run over (group, layer or check slot, unit qubit).
+        width = self.m * self.n
         hits = []
         for rnd, in_round, offset, m_in_round, m_offset in (
             (self.round1, ~prep & (pos < self._r1_end), self._enc_end,
@@ -1116,12 +1115,12 @@ class ProtocolRunner:
             (self.round2, pos >= self._r1_end, self._r1_end,
              m_pos >= self._meas1_end, self._meas1_end),
         ):
-            group, rel = np.divmod(pos[in_round] - offset, len(rnd.layers) * self.n)
-            layer, q = np.divmod(rel, self.n)
-            m_group, m_rel = np.divmod(m_pos[m_in_round] - m_offset, rnd.r_c * self.n)
-            m_slot, m_q = np.divmod(m_rel, self.n)
-            hits.append(rnd.fault_hits(trial[in_round], group, layer, q, code[in_round],
-                                       m_trial[m_in_round], m_group, m_slot, m_q))
+            group, rel = np.divmod(pos[in_round] - offset, len(rnd.layers) * width)
+            layer, qubit = np.divmod(rel, width)
+            m_group, m_rel = np.divmod(m_pos[m_in_round] - m_offset, rnd.r_c * width)
+            m_slot, m_qubit = np.divmod(m_rel, width)
+            hits.append(rnd.fault_hits(trial[in_round], group, layer, qubit, code[in_round],
+                                       m_trial[m_in_round], m_group, m_slot, m_qubit))
         return self._run_protocol_core(e, f, *hits)
 
     def _run_protocol_core(self, e, f, hits1, hits2) -> BatchOutcome:
@@ -1157,9 +1156,13 @@ class ProtocolRunner:
             cand1=cand1, rej1=cand1 - acc1.sum(axis=(1, 2)),
             cand2=cand2, rej2=rej2,
             out_trial=live[out_b],
-            out_e=e2[out_b, out_g, out_s][:, None],
-            out_f=f2[out_b, out_g, out_s][:, None],
+            out_e=self._blocks(e2[out_b, out_g, out_s]),
+            out_f=self._blocks(f2[out_b, out_g, out_s]),
         )
+
+    def _blocks(self, words: np.ndarray) -> np.ndarray:
+        """Unit words as (units, m) per-block words."""
+        return (words[:, None] >> self._block_shifts) & ((1 << self.n) - 1)
 
     def _refill(self, acc1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Primary groups of a batch after round 1: (aborted, unit ids).
@@ -1187,14 +1190,16 @@ class ProtocolRunner:
         return aborted, np.where(slot < count[:, :, None], own_ids, refill)
 
     def _process_group_m1(self, rnd: CompiledRound, meas, flow, hits) -> np.ndarray:
-        """One round on every group of a batch at once (single-block units).
+        """One round on every group of a batch at once.
 
-        ``meas``/``flow`` are (trials, groups, n_c) words of the measured
-        part (e in round 1, f in round 2) and of the opposite part; both
-        are updated in place: the flowing part picks up the check blocks'
+        Serves units of any block count m: ``meas``/``flow`` are (trials,
+        groups, n_c) unit words (all m blocks packed) of the measured part
+        (e in round 1, f in round 2) and of the opposite part; both are
+        updated in place: the flowing part picks up the check blocks'
         errors and accepted data slots are corrected.  Returns the (trials,
         groups, k_c) accept mask.  A group whose column syndromes include
-        one outside the decoding table is rejected whole.
+        one outside the decoding table is rejected whole, a data unit with
+        any block's syndrome outside its correction table alone.
         """
         r_c, n_c, k_c = rnd.r_c, rnd.n_c, rnd.k_c
         sigma = gf2.xor_lookup(rnd.nu_to_sigma, rnd.batch_records(meas, flow, hits))
@@ -1213,7 +1218,9 @@ class ProtocolRunner:
                 mask = ideal_postselect(sigma[d].tolist(), rnd.code_c, rnd.n_s)
                 acc[d] &= (mask >> data_bits) & 1 == 1
         s_hat = se_hat & ((1 << rnd.n_s) - 1)
-        est = rnd.corrections[s_hat & ((1 << rnd.gen_count) - 1)]
+        est = np.zeros(s_hat.shape, rnd.word)
+        for table, off, mask in rnd.corrections:
+            est |= table[(s_hat >> off) & mask]
         acc &= est >= 0
         est[~acc] = 0
         for parity, cor, bidx in rnd.logical_fix:
@@ -1223,7 +1230,7 @@ class ProtocolRunner:
         accept[tb, gb] = acc
         return accept
 
-    # ---- scalar engine: multi-block units, wide codes and traced runs -----
+    # ---- scalar engine: units the batched kernel does not fit, traced runs --
 
     def _execute_scalar(self, gate_faults, meas_positions) -> TrialOutcome:
         m, n = self.m, self.n

@@ -65,11 +65,6 @@ class PauliFrame:
     def is_zero(self) -> bool:
         return not any(self.e) and not any(self.f)
 
-    def validate(self) -> None:
-        for n, eb, fb in zip(self.ns, self.e, self.f):
-            if eb >> n or fb >> n:
-                raise ValueError("frame bits beyond block length")
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -111,10 +106,6 @@ class Circuit:
 
     def count(self, kind: str) -> int:
         return sum(1 for _, _, g in self.gates() if g.kind == kind)
-
-    def locations(self) -> list[tuple[int, int, Gate]]:
-        """Fault locations: every gate, in execution order."""
-        return list(self.gates())
 
     def idle_slots(self) -> list[tuple[int, tuple[int, int]]]:
         """(step, (block, qubit)) pairs where an alive qubit does nothing."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from cssdistill.distill import (
     ideal_postselect,
     postselect,
     run_protocol,
-    steane_extract,
 )
 from cssdistill.frames import (
     PAULI_1Q,
@@ -408,30 +408,9 @@ class TestRoundEngineEquivalence:
             n_extra=2,
         )
         runner = ProtocolRunner(cfg)
-        model = FailureModel.uniform(p)
-        import zlib
-
         rng = np.random.default_rng(zlib.crc32(f"{c_name}:{p}:{d1}".encode()))
         for _ in range(trials):
-            prep, r1, r2 = {}, {}, {}
-            for u in range(runner.n_units):
-                inj = sample_failures(model, runner.enc_circuit, rng)
-                if len(inj):
-                    prep[u] = inj
-            for g in range(runner.groups1):
-                inj = sample_failures(model, runner.round1.circuit, rng)
-                if len(inj):
-                    r1[g] = inj
-            for g in range(runner.groups2):
-                inj = sample_failures(model, runner.round2.circuit, rng)
-                if len(inj):
-                    r2[g] = inj
-            got = runner.run_injected(prep_faults=prep, round1_faults=r1, round2_faults=r2)
-            want = self._reference(runner, prep, r1, r2)
-            assert got.aborted == want["aborted"]
-            assert (got.cand1, got.rej1, got.cand2, got.rej2) == (
-                want["cand1"], want["rej1"], want["cand2"], want["rej2"])
-            assert got.outputs == want["outputs"]
+            self._check_injected(runner, *self._random_faults(runner, p, rng))
 
     @staticmethod
     def _decode_sample(runner, sample):
@@ -439,18 +418,18 @@ class TestRoundEngineEquivalence:
 
         The gate space is laid out unit by unit over the encoder's CNOT
         then preparation locations, then group by group over each round's
-        (layer, qubit) CNOT locations; the readout space group by group
-        over each round's (check slot, qubit) measurements.
+        (layer, block, qubit) CNOT locations; the readout space group by
+        group over each round's (check slot, block, qubit) measurements.
         """
         gate_pos, draw15, draw3, meas_pos = (a.tolist() for a in sample)
-        n = runner.n
+        n, width = runner.n, runner.m * runner.n
         rounds = (runner.round1, runner.round2)
         gates = [{loc: key for key, loc in rnd._gate_index.items()} for rnd in rounds]
         reads = [{loc: key for key, loc in rnd._meas_index.items()} for rnd in rounds]
         enc_locs = runner.enc_cnot_locs + runner.enc_prep_locs
         gate_starts = [runner.n_units * len(enc_locs)]
-        gate_starts.append(gate_starts[0] + runner.groups1 * len(rounds[0].layers) * n)
-        read_starts = [0, runner.groups1 * rounds[0].r_c * n]
+        gate_starts.append(gate_starts[0] + runner.groups1 * len(rounds[0].layers) * width)
+        read_starts = [0, runner.groups1 * rounds[0].r_c * width]
         prep: dict[int, list] = {}
         staged: tuple[dict[int, list], dict[int, list]] = ({}, {})
         for pos, d15, d3 in zip(gate_pos, draw15, draw3):
@@ -460,21 +439,52 @@ class TestRoundEngineEquivalence:
                 prep.setdefault(unit, []).append(Fault(*enc_locs[loc], pauli))
                 continue
             idx = int(pos >= gate_starts[1])
-            group, rel = divmod(pos - gate_starts[idx], len(rounds[idx].layers) * n)
-            layer, q = divmod(rel, n)
-            fault = Fault(*gates[idx][(layer, 0, q)], PAULI_2Q[d15])
+            group, rel = divmod(pos - gate_starts[idx], len(rounds[idx].layers) * width)
+            layer, rel = divmod(rel, width)
+            blk, q = divmod(rel, n)
+            fault = Fault(*gates[idx][(layer, blk, q)], PAULI_2Q[d15])
             staged[idx].setdefault(group, []).append(fault)
         for pos in meas_pos:
             idx = int(pos >= read_starts[1])
-            group, rel = divmod(pos - read_starts[idx], rounds[idx].r_c * n)
-            slot, q = divmod(rel, n)
-            flip = "X" if rounds[idx].bases[0] == "Z" else "Z"
-            staged[idx].setdefault(group, []).append(Fault(*reads[idx][(slot, 0, q)], flip))
+            group, rel = divmod(pos - read_starts[idx], rounds[idx].r_c * width)
+            slot, rel = divmod(rel, width)
+            blk, q = divmod(rel, n)
+            flip = "X" if rounds[idx].bases[blk] == "Z" else "Z"
+            staged[idx].setdefault(group, []).append(Fault(*reads[idx][(slot, blk, q)], flip))
 
         def injections(faults):
             return {k: FaultInjection(tuple(v)) for k, v in faults.items()}
 
         return injections(prep), injections(staged[0]), injections(staged[1])
+
+    def _check_sampled(self, runner, seed, p_index, trials):
+        """Sampled trials of the runner against the reference, trial by
+        trial; returns the outcomes."""
+        batch = runner.run_batch(seed, p_index, 0, trials)
+        outcomes = []
+        for t in range(trials):
+            sample = runner._sample(runner._trial_rng(seed, p_index, t))
+            want = self._reference(runner, *self._decode_sample(runner, sample))
+            got = batch.outcome(t)
+            assert got.aborted == want["aborted"], t
+            assert (got.cand1, got.rej1, got.cand2, got.rej2) == (
+                want["cand1"], want["rej1"], want["cand2"], want["rej2"]), t
+            assert got.outputs == want["outputs"], t
+            outcomes.append(got)
+        return outcomes
+
+    def _check_sampled_config(self, spec, c_name, d1, d2, p, n_extra):
+        code_c = registry(c_name)
+        cfg = DistillationConfig(
+            spec=spec, code_c1=code_c, code_c2=code_c,
+            code_d1=registry(d1) if isinstance(d1, str) and d1 != "ideal" else d1,
+            code_d2=registry(d2) if isinstance(d2, str) and d2 != "ideal" else d2,
+            model=FailureModel.uniform(p), n_extra=n_extra,
+        )
+        runner = ProtocolRunner(cfg)
+        assert runner.batched
+        outcomes = self._check_sampled(runner, 23, 1, 50)
+        assert sum(o.rej1 + o.rej2 for o in outcomes) or d1 is None
 
     @pytest.mark.parametrize(
         "c_name,d1,d2,p,n_extra",
@@ -488,56 +498,44 @@ class TestRoundEngineEquivalence:
     def test_sampled_trials_match_reference(self, zero_spec, c_name, d1, d2, p, n_extra):
         # Sampled positions, decoded here independently of the engine and
         # replayed through the reference, give the batched engine's outcome.
-        code_c = registry(c_name)
-        cfg = DistillationConfig(
-            spec=zero_spec, code_c1=code_c, code_c2=code_c,
-            code_d1=registry(d1) if isinstance(d1, str) and d1 != "ideal" else d1,
-            code_d2=registry(d2) if isinstance(d2, str) and d2 != "ideal" else d2,
-            model=FailureModel.uniform(p), n_extra=n_extra,
-        )
-        runner = ProtocolRunner(cfg)
-        seed, p_index, trials = 23, 1, 50
-        batch = runner.run_batch(seed, p_index, 0, trials)
-        rejected = 0
-        for t in range(trials):
-            sample = runner._sample(runner._trial_rng(seed, p_index, t))
-            want = self._reference(runner, *self._decode_sample(runner, sample))
-            got = batch.outcome(t)
-            assert got.aborted == want["aborted"], t
-            assert (got.cand1, got.rej1, got.cand2, got.rej2) == (
-                want["cand1"], want["rej1"], want["cand2"], want["rej2"]), t
-            assert got.outputs == want["outputs"], t
-            rejected += got.rej1 + got.rej2
-        assert rejected or d1 is None
+        self._check_sampled_config(zero_spec, c_name, d1, d2, p, n_extra)
 
-    @pytest.mark.parametrize("n", [62, 63, 67])
-    def test_wide_blocks_match_reference(self, n):
+    @pytest.mark.parametrize(
+        "block,c_name,d1,d2,p",
+        [
+            ("golay23", "bch15_7_5", None, None, 1.6e-3),
+            # bch15_7_5 as detecting code: k = 7 = |S| of a Steane Bell round.
+            ("hamming7", "bch15_7_5", "bch15_7_5", "bch15_7_5", 2e-3),
+            ("hamming7", "rep3", "ideal", "ideal", 0.01),
+        ],
+    )
+    def test_sampled_bell_trials_match_reference(self, block, c_name, d1, d2, p):
+        # Two-block units: 46-bit (Golay) and 14-bit (Steane) unit words.
+        css = build_css(registry(block), registry(block))
+        self._check_sampled_config(build_ancilla_spec([css, css], "bell"), c_name, d1, d2, p, 2)
+
+    @pytest.mark.parametrize(
+        "n,kind", [(62, "zero"), (63, "zero"), (67, "zero"), (31, "bell"), (32, "bell")],
+        ids=["62", "63", "67", "bell-31", "bell-32"],
+    )
+    def test_wide_blocks_match_reference(self, n, kind):
         # The Steane code plus n - 7 unencoded qubits is an [[n, n - 6]]
-        # code whose zero state has |SE| = n - 3.  Up to n = 62 it fits the
-        # batched kernel's int64 words; wider blocks run on the scalar
-        # engine, and past 63 qubits their output words are Python ints.
+        # code whose zero state has |SE| = n - 3.  Units of up to 62 bits
+        # (one block of n = 62, two of n = 31) fit the batched kernel's
+        # int64 words; wider units run on the scalar engine, and past 63
+        # qubits their output words are Python ints.
         code = build_code(BitMatrix(3, n, registry("hamming7").h.data), d=1)
-        spec = build_ancilla_spec(build_css(code, code), "zero")
+        css = build_css(code, code)
+        spec = build_ancilla_spec([css] * (2 if kind == "bell" else 1), kind)
         rep3 = registry("rep3")
         cfg = DistillationConfig(
             spec=spec, code_c1=rep3, code_c2=rep3, code_d1=None, code_d2=None,
             model=FailureModel.uniform(0.01), n_extra=2,
         )
         runner = ProtocolRunner(cfg)
-        assert runner.batched == (n <= 62)
-        seed, p_index, trials = 7, 0, 20
-        batch = runner.run_batch(seed, p_index, 0, trials)
-        residual = 0
-        for t in range(trials):
-            sample = runner._sample(runner._trial_rng(seed, p_index, t))
-            want = self._reference(runner, *self._decode_sample(runner, sample))
-            got = batch.outcome(t)
-            assert got.aborted == want["aborted"], t
-            assert (got.cand1, got.rej1, got.cand2, got.rej2) == (
-                want["cand1"], want["rej1"], want["cand2"], want["rej2"]), t
-            assert got.outputs == want["outputs"], t
-            residual += any(any(e) or any(f) for e, f in got.outputs)
-        assert residual
+        assert runner.batched == (spec.m * n <= 62)
+        outcomes = self._check_sampled(runner, 7, 0, 20)
+        assert any(any(any(e) or any(f) for e, f in o.outputs) for o in outcomes)
 
     def _random_faults(self, runner, p, rng):
         model = FailureModel.uniform(p)
@@ -567,17 +565,21 @@ class TestRoundEngineEquivalence:
             model=FailureModel.uniform(0.0), n_extra=2,
         )
         runner = ProtocolRunner(cfg)
+        assert runner.batched
         rng = np.random.default_rng(404)
         for _ in range(8):
-            prep, r1, r2 = self._random_faults(runner, 0.02, rng)
-            got = runner.run_injected(prep_faults=prep, round1_faults=r1, round2_faults=r2)
-            want = self._reference(runner, prep, r1, r2)
-            assert not got.aborted or want["aborted"]
-            assert got.outputs == want["outputs"]
-            assert (got.rej1, got.rej2) == (want["rej1"], want["rej2"])
+            self._check_injected(runner, *self._random_faults(runner, 0.02, rng))
+
+    def _check_injected(self, runner, prep, r1, r2):
+        got = runner.run_injected(prep_faults=prep, round1_faults=r1, round2_faults=r2)
+        want = self._reference(runner, prep, r1, r2)
+        assert got.aborted == want["aborted"]
+        assert (got.cand1, got.rej1, got.cand2, got.rej2) == (
+            want["cand1"], want["rej1"], want["cand2"], want["rej2"])
+        assert got.outputs == want["outputs"]
 
     def test_bell_spec_two_block_units(self, golay_css):
-        # Two-block ancilla units go through the generic group path.
+        # Two-block ancilla units run on the batched kernel as 46-bit words.
         spec = build_ancilla_spec([golay_css, golay_css], "bell")
         rep3 = registry("rep3")
         cfg = DistillationConfig(
@@ -586,15 +588,12 @@ class TestRoundEngineEquivalence:
             model=FailureModel.uniform(0.0), n_extra=1,
         )
         runner = ProtocolRunner(cfg)
+        assert runner.batched
         rng = np.random.default_rng(505)
         out0 = runner.run_injected()
         assert len(out0.outputs) == 1 and out0.outputs[0] == ((0, 0), (0, 0))
         for _ in range(4):
-            prep, r1, r2 = self._random_faults(runner, 0.01, rng)
-            got = runner.run_injected(prep_faults=prep, round1_faults=r1, round2_faults=r2)
-            want = self._reference(runner, prep, r1, r2)
-            assert got.outputs == want["outputs"]
-            assert (got.rej1, got.rej2) == (want["rej1"], want["rej2"])
+            self._check_injected(runner, *self._random_faults(runner, 0.01, rng))
 
 
 class TestRunProtocol:
@@ -795,33 +794,6 @@ class TestPostselectionLimit:
         assert res.accepted_slots == [2]  # ideal postselection passes
         wx = tab.x_weight(tuple(res.frames[2].e))
         assert wx is not None and wx > 3
-
-
-class TestSteaneExtract:
-    def test_all_zero(self, golay_css):
-        z = PauliFrame.zeros((23,))
-        gz, gx = steane_extract(z.copy(), z.copy(), z.copy(), golay_css)
-        assert gz.is_zero() and gx.is_zero()
-
-    def test_data_x_error_reads_hz_column(self, golay_css):
-        data = PauliFrame.zeros((23,))
-        data.e[0] = 1 << 5
-        z = PauliFrame.zeros((23,))
-        gz, gx = steane_extract(data, z.copy(), z.copy(), golay_css)
-        assert gz == golay_css.hp_z.column(5)
-        assert gx.is_zero()
-
-    def test_correlated_ancilla_error_mimics_data_error(self, golay_css):
-        # An X error on the X ancilla produces the same parity signature as
-        # a data error: unqualified ancillas corrupt the extraction.
-        data = PauliFrame.zeros((23,))
-        data.e[0] = 1 << 5
-        x_anc = PauliFrame.zeros((23,))
-        x_anc.e[0] = 1 << 5
-        z = PauliFrame.zeros((23,))
-        gz_data, _ = steane_extract(data, z.copy(), z.copy(), golay_css)
-        gz_anc, _ = steane_extract(z.copy(), x_anc, z.copy(), golay_css)
-        assert gz_data == gz_anc
 
 
 class TestScenarioRoundtrip:

@@ -69,17 +69,47 @@ class TestRunExperiment:
     def test_pinned_counters(self, comb_a_config):
         # Counters recorded with the scalar per-trial engine for this seed:
         # the batched engine must reproduce them bit for bit, here with
-        # chunks of 37 trials so that batches end at chunk edges.
-        cfg = dataclasses.replace(comb_a_config, n_extra=6)
-        stats = run_experiment(cfg, [1e-4, 1.6e-3], 300, seed=2718, workers=1, chunk_size=37)
-        assert [s.to_dict() for s in stats.per_p] == [
-            {"p": 1e-4, "trials": 300, "aborted": 0, "cand1": 44100, "rej1": 17,
-             "cand2": 14700, "rej2": 113, "accepted": 14587,
-             "hist_x": [14165, 419, 3, 0, 0], "hist_z": [14531, 56, 0, 0, 0]},
-            {"p": 1.6e-3, "trials": 300, "aborted": 16, "cand1": 44100, "rej1": 8301,
-             "cand2": 13916, "rej2": 12177, "accepted": 1739,
-             "hist_x": [1206, 441, 82, 9, 1], "hist_z": [1483, 183, 35, 38, 0]},
+        # chunks of 37 trials so that batches end at chunk edges.  Golay
+        # |0>_L with combination A; Golay Bell pairs (two-block units) with
+        # combination A and no postselection; Steane Bell pairs whose
+        # detecting code bch15_7_5 has k = 7 = |S|, so postselection rejects.
+        zero = dataclasses.replace(comb_a_config, n_extra=6)
+        golay = zero.spec.blocks[0]
+        steane = build_css(registry("hamming7"), registry("hamming7"))
+
+        def bell(css, code_d):
+            return dataclasses.replace(zero, spec=build_ancilla_spec([css, css], "bell"),
+                                       code_d1=code_d, code_d2=code_d)
+
+        cases = [
+            (zero, [1e-4, 1.6e-3], 300, [
+                {"p": 1e-4, "trials": 300, "aborted": 0, "cand1": 44100, "rej1": 17,
+                 "cand2": 14700, "rej2": 113, "accepted": 14587,
+                 "hist_x": [14165, 419, 3, 0, 0], "hist_z": [14531, 56, 0, 0, 0]},
+                {"p": 1.6e-3, "trials": 300, "aborted": 16, "cand1": 44100, "rej1": 8301,
+                 "cand2": 13916, "rej2": 12177, "accepted": 1739,
+                 "hist_x": [1206, 441, 82, 9, 1], "hist_z": [1483, 183, 35, 38, 0]},
+            ]),
+            (bell(golay, None), [4e-4, 1.6e-3], 200, [
+                {"p": 4e-4, "trials": 200, "aborted": 0, "cand1": 29400, "rej1": 0,
+                 "cand2": 9800, "rej2": 0, "accepted": 9800,
+                 "hist_x": [6499, 1952, 431, 240, 678], "hist_z": [6595, 1547, 606, 337, 715]},
+                {"p": 1.6e-3, "trials": 200, "aborted": 0, "cand1": 29400, "rej1": 0,
+                 "cand2": 9800, "rej2": 0, "accepted": 9800,
+                 "hist_x": [251, 443, 715, 1280, 7111], "hist_z": [223, 618, 932, 1284, 6743]},
+            ]),
+            (bell(steane, zero.code_c1), [4e-4, 2e-3], 200, [
+                {"p": 4e-4, "trials": 200, "aborted": 0, "cand1": 29400, "rej1": 56,
+                 "cand2": 9800, "rej2": 444, "accepted": 9356,
+                 "hist_x": [8666, 672, 18, 0, 0], "hist_z": [9280, 76, 0, 0, 0]},
+                {"p": 2e-3, "trials": 200, "aborted": 0, "cand1": 29400, "rej1": 1857,
+                 "cand2": 9800, "rej2": 5689, "accepted": 4111,
+                 "hist_x": [2990, 971, 143, 7, 0], "hist_z": [3789, 287, 29, 6, 0]},
+            ]),
         ]
+        for cfg, grid, trials, want in cases:
+            stats = run_experiment(cfg, grid, trials, seed=2718, workers=1, chunk_size=37)
+            assert [s.to_dict() for s in stats.per_p] == want
 
     def test_json_roundtrip(self, comb_a_config):
         stats = run_experiment(comb_a_config, [1e-3, 2e-3], 20, seed=1, workers=1)
