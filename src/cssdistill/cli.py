@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import codes as codes_mod
@@ -69,15 +69,9 @@ class ExperimentConfig:
     ideal_postselection: bool = False
     out: str | None = None
 
-    _FIELDS = (
-        "css", "ancilla", "combination", "c1", "c2", "d1", "d2",
-        "p_grid", "trials_per_p", "n_extra", "seed", "w_cap",
-        "ideal_postselection", "out",
-    )
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - set(cls._FIELDS)
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**d)
@@ -362,7 +356,6 @@ def cmd_inject(args) -> int:
             prep_faults=staged["prep"],
             round1_faults=staged["round1"],
             round2_faults=staged["round2"],
-            trace=True,
         )
     except (ValueError, IndexError, KeyError) as exc:
         raise ConfigError(f"scenario: invalid circuit location ({exc})") from exc

@@ -114,11 +114,6 @@ def build_css(code_x: LinearCode, code_z: LinearCode) -> CssCode:
     )
 
 
-def extended_checks(css: CssCode) -> tuple[BitMatrix, BitMatrix]:
-    """(H'_Z, H'_X): stabilizer check rows first, logical rows after."""
-    return css.hp_z, css.hp_x
-
-
 @dataclass(frozen=True)
 class PauliElement:
     """Binary representation of a Pauli over m code blocks: per-block X and
@@ -150,11 +145,11 @@ class PauliElement:
         )
 
 
-def _z_elem(m: int, b: int, bits: int, n_blocks: tuple[int, ...]) -> PauliElement:
+def _z_elem(m: int, b: int, bits: int) -> PauliElement:
     return PauliElement(tuple(0 for _ in range(m)), tuple(bits if i == b else 0 for i in range(m)))
 
 
-def _x_elem(m: int, b: int, bits: int, n_blocks: tuple[int, ...]) -> PauliElement:
+def _x_elem(m: int, b: int, bits: int) -> PauliElement:
     return PauliElement(tuple(bits if i == b else 0 for i in range(m)), tuple(0 for _ in range(m)))
 
 
@@ -226,19 +221,18 @@ def _round_sets_for_kind(css_blocks, kind, i, j, basis):
     the eigenvalue rules: the anticommuting counterpart of the round logical,
     restricted to the error type the round corrects."""
     m = len(css_blocks)
-    sizes = tuple(c.n for c in css_blocks)
 
     def zrows(b):
-        return [_z_elem(m, b, r, sizes) for r in css_blocks[b].h_z.data]
+        return [_z_elem(m, b, r) for r in css_blocks[b].h_z.data]
 
     def xrows(b):
-        return [_x_elem(m, b, r, sizes) for r in css_blocks[b].h_x.data]
+        return [_x_elem(m, b, r) for r in css_blocks[b].h_x.data]
 
     def zbar(b, idx):
-        return _z_elem(m, b, css_blocks[b].l_z.data[idx], sizes)
+        return _z_elem(m, b, css_blocks[b].l_z.data[idx])
 
     def xbar(b, idx):
-        return _x_elem(m, b, css_blocks[b].d_mat.data[idx], sizes)
+        return _x_elem(m, b, css_blocks[b].d_mat.data[idx])
 
     if kind == "zero":
         k = css_blocks[0].k

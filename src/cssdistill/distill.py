@@ -12,7 +12,8 @@ circuit layer: each elementary fault component at each location is pushed
 through the remaining gates once, so a trial only XORs per-fault effect
 masks and decodes sparse syndromes.  Tables are derived from
 :func:`cssdistill.frames.run_noisy` itself, which keeps the fast path and
-the reference path definitionally in sync.
+the reference path (:meth:`ProtocolRunner.run_reference`: ``run_noisy``
+per encoder, :meth:`CompiledRound.run` per group) definitionally in sync.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ class TrialOutcome:
     cand2: int
     rej2: int
     outputs: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    trace: dict | None = None
 
 
 @dataclass
@@ -533,15 +533,6 @@ class CompiledRound:
         self.se = extend_stabilizers(self.s, real_d)
         self.n_s = len(self.s)
         self.n_se = len(self.se)
-        # Which SE elements touch (block b, qubit q), via the measured part.
-        self.se_cols = [[0] * n for _ in range(m)]
-        for c, el in enumerate(self.se):
-            for b in range(m):
-                rep = el.z[b] if self.bases[b] == "Z" else el.x[b]
-                while rep:
-                    q = (rep & -rep).bit_length() - 1
-                    self.se_cols[b][q] |= 1 << c
-                    rep &= rep - 1
         self.hd_masks = hd_column_masks(real_d, self.n_s) if real_d else None
 
         self.layers = [
@@ -563,66 +554,17 @@ class CompiledRound:
                 (bq, q) = gate.locs[0]
                 unit, blk = divmod(bq, m)
                 self._meas_index[(s_idx, g_idx)] = (unit, blk, q)
-
-        # Effect tables: for each layer and block, the component fault at a
-        # representative qubit is pushed through the remaining circuit; by
-        # transversality the block pattern is qubit-independent.
-        self.eff: list[list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None]] = []
-        rep_gate: dict[tuple[int, int], tuple[int, int]] = {}
-        for (sg, loc) in ((k, v) for k, v in self._gate_index.items()):
-            layer, blk, q = loc
-            if q == 0:
-                rep_gate[(layer, blk)] = sg
-        for layer in range(len(self.layers)):
-            per_block = []
-            for blk in range(m):
-                s_idx, g_idx = rep_gate[(layer, blk)]
-                comps = {}
-                for bit, pauli in ((1, "XI"), (2, "ZI"), (4, "IX"), (8, "IZ")):
-                    frame, _ = run_noisy(self.circuit, FaultInjection((Fault(s_idx, g_idx, pauli),)))
-                    nu_slots, e_slots, f_slots = [], [], []
-                    for slot in range(self.n_c):
-                        eb = frame.e[slot * m + blk]
-                        fb = frame.f[slot * m + blk]
-                        # transversality: only the representative qubit is hit
-                        assert (eb | fb) & ~1 == 0
-                        if slot < self.r_c:
-                            rec = eb if self.bases[blk] == "Z" else fb
-                            if rec:
-                                nu_slots.append(slot)
-                        else:
-                            if eb:
-                                e_slots.append(slot)
-                            if fb:
-                                f_slots.append(slot)
-                    comps[bit] = (tuple(nu_slots), tuple(e_slots), tuple(f_slots))
-                combo = [None] * 16
-                for code in range(1, 16):
-                    nu_t, e_t, f_t = set(), set(), set()
-                    for bit in (1, 2, 4, 8):
-                        if code & bit:
-                            nset, eset, fset = comps[bit]
-                            nu_t ^= set(nset)
-                            e_t ^= set(eset)
-                            f_t ^= set(fset)
-                    combo[code] = (tuple(sorted(nu_t)), tuple(sorted(e_t)), tuple(sorted(f_t)))
-                per_block.append(combo)
-            self.eff.append(per_block)
-
-        # Per check row: the data columns feeding it; per data column: its rows.
-        self.row_data = [
-            [j for j in range(self.k_c) if code_c.a.get(i, j)] for i in range(self.r_c)
-        ]
-        self.col_checks = [
-            [i for i in range(self.r_c) if code_c.a.get(i, j)] for j in range(self.k_c)
-        ]
+        # The circuit location of each (layer, block, qubit) CNOT and each
+        # (check slot, block, qubit) readout.
+        self._gate_at = {loc: key for key, loc in self._gate_index.items()}
+        self._meas_at = {loc: key for key, loc in self._meas_index.items()}
 
         # Dense tables of the trial-batched kernel: a unit's m blocks are
         # packed into one int64 word, block b in bits [b*n, (b+1)*n), and so
         # are sigma rows, estimated SE rows and check-slot masks; every
         # decoder becomes an array over all its syndromes.  Round 1 measures
         # Z and corrects e on every block, round 2 X and f; rounds of other
-        # shapes or sizes run on the scalar engine.
+        # shapes or sizes run on the reference.
         corr_codes = [
             blk.code_z if basis == "Z" else blk.code_x for blk, basis in zip(spec.blocks, self.bases)
         ]
@@ -635,38 +577,61 @@ class CompiledRound:
             and max(self.r_c, *(max(c.r, k) for c, k in zip(corr_codes, self.gen_counts)))
             <= _DENSE_BITS
         )
-        if self.batched:
-            # Per layer, block and Pauli code: bitmasks of the check slots
-            # whose records flip and of the slots whose e / f parts flip.
-            single = np.array([
-                [[[sum(1 << s for s in slots) for slots in combo[bit]] for bit in (1, 2, 4, 8)]
-                 for combo in per_block]
-                for per_block in self.eff
-            ], dtype=np.int64).reshape(len(self.layers), m, 4, 3)
-            self.eff_masks = _by_code(single, range(16))
-            self.nu_to_sigma = gf2.byte_tables([c for cols in self.se_cols for c in cols])
-            self.hd_parity = gf2.byte_tables(self.hd_masks) if self.hd_masks else None
-            self.leaders = _dense_table(code_c.systematic_table, self.r_c)
-            # Per block: its correction table, shifted to the block's bits
-            # (-1 still marks a miss), and the offset and mask of its
-            # generator syndrome in the estimated SE rows.
-            self.word = np.int32 if m * n < 32 else np.int64
-            self.corrections = []
-            off = 0
-            for b, (code, count) in enumerate(zip(corr_codes, self.gen_counts)):
-                table = _dense_table(code.syndrome_table, max(code.r, count)).astype(np.int64)
-                table[table > 0] <<= b * n
-                self.corrections.append((table.astype(self.word), off, (1 << count) - 1))
-                off += count
-            # Per logical: the parity of a correction against its measured
-            # part (byte tables), its corrector and its bit in the SE rows.
-            self.logical_fix = []
-            for t, lg in enumerate(self.s[off:]):
-                rep = _pack(lg.z if round_ == 1 else lg.x, n)
-                parity = gf2.byte_tables([(rep >> i) & 1 for i in range(m * n)])
-                cor = _pack(correctors[t].x if round_ == 1 else correctors[t].z, n)
-                self.logical_fix.append((parity, cor, off + t))
-            self.row_data_idx = [np.array(cols, dtype=np.intp) + self.r_c for cols in self.row_data]
+        if not self.batched:
+            return
+        # Per layer, block and Pauli code: bitmasks of the check slots whose
+        # records flip and of the slots whose e / f parts flip.  Each
+        # component fault at the block's qubit 0 is pushed through the rest
+        # of the circuit; by transversality the pattern is qubit-independent.
+        single = np.zeros((len(self.layers), m, 4, 3), dtype=np.int64)
+        for layer in range(len(self.layers)):
+            for blk in range(m):
+                loc = self._gate_at[(layer, blk, 0)]
+                for i, pauli in enumerate(("XI", "ZI", "IX", "IZ")):
+                    frame, _ = run_noisy(self.circuit, FaultInjection((Fault(*loc, pauli),)))
+                    for slot in range(self.n_c):
+                        eb, fb = frame.e[slot * m + blk], frame.f[slot * m + blk]
+                        # transversality: only the representative qubit is hit
+                        assert (eb | fb) & ~1 == 0
+                        if slot < self.r_c:
+                            single[layer, blk, i, 0] |= (eb if round_ == 1 else fb) << slot
+                        else:
+                            single[layer, blk, i, 1:] |= (eb << slot, fb << slot)
+        self.eff_masks = _by_code(single, range(16))
+        # Per (block, qubit) of a unit: the SE elements whose measured part
+        # touches it.
+        se_cols = [0] * (m * n)
+        for c, el in enumerate(self.se):
+            for b, rep in enumerate(el.z if round_ == 1 else el.x):
+                for q in range(n):
+                    se_cols[b * n + q] |= (rep >> q & 1) << c
+        self.nu_to_sigma = gf2.byte_tables(se_cols)
+        self.hd_parity = gf2.byte_tables(self.hd_masks) if self.hd_masks else None
+        self.leaders = _dense_table(code_c.systematic_table, self.r_c)
+        # Per block: its correction table, shifted to the block's bits
+        # (-1 still marks a miss), and the offset and mask of its
+        # generator syndrome in the estimated SE rows.
+        self.word = np.int32 if m * n < 32 else np.int64
+        self.corrections = []
+        off = 0
+        for b, (code, count) in enumerate(zip(corr_codes, self.gen_counts)):
+            table = _dense_table(code.syndrome_table, max(code.r, count)).astype(np.int64)
+            table[table > 0] <<= b * n
+            self.corrections.append((table.astype(self.word), off, (1 << count) - 1))
+            off += count
+        # Per logical: the parity of a correction against its measured
+        # part (byte tables), its corrector and its bit in the SE rows.
+        self.logical_fix = []
+        for t, lg in enumerate(self.s[off:]):
+            rep = _pack(lg.z if round_ == 1 else lg.x, n)
+            parity = gf2.byte_tables([(rep >> i) & 1 for i in range(m * n)])
+            cor = _pack(correctors[t].x if round_ == 1 else correctors[t].z, n)
+            self.logical_fix.append((parity, cor, off + t))
+        # Per check row: the slots of the data units feeding it.
+        self.row_data_idx = [
+            np.array([self.r_c + j for j in range(self.k_c) if code_c.a.get(i, j)], dtype=np.intp)
+            for i in range(self.r_c)
+        ]
 
     def batch_records(self, meas, flow, hits) -> np.ndarray:
         """Check records of (trials, groups, n_c) unit words.
@@ -826,7 +791,11 @@ class ProtocolRunner:
         self.n_units = self.n_c1 * self.groups1
 
         self.enc_circuit = synth_encoding_circuit(spec)
-        self._compile_encoding()
+        gates = list(self.enc_circuit.gates())
+        self.enc_cnot_locs = [(s, g) for s, g, gate in gates if gate.kind == "cnot"]
+        self.enc_prep_locs = [(s, g) for s, g, gate in gates if gate.kind in ("prep_z", "prep_x")]
+        self.n_enc_cnots = len(self.enc_cnot_locs)
+        self.n_enc_locs = self.n_enc_cnots + len(self.enc_prep_locs)
 
         m, n = self.m, self.n
         self._gate_space = (
@@ -838,28 +807,16 @@ class ProtocolRunner:
         self._r1_end = self._enc_end + self.groups1 * len(self.round1.layers) * m * n
         self._meas_space = self.groups1 * self.r_c1 * m * n + self.groups2 * self.r_c2 * m * n
         self._meas1_end = self.groups1 * self.r_c1 * m * n
-        self._g1_units = [
-            list(range(g * self.n_c1, (g + 1) * self.n_c1)) for g in range(self.groups1)
-        ]
-        self._g1_data = [u[self.r_c1:] for u in self._g1_units]
         # Protocols whose rounds fit the batched kernel run trial-batched;
-        # the rest run trial by trial on the scalar engine.
+        # the rest run trial by trial on the reference.
         self.batched = self.round1.batched and self.round2.batched
         if self.batched:
             # Frames of a batch hold one unit, all m blocks, per word.
             self._word = self.round1.word
             self._block_shifts = np.arange(m, dtype=self._word) * n
-            # Encoding effects by (location, draw): the 15-way draw indexes
-            # a CNOT location's Paulis, the 3-way draw a preparation's.
-            self._enc_eff = np.zeros((self.n_enc_locs, 15, 2), dtype=self._word)
-            for combos, bits, codes, locs in (
-                (self.enc_cnot_eff, (1, 2, 4, 8), PAULI15_CODE, slice(0, self.n_enc_cnots)),
-                (self.enc_prep_eff, (1, 2), PAULI3_CODE, slice(self.n_enc_cnots, None)),
-            ):
-                single = np.array([[(_pack(combo[bit][0], n), _pack(combo[bit][1], n)) for bit in bits]
-                                   for combo in combos], dtype=self._word)
-                self._enc_eff[locs, :len(codes)] = _by_code(single.reshape(-1, len(bits), 2), codes)
-            self._g1_data_ids = np.array(self._g1_data, dtype=np.intp).reshape(self.groups1, self.k_c1)
+            self._compile_encoding()
+            ids = np.arange(self.n_units, dtype=np.intp).reshape(self.groups1, self.n_c1)
+            self._g1_data_ids = ids[:, self.r_c1:].copy()
         self._rng_template = None
 
     def with_model(self, model: FailureModel) -> "ProtocolRunner":
@@ -871,69 +828,30 @@ class ProtocolRunner:
         return other
 
     def _compile_encoding(self) -> None:
-        """Single-component fault effects for every encoding location."""
-        m = self.m
-        self.enc_cnot_locs: list[tuple[int, int]] = []
-        self.enc_prep_locs: list[tuple[int, int]] = []
-        for s_idx, g_idx, gate in self.enc_circuit.gates():
-            if gate.kind == "cnot":
-                self.enc_cnot_locs.append((s_idx, g_idx))
-            elif gate.kind in ("prep_z", "prep_x"):
-                self.enc_prep_locs.append((s_idx, g_idx))
-        self.n_enc_cnots = len(self.enc_cnot_locs)
-        self.n_enc_locs = self.n_enc_cnots + len(self.enc_prep_locs)
+        """Encoding effects by (location, draw) as unit words: the 15-way
+        draw indexes a CNOT location's Paulis, the 3-way draw a
+        preparation's.  Each component fault is pushed through the rest of
+        the encoder once; composite Paulis add their components' effects."""
 
-        def effect_of(s_idx: int, g_idx: int, pauli: str):
-            frame, _ = run_noisy(self.enc_circuit, FaultInjection((Fault(s_idx, g_idx, pauli),)))
-            return tuple(frame.e), tuple(frame.f)
+        def effect(loc: tuple[int, int], pauli: str) -> tuple[int, int]:
+            frame, _ = run_noisy(self.enc_circuit, FaultInjection((Fault(*loc, pauli),)))
+            return _pack(frame.e, self.n), _pack(frame.f, self.n)
 
-        self.enc_cnot_eff: list[list[tuple[tuple[int, ...], tuple[int, ...]] | None]] = []
-        for s_idx, g_idx in self.enc_cnot_locs:
-            comps = {
-                1: effect_of(s_idx, g_idx, "XI"),
-                2: effect_of(s_idx, g_idx, "ZI"),
-                4: effect_of(s_idx, g_idx, "IX"),
-                8: effect_of(s_idx, g_idx, "IZ"),
-            }
-            combo: list = [None] * 16
-            for code in range(1, 16):
-                e_acc = [0] * m
-                f_acc = [0] * m
-                for bit in (1, 2, 4, 8):
-                    if code & bit:
-                        ee, ff = comps[bit]
-                        for b in range(m):
-                            e_acc[b] ^= ee[b]
-                            f_acc[b] ^= ff[b]
-                combo[code] = (tuple(e_acc), tuple(f_acc))
-            self.enc_cnot_eff.append(combo)
-        self.enc_prep_eff: list[list[tuple[tuple[int, ...], tuple[int, ...]] | None]] = []
-        for s_idx, g_idx in self.enc_prep_locs:
-            comps = {1: effect_of(s_idx, g_idx, "X"), 2: effect_of(s_idx, g_idx, "Z")}
-            combo = [None] * 4
-            for code in range(1, 4):
-                e_acc = [0] * m
-                f_acc = [0] * m
-                for bit in (1, 2):
-                    if code & bit:
-                        ee, ff = comps[bit]
-                        for b in range(m):
-                            e_acc[b] ^= ee[b]
-                            f_acc[b] ^= ff[b]
-                combo[code] = (tuple(e_acc), tuple(f_acc))
-            self.enc_prep_eff.append(combo)
+        self._enc_eff = np.zeros((self.n_enc_locs, 15, 2), dtype=self._word)
+        for locs, comps, codes, rows in (
+            (self.enc_cnot_locs, ("XI", "ZI", "IX", "IZ"), PAULI15_CODE, slice(0, self.n_enc_cnots)),
+            (self.enc_prep_locs, ("X", "Z"), PAULI3_CODE, slice(self.n_enc_cnots, None)),
+        ):
+            single = np.array([[effect(loc, p) for p in comps] for loc in locs], dtype=self._word)
+            self._enc_eff[rows, :len(codes)] = _by_code(single.reshape(-1, len(comps), 2), codes)
 
     # ---- trial execution -------------------------------------------------
 
-    def make_rng(self, seed: int, p_index: int, trial: int) -> np.random.Generator:
-        """Counter-based per-trial stream: reproducible and order-free."""
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, p_index], dtype=np.uint64)
-        counter = np.array([0, 0, 0, trial], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
     def _trial_rng(self, seed: int, p_index: int, trial: int) -> np.random.Generator:
-        """Same stream as :meth:`make_rng` but reusing one generator object;
-        the returned generator is only valid until the next call."""
+        """Counter-based per-trial stream, reproducible and order-free:
+        Philox keyed by (seed, p index) at counter (0, 0, 0, trial).  One
+        generator object is reused, so the returned generator is only
+        valid until the next call."""
         if self._rng_template is None:
             bg = np.random.Philox(key=0)
             self._rng_template = (bg, np.random.Generator(bg), bg.state)
@@ -1001,16 +919,16 @@ class ProtocolRunner:
         return gate, meas, len(samples)
 
     def run_trial(self, rng: np.random.Generator) -> TrialOutcome:
+        """One protocol cycle with faults sampled from ``rng``."""
         sample = self._sample(rng)
-        if self.batched:
-            return self._execute(*self._fault_rows([sample])).outcome(0)
-        gate_pos, draw15, draw3, meas_pos = sample
-        faults = list(zip(gate_pos.tolist(), draw15.tolist(), draw3.tolist()))
-        return self._execute_scalar(faults, meas_pos.tolist())
+        if not self.batched:
+            return self.run_reference(*self._injections(sample))
+        return self._execute(*self._fault_rows([sample])).outcome(0)
 
     def run_batch(self, seed: int, p_index: int, first: int, count: int) -> BatchOutcome:
         """Trials ``first .. first + count - 1`` of the (seed, p index)
-        streams, as one batch on the batched engine, else trial by trial."""
+        streams, as one batch on the batched engine, else trial by trial
+        on the reference."""
         trials = range(first, first + count)
         if not self.batched:
             return BatchOutcome.of(
@@ -1025,65 +943,57 @@ class ProtocolRunner:
         prep_faults: dict[int, FaultInjection] | None = None,
         round1_faults: dict[int, FaultInjection] | None = None,
         round2_faults: dict[int, FaultInjection] | None = None,
-        trace: bool = False,
     ) -> TrialOutcome:
         """Deterministic protocol run with faults pinned to circuit
         locations of specific units (preparation) or groups (rounds).
 
-        Protocols on the batched engine run a batch of one unless a trace
-        is requested."""
-        m, n = self.m, self.n
-        e = [0] * (self.n_units * m)
-        f = [0] * (self.n_units * m)
-        r1_faults: dict[int, list] = {}
-        r2_faults: dict[int, list] = {}
-        m1_flips: dict[int, list] = {}
-        m2_flips: dict[int, list] = {}
-        cnot_idx = {loc: i for i, loc in enumerate(self.enc_cnot_locs)}
-        prep_idx = {loc: i for i, loc in enumerate(self.enc_prep_locs)}
-        for unit, inj in (prep_faults or {}).items():
+        Raises ``ValueError`` for a unit, group or location off the
+        protocol's circuits.  Runs a batch of one on the batched engine,
+        else the reference."""
+        injections = (prep_faults or {}, round1_faults or {}, round2_faults or {})
+        sample = self._sample_of(*injections)  # checks every fault's location
+        if not self.batched:
+            return self.run_reference(*injections)
+        return self._execute(*self._fault_rows([sample])).outcome(0)
+
+    def _sample_of(self, prep, r1, r2):
+        """Injected faults as a sample, the inverse of :meth:`_injections`;
+        identity faults and readout faults that flip nothing drop out."""
+        n, width = self.n, self.m * self.n
+        enc_index = {loc: i for i, loc in enumerate(self.enc_cnot_locs + self.enc_prep_locs)}
+        gates, reads = [], []
+        for unit, inj in prep.items():
+            if not 0 <= unit < self.n_units:
+                raise ValueError(f"unit {unit} is outside 0..{self.n_units - 1}")
             for fault in inj.items:
-                key = (fault.step, fault.gate_idx)
-                if key in cnot_idx:
-                    eff = self.enc_cnot_eff[cnot_idx[key]][pauli2_code(fault.pauli)]
-                elif key in prep_idx:
-                    eff = self.enc_prep_eff[prep_idx[key]][_CHAR_CODE[fault.pauli[0]]]
-                else:
+                loc = enc_index.get((fault.step, fault.gate_idx))
+                if loc is None:
                     raise ValueError(f"fault does not address an encoding location: {fault}")
-                base = unit * m
-                for b in range(m):
-                    e[base + b] ^= eff[0][b]
-                    f[base + b] ^= eff[1][b]
-        for store, flips, compiled, src in (
-            (r1_faults, m1_flips, self.round1, round1_faults),
-            (r2_faults, m2_flips, self.round2, round2_faults),
+                cnot = loc < self.n_enc_cnots
+                code = pauli2_code(fault.pauli) if cnot else _CHAR_CODE[fault.pauli[0]]
+                if code:
+                    draw = (PAULI15_CODE if cnot else PAULI3_CODE).index(code)
+                    gates.append((unit * self.n_enc_locs + loc, *((draw, 0) if cnot else (0, draw))))
+        for rnd, faults, groups, start, m_start in (
+            (self.round1, r1, self.groups1, self._enc_end, 0),
+            (self.round2, r2, self.groups2, self._r1_end, self._meas1_end),
         ):
-            for group, inj in (src or {}).items():
+            for group, inj in faults.items():
+                if not 0 <= group < groups:
+                    raise ValueError(f"round {rnd.round} group {group} is outside 0..{groups - 1}")
                 for fault in inj.items:
-                    kind, *rest = compiled.classify_fault(fault)
+                    kind, *rest = rnd.classify_fault(fault)
                     if kind == "cnot":
                         layer, blk, q, code = rest
                         if code:
-                            store.setdefault(group, []).append((layer, blk, q, code))
+                            pos = start + (group * len(rnd.layers) + layer) * width + blk * n + q
+                            gates.append((pos, PAULI15_CODE.index(code), 0))
                     else:
-                        unit, blk, q, flip = rest
+                        slot, blk, q, flip = rest
                         if flip:
-                            flips.setdefault(group, []).append((unit, blk, q))
-        if self.batched and not trace:
-            hits = []
-            for rnd, faults, flips in (
-                (self.round1, r1_faults, m1_flips), (self.round2, r2_faults, m2_flips)
-            ):
-                cnots = np.array([(g, layer, blk * n + q, code) for g, fl in faults.items()
-                                  for layer, blk, q, code in fl], dtype=np.int64).reshape(-1, 4)
-                reads = np.array([(g, slot, blk * n + q) for g, fl in flips.items()
-                                  for slot, blk, q in fl], dtype=np.int64).reshape(-1, 3)
-                hits.append(rnd.fault_hits(np.zeros(len(cnots), np.int64), *cnots.T,
-                                           np.zeros(len(reads), np.int64), *reads.T))
-            e, f = (np.array([[_pack(x[u * m:(u + 1) * m], n) for u in range(self.n_units)]],
-                             self._word) for x in (e, f))
-            return self._run_protocol_core(e, f, *hits).outcome(0)
-        return self._run_protocol_scalar(e, f, r1_faults, r2_faults, m1_flips, m2_flips, trace, None)
+                            reads.append(m_start + (group * rnd.r_c + slot) * width + blk * n + q)
+        gate_pos, draw15, draw3 = np.array(gates, dtype=np.int64).reshape(-1, 3).T
+        return gate_pos, draw15, draw3, np.array(reads, dtype=np.int64)
 
     # ---- trial-batched engine ----------------------------------------------
 
@@ -1230,275 +1140,84 @@ class ProtocolRunner:
         accept[tb, gb] = acc
         return accept
 
-    # ---- scalar engine: units the batched kernel does not fit, traced runs --
+    # ---- reference protocol ------------------------------------------------
 
-    def _execute_scalar(self, gate_faults, meas_positions) -> TrialOutcome:
-        m, n = self.m, self.n
-        e = [0] * (self.n_units * m)
-        f = [0] * (self.n_units * m)
-        dirty_g1 = bytearray(self.groups1)
-        r1_faults: dict[int, list] = {}
-        r2_faults: dict[int, list] = {}
-        layer_span1 = len(self.round1.layers) * m * n
-        layer_span2 = len(self.round2.layers) * m * n
-        for pos, draw15, draw3 in gate_faults:
+    def run_reference(self, prep, r1, r2) -> TrialOutcome:
+        """Reference protocol cycle with the given fault injections: by unit
+        for the preparations, by group for each round (see
+        :meth:`_injections`).
+
+        Walks each unit's encoder with :func:`run_noisy` and each group with
+        :meth:`CompiledRound.run`; refill and regrouping are plain Python.
+        It defines the semantics the batched engine is tested against, and
+        runs the protocols whose rounds do not fit that engine.
+        """
+        empty = FaultInjection(())
+        frames = [run_noisy(self.enc_circuit, prep.get(u, empty))[0] for u in range(self.n_units)]
+        accepted1 = [
+            self._process_group(self.round1, list(range(g * self.n_c1, (g + 1) * self.n_c1)),
+                                frames, r1.get(g, empty))
+            for g in range(self.groups1)
+        ]
+        cand1 = self.groups1 * self.k_c1
+        rej1 = cand1 - sum(map(len, accepted1))
+        # A primary group tops up from the spare groups' accepted units,
+        # consumed in block order; the trial aborts when they run out.
+        pool = [u for acc in accepted1[self.n_c2:] for u in acc]
+        primary = []
+        for acc in accepted1[:self.n_c2]:
+            need = self.k_c1 - len(acc)
+            if need > len(pool):
+                return TrialOutcome(True, cand1, rej1, 0, 0, [])
+            primary.append(acc + pool[:need])
+            del pool[:need]
+        # Regroup: round-2 group j takes the j-th unit of every primary group.
+        outputs = []
+        for j in range(self.groups2):
+            acc = self._process_group(self.round2, [ids[j] for ids in primary], frames, r2.get(j, empty))
+            outputs += [(tuple(frames[u].e), tuple(frames[u].f)) for u in acc]
+        cand2 = self.groups2 * self.k_c2
+        return TrialOutcome(False, cand1, rej1, cand2, cand2 - len(outputs), outputs)
+
+    def _process_group(self, rnd: CompiledRound, ids, frames, injection) -> list[int]:
+        """One round of the reference on the units ``ids`` of ``frames``,
+        check units first; accepted units take their corrected frames.
+        Returns the accepted unit ids in slot order."""
+        res = rnd.run([frames[u] for u in ids], injection)
+        for slot in res.accepted_slots:
+            frames[ids[slot]] = res.frames[slot]
+        return [ids[slot] for slot in res.accepted_slots]
+
+    def _injections(self, sample):
+        """A sample as fault injections for :meth:`run_reference`.
+
+        The gate space runs unit by unit over the encoder's CNOT then
+        preparation locations, then group by group over each round's
+        (layer, block, qubit) CNOTs; the readout space group by group over
+        each round's (check slot, block, qubit) readouts.
+        """
+        gate_pos, draw15, draw3, meas_pos = (a.tolist() for a in sample)
+        n, width = self.n, self.m * self.n
+        enc_locs = self.enc_cnot_locs + self.enc_prep_locs
+        staged: tuple[dict[int, list[Fault]], ...] = ({}, {}, {})
+        for pos, d15, d3 in zip(gate_pos, draw15, draw3):
             if pos < self._enc_end:
                 unit, loc = divmod(pos, self.n_enc_locs)
-                dirty_g1[unit // self.n_c1] = 1
-                base = unit * m
-                if loc < self.n_enc_cnots:
-                    eff = self.enc_cnot_eff[loc][PAULI15_CODE[draw15]]
-                else:
-                    eff = self.enc_prep_eff[loc - self.n_enc_cnots][PAULI3_CODE[draw3]]
-                for b in range(m):
-                    e[base + b] ^= eff[0][b]
-                    f[base + b] ^= eff[1][b]
-            elif pos < self._r1_end:
-                rel = pos - self._enc_end
-                g, rel = divmod(rel, layer_span1)
-                layer, rel = divmod(rel, m * n)
-                blk, q = divmod(rel, n)
-                r1_faults.setdefault(g, []).append((layer, blk, q, PAULI15_CODE[draw15]))
-            else:
-                rel = pos - self._r1_end
-                g, rel = divmod(rel, layer_span2)
-                layer, rel = divmod(rel, m * n)
-                blk, q = divmod(rel, n)
-                r2_faults.setdefault(g, []).append((layer, blk, q, PAULI15_CODE[draw15]))
-        m1_flips: dict[int, list] = {}
-        m2_flips: dict[int, list] = {}
-        for pos in meas_positions:
-            if pos < self._meas1_end:
-                g, rel = divmod(pos, self.r_c1 * m * n)
-                slot, rel = divmod(rel, m * n)
-                blk, q = divmod(rel, n)
-                m1_flips.setdefault(g, []).append((slot, blk, q))
-            else:
-                rel = pos - self._meas1_end
-                g, rel = divmod(rel, self.r_c2 * m * n)
-                slot, rel = divmod(rel, m * n)
-                blk, q = divmod(rel, n)
-                m2_flips.setdefault(g, []).append((slot, blk, q))
-        for g in r1_faults:
-            dirty_g1[g] = 1
-        for g in m1_flips:
-            dirty_g1[g] = 1
-        return self._run_protocol_scalar(
-            e, f, r1_faults, r2_faults, m1_flips, m2_flips, False, dirty_g1
-        )
-
-    def _run_protocol_scalar(
-        self, e, f, r1_faults, r2_faults, m1_flips, m2_flips, trace, dirty_g1
-    ) -> TrialOutcome:
-        m = self.m
-        k_c1 = self.k_c1
-        trace_data: dict | None = (
-            {"round1": [], "round2": [], "round2_groups": []} if trace else None
-        )
-
-        accepted1: list[list[int]] = []
-        cand1 = rej1 = 0
-        for g in range(self.groups1):
-            if dirty_g1 is not None and not dirty_g1[g]:
-                acc = list(self._g1_data[g])
-            else:
-                acc = self._process_group(
-                    self.round1, self._g1_units[g], e, f,
-                    r1_faults.get(g), m1_flips.get(g),
-                    trace_data["round1"] if trace else None,
-                )
-            cand1 += k_c1
-            rej1 += k_c1 - len(acc)
-            accepted1.append(acc)
-
-        pool: list[int] = [u for g in range(self.n_c2, self.groups1) for u in accepted1[g]]
-        pool.reverse()  # consume in block order via pop()
-        primary: list[list[int]] = []
-        aborted = False
-        for g in range(self.n_c2):
-            got = list(accepted1[g])
-            while len(got) < k_c1 and pool:
-                got.append(pool.pop())
-            if len(got) < k_c1:
-                aborted = True
-                break
-            primary.append(got)
-        if aborted:
-            return TrialOutcome(True, cand1, rej1, 0, 0, [], trace_data)
-
-        cand2 = rej2 = 0
-        outputs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for gg in range(self.groups2):
-            units = [primary[q][gg] for q in range(self.n_c2)]
-            if trace:
-                trace_data["round2_groups"].append(list(units))
-            acc = self._process_group(
-                self.round2, units, e, f,
-                r2_faults.get(gg), m2_flips.get(gg),
-                trace_data["round2"] if trace else None,
-            )
-            cand2 += self.k_c2
-            rej2 += self.k_c2 - len(acc)
-            for u in acc:
-                base = u * m
-                outputs.append((tuple(e[base: base + m]), tuple(f[base: base + m])))
-        return TrialOutcome(False, cand1, rej1, cand2, rej2, outputs, trace_data)
-
-    def _process_group(self, rnd: CompiledRound, units, e, f, faults, flips, trace_sink):
-        """One distillation round on one group; returns accepted unit ids."""
-        m = rnd.m
-        r_c, k_c, n_c = rnd.r_c, rnd.k_c, rnd.n_c
-        data_units = units[r_c:]
-        dirty = bool(faults) or bool(flips)
-        if not dirty:
-            for u in units:
-                base = u * m
-                for b in range(m):
-                    if e[base + b] or f[base + b]:
-                        dirty = True
-                        break
-                if dirty:
-                    break
-        if not dirty and trace_sink is None:
-            return list(data_units)
-
-        bases = rnd.bases
-        row_data = rnd.row_data
-        col_checks = rnd.col_checks
-        # Input-frame propagation through the transversal layers (order-free:
-        # the flowing part of each block is never modified by the round).
-        nu = [[0] * m for _ in range(r_c)]
-        for b in range(m):
-            if bases[b] == "Z":
-                for i in range(r_c):
-                    acc = e[units[i] * m + b]
-                    for j in row_data[i]:
-                        acc ^= e[units[r_c + j] * m + b]
-                    nu[i][b] = acc
-                for j in range(k_c):
-                    acc = 0
-                    for i in col_checks[j]:
-                        acc ^= f[units[i] * m + b]
-                    f[units[r_c + j] * m + b] ^= acc
-            else:
-                for i in range(r_c):
-                    acc = f[units[i] * m + b]
-                    for j in row_data[i]:
-                        acc ^= f[units[r_c + j] * m + b]
-                    nu[i][b] = acc
-                for j in range(k_c):
-                    acc = 0
-                    for i in col_checks[j]:
-                        acc ^= e[units[i] * m + b]
-                    e[units[r_c + j] * m + b] ^= acc
-        if faults:
-            eff_tab = rnd.eff
-            for layer, blk, q, code in faults:
-                nu_slots, e_slots, f_slots = eff_tab[layer][blk][code]
-                bit = 1 << q
-                for slot in nu_slots:
-                    nu[slot][blk] ^= bit
-                for slot in e_slots:
-                    e[units[slot] * m + blk] ^= bit
-                for slot in f_slots:
-                    f[units[slot] * m + blk] ^= bit
-        if flips:
-            for slot, blk, q in flips:
-                nu[slot][blk] ^= 1 << q
-
-        # sigma rows, sparse in the measured records.
-        se_cols = rnd.se_cols
-        sigma = [0] * r_c
-        for i in range(r_c):
-            acc = 0
-            for b in range(m):
-                bits = nu[i][b]
-                cols_b = se_cols[b]
-                while bits:
-                    q = (bits & -bits).bit_length() - 1
-                    acc ^= cols_b[q]
-                    bits &= bits - 1
-            sigma[i] = acc
-
-        # Column gather + decode, nonzero columns only.
-        col_syn: dict[int, int] = {}
-        for i in range(r_c):
-            row = sigma[i]
-            while row:
-                c = (row & -row).bit_length() - 1
-                col_syn[c] = col_syn.get(c, 0) | (1 << i)
-                row &= row - 1
-        table = rnd.code_c.systematic_table
-        se_hat = [0] * n_c
-        group_reject = False
-        for c, syn in col_syn.items():
-            leader = table.get(syn)
-            if leader is None:
-                group_reject = True
-                break
-            while leader:
-                u_idx = (leader & -leader).bit_length() - 1
-                se_hat[u_idx] |= 1 << c
-                leader &= leader - 1
-
-        if group_reject:
-            if trace_sink is not None:
-                trace_sink.append({"sigma": sigma, "se_hat": se_hat, "accept": 0})
-            return []
-
-        if rnd.ideal:
-            accept_mask = ideal_postselect(sigma, rnd.code_c, rnd.n_s)
-        elif rnd.hd_masks is not None:
-            accept_mask = 0
-            masks = rnd.hd_masks
-            for slot in range(r_c, n_c):
-                sh = se_hat[slot]
-                acc = 0
-                while sh:
-                    c = (sh & -sh).bit_length() - 1
-                    acc ^= masks[c]
-                    sh &= sh - 1
-                if acc == 0:
-                    accept_mask |= 1 << slot
-        else:
-            accept_mask = ((1 << n_c) - 1) & ~((1 << r_c) - 1)
-
-        s_mask = (1 << rnd.n_s) - 1
-        accepted = []
-        spec = self.spec
-        for slot in range(r_c, n_c):
-            if not (accept_mask >> slot) & 1:
+                pauli = PAULI_2Q[d15] if loc < self.n_enc_cnots else PAULI_1Q[d3]
+                staged[0].setdefault(unit, []).append(Fault(*enc_locs[loc], pauli))
                 continue
-            u = units[slot]
-            base = u * m
-            s_hat = se_hat[slot] & s_mask
-            if s_hat:
-                new_e, new_f, bad = correct_block(
-                    spec, rnd.round, s_hat,
-                    tuple(e[base: base + m]), tuple(f[base: base + m]),
-                )
-                if bad:
-                    continue
-                for b in range(m):
-                    e[base + b] = new_e[b]
-                    f[base + b] = new_f[b]
-            accepted.append(u)
-        if trace_sink is not None:
-            trace_sink.append({
-                "sigma": sigma,
-                "se_hat": se_hat,
-                "accept": accept_mask,
-                "accepted_units": list(accepted),
-            })
-        return accepted
-
-
-def run_protocol(
-    config: DistillationConfig,
-    rng: np.random.Generator,
-    runner: ProtocolRunner | None = None,
-) -> TrialOutcome:
-    """One full distillation cycle with sampled faults."""
-    if runner is None:
-        runner = ProtocolRunner(config)
-    return runner.run_trial(rng)
+            stage, rnd, start = (1, self.round1, self._enc_end) if pos < self._r1_end \
+                else (2, self.round2, self._r1_end)
+            group, rel = divmod(pos - start, len(rnd.layers) * width)
+            layer, rel = divmod(rel, width)
+            loc = rnd._gate_at[(layer, *divmod(rel, n))]
+            staged[stage].setdefault(group, []).append(Fault(*loc, PAULI_2Q[d15]))
+        for pos in meas_pos:
+            stage, rnd, start = (1, self.round1, 0) if pos < self._meas1_end \
+                else (2, self.round2, self._meas1_end)
+            group, rel = divmod(pos - start, rnd.r_c * width)
+            slot, rel = divmod(rel, width)
+            blk, q = divmod(rel, n)
+            flip = "X" if rnd.bases[blk] == "Z" else "Z"
+            staged[stage].setdefault(group, []).append(Fault(*rnd._meas_at[(slot, blk, q)], flip))
+        return tuple({k: FaultInjection(tuple(v)) for k, v in faults.items()} for faults in staged)

@@ -11,6 +11,7 @@ from cssdistill.cli import (
     metric_rows,
     parse_scenario,
 )
+from cssdistill.distill import ProtocolRunner
 from cssdistill.montecarlo import RunStats, PStats
 
 
@@ -126,6 +127,28 @@ class TestInject:
         scen = tmp_path / "bad.txt"
         scen.write_text("round1 0 99 0 XI\n")
         assert main(["inject", "--scenario", str(scen), "--config", str(cfg_path)]) == 1
+
+    def test_identity_fault_is_a_no_op(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, combination="D")
+        runner = ProtocolRunner(build_distillation_config(ExperimentConfig.load(str(cfg_path))))
+        step, gate = runner.enc_cnot_locs[0]
+        scen = tmp_path / "identity.txt"
+        scen.write_text(f"prep 1 {step} {gate} II\nround1 0 0 0 II\n")
+        assert main(["inject", "--scenario", str(scen), "--config", str(cfg_path)]) == 0
+        assert "wX=0 wZ=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line,message", [
+        ("prep 15 0 0 X", "unit 15 is outside 0..14"),
+        ("prep -1 0 0 X", "unit -1 is outside 0..14"),
+        ("round1 5 0 0 XI", "round 1 group 5 is outside 0..4"),
+        ("round2 -1 0 0 XI", "round 2 group -1 is outside 0..0"),
+    ])
+    def test_instance_out_of_range(self, tmp_path, capsys, line, message):
+        cfg_path = write_config(tmp_path, combination="D")
+        scen = tmp_path / "bad.txt"
+        scen.write_text(f"{line}\n")
+        assert main(["inject", "--scenario", str(scen), "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,field", [
         ("prep x 0 0 X", "instance"),

@@ -11,7 +11,6 @@ from cssdistill.css import (
     build_ancilla_spec,
     build_css,
     check_phase_gate_compatible,
-    extended_checks,
     generalized_syndrome,
     residual_weight,
 )
@@ -69,7 +68,7 @@ class TestBuildCss:
 
 class TestExtendedChecks:
     def test_golay_stack(self, golay_css):
-        hp_z, hp_x = extended_checks(golay_css)
+        hp_z, hp_x = golay_css.hp_z, golay_css.hp_x
         assert (hp_z.rows, hp_z.cols) == (12, 23)
         assert hp_z.row(11) == GOLAY_LOGICAL
         assert (hp_x.rows, hp_x.cols) == (12, 23)
@@ -77,7 +76,7 @@ class TestExtendedChecks:
         assert hp_x.data[:11] == golay_css.h_x.data
 
     def test_row_counts(self, steane_css):
-        hp_z, hp_x = extended_checks(steane_css)
+        hp_z, hp_x = steane_css.hp_z, steane_css.hp_x
         assert hp_z.rows == steane_css.r_z + steane_css.k
         assert hp_x.rows == steane_css.r_x + steane_css.k
 

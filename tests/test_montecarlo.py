@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from cssdistill.codes import registry
+from cssdistill.codes import build_code, registry
 from cssdistill.css import build_ancilla_spec, build_css
 from cssdistill.distill import DistillationConfig
 from cssdistill.frames import FailureModel
+from cssdistill.gf2 import BitMatrix
 from cssdistill.montecarlo import (
     FitResult,
     PStats,
@@ -67,12 +68,16 @@ class TestRunExperiment:
         assert sum(s.hist_z) == s.accepted
 
     def test_pinned_counters(self, comb_a_config):
-        # Counters recorded with the scalar per-trial engine for this seed:
+        # Counters recorded with an earlier scalar per-trial engine for this seed:
         # the batched engine must reproduce them bit for bit, here with
         # chunks of 37 trials so that batches end at chunk edges.  Golay
         # |0>_L with combination A; Golay Bell pairs (two-block units) with
         # combination A and no postselection; Steane Bell pairs whose
         # detecting code bch15_7_5 has k = 7 = |S|, so postselection rejects.
+        # Units too wide for the batched kernel (the Steane code padded with
+        # unencoded qubits: one block of 67, two of 32) run on the
+        # reference; their counters were recorded with that scalar engine,
+        # and the 67-qubit outputs are classified as object arrays.
         zero = dataclasses.replace(comb_a_config, n_extra=6)
         golay = zero.spec.blocks[0]
         steane = build_css(registry("hamming7"), registry("hamming7"))
@@ -80,6 +85,11 @@ class TestRunExperiment:
         def bell(css, code_d):
             return dataclasses.replace(zero, spec=build_ancilla_spec([css, css], "bell"),
                                        code_d1=code_d, code_d2=code_d)
+
+        def wide(n, blocks, kind):
+            code = build_code(BitMatrix(3, n, registry("hamming7").h.data), d=1)
+            spec = build_ancilla_spec([build_css(code, code)] * blocks, kind)
+            return dataclasses.replace(zero, spec=spec, code_d1=None, code_d2=None, n_extra=2)
 
         cases = [
             (zero, [1e-4, 1.6e-3], 300, [
@@ -105,6 +115,22 @@ class TestRunExperiment:
                 {"p": 2e-3, "trials": 200, "aborted": 0, "cand1": 29400, "rej1": 1857,
                  "cand2": 9800, "rej2": 5689, "accepted": 4111,
                  "hist_x": [2990, 971, 143, 7, 0], "hist_z": [3789, 287, 29, 6, 0]},
+            ]),
+            (wide(67, 1, "zero"), [1e-3, 4e-3], 60, [
+                {"p": 1e-3, "trials": 60, "aborted": 0, "cand1": 7140, "rej1": 0,
+                 "cand2": 2940, "rej2": 0, "accepted": 2940,
+                 "hist_x": [1111, 1095, 514, 173, 47], "hist_z": [2860, 80, 0, 0, 0]},
+                {"p": 4e-3, "trials": 60, "aborted": 0, "cand1": 7140, "rej1": 0,
+                 "cand2": 2940, "rej2": 0, "accepted": 2940,
+                 "hist_x": [56, 266, 449, 526, 1643], "hist_z": [1872, 1068, 0, 0, 0]},
+            ]),
+            (wide(32, 2, "bell"), [1e-3, 4e-3], 60, [
+                {"p": 1e-3, "trials": 60, "aborted": 0, "cand1": 7140, "rej1": 0,
+                 "cand2": 2940, "rej2": 0, "accepted": 2940,
+                 "hist_x": [1115, 1091, 506, 179, 49], "hist_z": [2567, 255, 65, 53, 0]},
+                {"p": 4e-3, "trials": 60, "aborted": 0, "cand1": 7140, "rej1": 0,
+                 "cand2": 2940, "rej2": 0, "accepted": 2940,
+                 "hist_x": [54, 222, 391, 514, 1759], "hist_z": [832, 936, 773, 399, 0]},
             ]),
         ]
         for cfg, grid, trials, want in cases:
