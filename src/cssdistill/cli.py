@@ -21,6 +21,7 @@ from .distill import DistillationConfig, ProtocolRunner
 from .frames import FailureModel, Fault, FaultInjection, effective_support
 from .montecarlo import (
     RunStats,
+    default_workers,
     effective_rate,
     run_experiment,
     slope_fit,
@@ -281,18 +282,38 @@ def print_summary(stats: RunStats, file=None) -> None:
 
 # ---- commands --------------------------------------------------------------
 
+def _run_size(cfg: ExperimentConfig) -> tuple[list[float], int]:
+    """The checked p grid and trial count of a simulate config."""
+    grid, trials = cfg.p_grid, cfg.trials_per_p
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError(f"p_grid: expected a non-empty list of failure rates, got {grid!r}")
+    for p in grid:
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+            raise ConfigError(f"p_grid: expected failure rates in [0, 1], got {p!r}")
+    if isinstance(trials, float) and trials.is_integer():
+        trials = int(trials)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ConfigError(f"trials_per_p: expected an integer >= 1, got {trials!r}")
+    return [float(p) for p in grid], trials
+
+
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    if not cfg.p_grid:
-        raise ConfigError("p_grid: must not be empty")
+    grid, trials = _run_size(cfg)
+    workers = args.workers
+    if not workers:
+        try:
+            workers = default_workers()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     dconfig = build_distillation_config(cfg)
     out_path = Path(args.out or cfg.out or "results.json")
     stats = run_experiment(
         dconfig,
-        [float(p) for p in cfg.p_grid],
-        trials_per_p=int(cfg.trials_per_p),
+        grid,
+        trials_per_p=trials,
         seed=int(cfg.seed),
-        workers=args.workers,
+        workers=workers,
         w_cap=int(cfg.w_cap),
     )
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -127,6 +128,102 @@ def _bit_transpose(words: np.ndarray, width: int) -> np.ndarray:
     for k in range(1, r8):
         out |= cols[..., k, :].astype(np.int64) << (8 * k)
     return out
+
+
+# ---- batched fault sampling ------------------------------------------------
+#
+# A trial's faults come from its own Philox stream (ProtocolRunner._sample):
+# numpy's geometric skips over the gate space, then over the readout space,
+# then integers(0, 15) and integers(0, 3) for each gate fault.  For
+# 0 < p < 1/3 numpy's geometric is inversion of one standard exponential,
+# and both bounded draws are Lemire's multiply-shift on uint32 halves of raw
+# words, so a batch can draw each trial's exponentials and raw words in two
+# calls and transform them all at once.
+
+
+def _chunk(total: int, p: float) -> int:
+    """Geometric draws per chunk of :meth:`ProtocolRunner._bernoulli_positions`."""
+    mean = total * p
+    return max(16, int(mean + 6.0 * math.sqrt(mean) + 8))
+
+
+def _batch_positions(exps: np.ndarray, total: int, p: float):
+    """Bernoulli(p) positions over [0, total) for each row of ``exps``, a
+    trial's chunk of standard exponentials, as numpy's geometric inversion
+    makes them: skip = ceil(E / -log1p(-p)), position = running sum - 1.
+
+    Returns the kept positions of every trial in trial order, the count per
+    trial, and the trials the transform cannot reproduce: a chunk that does
+    not reach ``total`` (numpy would draw another) or a skip so large that
+    the running sums could overflow.  p >= 1 takes every position and
+    p <= 0 none, without exponentials.
+    """
+    count = len(exps)
+    none = np.zeros(count, dtype=bool)
+    if p <= 0.0 or total == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(count, dtype=np.int64), none
+    if p >= 1.0:
+        return np.tile(np.arange(total), count), np.full(count, total), none
+    # math.log1p is the libm function numpy's C code calls.
+    skips = np.ceil(exps / -math.log1p(-p))
+    bad = (skips >= 2.0**63 / exps.shape[1]).any(axis=1)
+    skips[bad] = 1.0
+    ends = skips.astype(np.int64).cumsum(axis=1) - 1
+    keep = ends < total
+    k = keep.sum(axis=1)
+    bad |= k == exps.shape[1]
+    return ends[keep], k, bad
+
+
+def _pauli_draws(raw: np.ndarray, k: np.ndarray):
+    """The 15-way and 3-way draws of each trial's k gate faults from its row
+    of raw words, as ``integers(0, 15, k)`` then ``integers(0, 3, k)`` take
+    them: the row's uint32 stream, low half of each word first, gives the
+    15-way draws from its first k values and the 3-way draws from the next
+    k, each ``(u * range) >> 32``.  A zero uint32 is numpy's only rejection
+    for these ranges; the trials that meet one are returned with the
+    draws."""
+    u32 = raw.view(np.uint32)
+    col = np.arange(u32.shape[1])
+    k = k[:, None]
+    first = col < k
+    used = col < 2 * k
+    rejected = ((u32 == 0) & used).any(axis=1)
+    u15 = u32[first].astype(np.uint64)
+    u3 = u32[used & ~first].astype(np.uint64)
+    return ((u15 * 15) >> 32).astype(np.int64), ((u3 * 3) >> 32).astype(np.int64), rejected
+
+
+@functools.cache
+def _draws_match_numpy() -> bool:
+    """Whether this numpy's draws are the ones the batch transforms make.
+
+    On fixed Philox keys, two geometric chunks, the 15-way and the 3-way
+    draws (an odd count, so a buffered half word carries from one to the
+    other) are drawn as :meth:`ProtocolRunner._sample` draws them and
+    compared with the transforms of one exponential and one raw-word call
+    on the same stream.  On any difference the batch samples trial by
+    trial.
+    """
+    sizes, probs, faults = (21, 37), (0.3, 1e-3), 13
+    for key in ((0, 0), (0xFFFFFFFFFFFFFFFF, 7), (2718, 1)):
+        key = np.array(key, dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        want = [gen.geometric(p, size=s) for p, s in zip(probs, sizes)]
+        want15 = gen.integers(0, 15, size=faults)
+        want3 = gen.integers(0, 3, size=faults)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        exps = gen.standard_exponential(sum(sizes))
+        raw = gen.bit_generator.random_raw(faults)[None, :]
+        # A total that no chunk reaches keeps every draw as a position.
+        got = [_batch_positions(e[None, :], 2**62, p)[0] for e, p in
+               zip(np.split(exps, [sizes[0]]), probs)]
+        want = [w.cumsum() - 1 for w in want]
+        got15, got3, _ = _pauli_draws(raw, np.array([faults]))
+        if not all(np.array_equal(g, w) for g, w in zip(got + [got15, got3],
+                                                        want + [want15, want3])):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -817,7 +914,7 @@ class ProtocolRunner:
             self._compile_encoding()
             ids = np.arange(self.n_units, dtype=np.intp).reshape(self.groups1, self.n_c1)
             self._g1_data_ids = ids[:, self.r_c1:].copy()
-        self._rng_template = None
+        self._rng = None
 
     def with_model(self, model: FailureModel) -> "ProtocolRunner":
         """This compiled protocol under another failure model; no compiled
@@ -852,20 +949,17 @@ class ProtocolRunner:
         Philox keyed by (seed, p index) at counter (0, 0, 0, trial).  One
         generator object is reused, so the returned generator is only
         valid until the next call."""
-        if self._rng_template is None:
+        if self._rng is None:
             bg = np.random.Philox(key=0)
-            self._rng_template = (bg, np.random.Generator(bg), bg.state)
-        bg, gen, state = self._rng_template
-        st = dict(state)
-        st["state"] = {
-            "counter": np.array([0, 0, 0, trial], dtype=np.uint64),
-            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, p_index], dtype=np.uint64),
-        }
-        st["buffer"] = np.zeros(4, dtype=np.uint64)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        bg.state = st
+            counter, key = [0, 0, 0, 0], [0, 0]
+            state = bg.state
+            state.update(state={"counter": counter, "key": key}, buffer=[0] * 4,
+                         buffer_pos=4, has_uint32=0, uinteger=0)
+            self._rng = (np.random.Generator(bg), state, counter, key)
+        gen, state, counter, key = self._rng
+        counter[3] = trial
+        key[0], key[1] = seed & 0xFFFFFFFFFFFFFFFF, p_index
+        gen.bit_generator.state = state
         return gen
 
     def _bernoulli_positions(self, rng, total: int, p: float) -> np.ndarray:
@@ -875,8 +969,7 @@ class ProtocolRunner:
             return np.zeros(0, dtype=np.int64)
         if p >= 1.0:
             return np.arange(total, dtype=np.int64)
-        mean = total * p
-        chunk = max(16, int(mean + 6.0 * math.sqrt(mean) + 8))
+        chunk = _chunk(total, p)
         parts = []
         cur = -1  # positions are the running sums of the skips, minus one
         while True:
@@ -934,9 +1027,57 @@ class ProtocolRunner:
             return BatchOutcome.of(
                 [self.run_trial(self._trial_rng(seed, p_index, t)) for t in trials], self.m
             )
-        return self._execute(*self._fault_rows(
-            [self._sample(self._trial_rng(seed, p_index, t)) for t in trials]
-        ))
+        return self._execute(*self._sample_batch(seed, p_index, first, count))
+
+    def _sample_batch(self, seed: int, p_index: int, first: int, count: int):
+        """:meth:`_fault_rows` of :meth:`_sample` for trials ``first ..
+        first + count - 1`` of the (seed, p index) streams, row for row.
+
+        Each trial's stream is drawn in two numpy calls: the standard
+        exponentials numpy's geometric would consume for the gate chunk and
+        the readout chunk, then the raw words of its Pauli draws.  The
+        transforms run on the whole batch (:func:`_batch_positions`,
+        :func:`_pauli_draws`).  A trial they cannot reproduce is sampled by
+        :meth:`_sample`; so is the whole batch when numpy's geometric
+        searches (1/3 <= p < 1) or this numpy fails :func:`_draws_match_numpy`.
+        """
+        model = self.config.model
+        trials = range(first, first + count)
+        families = ((self._gate_space, model.p_gate), (self._meas_space, model.p_meas))
+        if any(total and 1 / 3 <= p < 1 for total, p in families) or not _draws_match_numpy():
+            return self._fault_rows([self._sample(self._trial_rng(seed, p_index, t)) for t in trials])
+        c_g, c_m = (_chunk(total, p) if total and 0 < p < 1 else 0 for total, p in families)
+        # The Pauli draws take one raw word per gate fault, at most one per
+        # draw of the chunk, or one per location at p = 1.
+        n_raw = c_g or (self._gate_space if model.p_gate >= 1 else 0)
+        exps = np.empty((count, c_g + c_m))
+        raw = np.empty((count, n_raw), dtype=np.uint64)
+        for i, t in enumerate(trials):
+            rng = self._trial_rng(seed, p_index, t)
+            if c_g + c_m:
+                rng.standard_exponential(out=exps[i])
+            if n_raw:
+                raw[i] = rng.bit_generator.random_raw(n_raw)
+        g_pos, k, bad = _batch_positions(exps[:, :c_g], *families[0])
+        m_pos, m_k, m_bad = _batch_positions(exps[:, c_g:], *families[1])
+        draw15, draw3, rejected = _pauli_draws(raw, k)
+        bad |= m_bad | rejected
+        g_trial = np.repeat(np.arange(count), k)
+        m_trial = np.repeat(np.arange(count), m_k)
+        gate = np.column_stack((g_trial, g_pos, draw15, draw3))
+        meas = np.column_stack((m_trial, m_pos))
+        redo = np.flatnonzero(bad)
+        if len(redo):
+            r_gate, r_meas, _ = self._fault_rows(
+                [self._sample(self._trial_rng(seed, p_index, first + i)) for i in redo]
+            )
+            rows = []
+            for ok, again in ((gate, r_gate), (meas, r_meas)):
+                again[:, 0] = redo[again[:, 0]]
+                both = np.concatenate((ok[~bad[ok[:, 0]]], again))
+                rows.append(both[np.argsort(both[:, 0], kind="stable")])
+            gate, meas = rows
+        return gate, meas, count
 
     def run_injected(
         self,

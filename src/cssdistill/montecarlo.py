@@ -25,7 +25,10 @@ _ENV_WORKERS = "CSSDISTILL_WORKERS"
 def default_workers() -> int:
     env = os.environ.get(_ENV_WORKERS)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{_ENV_WORKERS}: expected an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

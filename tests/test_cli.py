@@ -100,6 +100,22 @@ class TestSimulate:
         path.write_text("{nope")
         assert main(["simulate", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("field,value", [
+        ("p_grid", [2.0]),
+        ("p_grid", ["abc"]),
+        ("p_grid", 1e-3),
+        ("trials_per_p", 0),
+    ], ids=["p-above-one", "p-not-a-number", "grid-not-a-list", "zero-trials"])
+    def test_bad_run_size_names_field(self, tmp_path, capsys, field, value):
+        cfg_path = write_config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
+
+    def test_bad_workers_variable_names_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CSSDISTILL_WORKERS", "abc")
+        assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1
+        assert "error: CSSDISTILL_WORKERS: " in capsys.readouterr().err
+
 
 class TestInject:
     def test_empty_scenario_all_accepted(self, tmp_path, capsys):

@@ -4,11 +4,14 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cssdistill import gf2
+from cssdistill import distill, gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import PauliElement, build_ancilla_spec, build_css, residual_weight
 from cssdistill.distill import (
+    BATCH,
     CompiledRound,
     DistillationConfig,
     ProtocolRunner,
@@ -499,6 +502,194 @@ class TestRoundEngineEquivalence:
         assert len(out0.outputs) == 1 and out0.outputs[0] == ((0, 0), (0, 0))
         for _ in range(4):
             self._check_injected(runner, *self._random_faults(runner, 0.01, rng))
+
+
+@pytest.fixture(scope="module")
+def steane_runner():
+    # Steane |0>_L with rep3 rounds: small enough to sample p = 1.
+    steane = build_css(registry("hamming7"), registry("hamming7"))
+    rep3 = registry("rep3")
+    return ProtocolRunner(DistillationConfig(
+        spec=build_ancilla_spec(steane, "zero"), code_c1=rep3, code_c2=rep3,
+        code_d1=None, code_d2=None, model=FailureModel.uniform(0.0), n_extra=2,
+    ))
+
+
+# Failure rates: none, inversion geometric, search geometric, every location.
+_RATES = st.one_of(st.just(0.0), st.floats(1e-6, 0.3), st.sampled_from([0.35, 1.0]))
+
+
+class TestBatchSampling:
+    """``_sample_batch`` against the per-trial sampler, row for row."""
+
+    @staticmethod
+    def _per_trial(runner, seed, p_index, first, count):
+        return runner._fault_rows([runner._sample(runner._trial_rng(seed, p_index, t))
+                                   for t in range(first, first + count)])
+
+    def _check(self, runner, seed, p_index, first, count):
+        got = runner._sample_batch(seed, p_index, first, count)
+        want = self._per_trial(runner, seed, p_index, first, count)
+        assert got[2] == want[2] == count
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(-2**63, 2**64 - 1), p_index=st.integers(0, 2**20),
+           first=st.integers(0, 2**62), count=st.integers(1, BATCH),
+           p_gate=_RATES, p_meas=_RATES)
+    def test_matches_per_trial_sampler(self, steane_runner, seed, p_index, first, count,
+                                       p_gate, p_meas):
+        runner = steane_runner.with_model(FailureModel(p_gate=p_gate, p_meas=p_meas))
+        self._check(runner, seed, p_index, first, count)
+
+    @pytest.mark.parametrize("kind", ["zero", "bell"])
+    def test_benchmark_configs(self, golay_css, kind):
+        # Golay |0>_L with combination A and Golay postselection, and Golay
+        # Bell pairs without: the two benchmark workloads at their rates.
+        bch = registry("bch15_7_5")
+        blocks = golay_css if kind == "zero" else [golay_css, golay_css]
+        d1, d2 = (registry("golay23"), registry("golay23_dual")) if kind == "zero" else (None, None)
+        base = ProtocolRunner(DistillationConfig(
+            spec=build_ancilla_spec(blocks, kind), code_c1=bch, code_c2=bch,
+            code_d1=d1, code_d2=d2, model=FailureModel.uniform(0.0), n_extra=6,
+        ))
+        for p_index, p in enumerate([1e-4, 4e-4, 1.6e-3]):
+            self._check(base.with_model(FailureModel.uniform(p)), 31, p_index, 5 * BATCH, BATCH)
+
+    def test_long_chunk_falls_back(self):
+        # Skips of 1 use up a chunk of 16 inside a total of 100: numpy would
+        # draw a second chunk.  The other row ends inside its chunk.
+        exps = np.full((2, 16), 1e-9)
+        exps[1, 3] = 50.0
+        pos, k, bad = distill._batch_positions(exps, 100, 0.01)
+        assert bad.tolist() == [True, False]
+        assert k.tolist() == [16, 3]
+        assert pos[16:].tolist() == [0, 1, 2]
+
+    def test_huge_skip_falls_back(self):
+        # A skip of 2^63 or more, which numpy clamps and whose running sum
+        # would overflow int64.
+        exps = np.full((2, 16), 30.0)
+        exps[0, 7] = 1e10
+        *_, bad = distill._batch_positions(exps, 100, 1e-12)
+        assert bad.tolist() == [True, False]
+
+    def test_zero_uint32_falls_back(self):
+        # One gate fault per trial reads the low then the high half of the
+        # trial's first word; numpy redraws a zero half.  The second word
+        # of trial 2 is never read.
+        raw = np.array([[7 << 32, 1], [9, 1], [(3 << 32) | 0xFFFFFFFF, 0]], dtype=np.uint64)
+        draw15, draw3, rejected = distill._pauli_draws(raw, np.ones(3, np.int64))
+        assert rejected.tolist() == [True, True, False]
+        assert draw15[2] == 14 and draw3[2] == 0
+
+    def test_fallback_trials_merge_in_order(self, steane_runner, monkeypatch):
+        # Trials the transforms reject are sampled one by one and merged
+        # back in trial order; their transformed draws, garbage here, must
+        # not reach the rows.
+        real = distill._pauli_draws
+
+        def reject_some(raw, k):
+            draw15, draw3, rejected = real(raw, k)
+            rejected[[0, 5, 6, 17]] = True
+            garbage = rejected[np.repeat(np.arange(len(k)), k)]
+            draw15[garbage] = draw3[garbage] = -1
+            return draw15, draw3, rejected
+
+        monkeypatch.setattr(distill, "_pauli_draws", reject_some)
+        runner = steane_runner.with_model(FailureModel.uniform(0.05))
+        self._check(runner, 3, 1, 100, 20)
+
+    @pytest.mark.parametrize("p", [0.35, 0.5])
+    def test_search_geometric_samples_per_trial(self, steane_runner, monkeypatch, p):
+        def unused(*args):
+            raise AssertionError("transform used for a search-geometric rate")
+
+        monkeypatch.setattr(distill, "_batch_positions", unused)
+        self._check(steane_runner.with_model(FailureModel.uniform(p)), 8, 0, 0, 12)
+
+    def test_failed_self_test_samples_per_trial(self, steane_runner, monkeypatch):
+        assert distill._draws_match_numpy()
+
+        def unused(*args):
+            raise AssertionError("transform used after a failed self-test")
+
+        monkeypatch.setattr(distill, "_draws_match_numpy", lambda: False)
+        monkeypatch.setattr(distill, "_batch_positions", unused)
+        self._check(steane_runner.with_model(FailureModel.uniform(0.02)), 8, 0, 0, 12)
+
+    @pytest.mark.parametrize("part", ["positions", "draws"])
+    def test_self_test_catches_a_wrong_transform(self, monkeypatch, part):
+        if part == "positions":
+            real = distill._batch_positions
+
+            def running_sums(exps, total, p):  # positions without the "- 1"
+                pos, k, bad = real(exps, total, p)
+                return pos + 1, k, bad
+
+            monkeypatch.setattr(distill, "_batch_positions", running_sums)
+        else:
+            real = distill._pauli_draws
+
+            def high_half_first(raw, k):
+                return real((raw << np.uint64(32)) | (raw >> np.uint64(32)), k)
+
+            monkeypatch.setattr(distill, "_pauli_draws", high_half_first)
+        assert not distill._draws_match_numpy.__wrapped__()
+
+
+def _single_fault_batches(runner, size=2048):
+    """Every single fault of the protocol as one-fault trials, in batches
+    of ``size``: 15 Paulis per CNOT, 3 per preparation and a flip per
+    readout.  Yields the arguments of ``_execute``."""
+    enc = np.arange(runner._enc_end)
+    is_cnot = enc % runner.n_enc_locs < runner.n_enc_cnots
+    cnots = np.concatenate((enc[is_cnot], np.arange(runner._enc_end, runner._gate_space)))
+    preps = enc[~is_cnot]
+    gate = np.concatenate((
+        np.column_stack((np.repeat(cnots, 15), np.tile(np.arange(15), len(cnots)),
+                         np.zeros(15 * len(cnots), np.int64))),
+        np.column_stack((np.repeat(preps, 3), np.zeros(3 * len(preps), np.int64),
+                         np.tile(np.arange(3), len(preps)))),
+    ))
+    reads = np.arange(runner._meas_space)
+    none_gate, none_meas = np.zeros((0, 4), np.int64), np.zeros((0, 2), np.int64)
+    for start in range(0, len(gate), size):
+        rows = gate[start:start + size]
+        yield np.column_stack((np.arange(len(rows)), rows)), none_meas, len(rows)
+    for start in range(0, len(reads), size):
+        rows = reads[start:start + size]
+        yield none_gate, np.column_stack((np.arange(len(rows)), rows)), len(rows)
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("kind,configurations", [("zero", 680_512), ("bell", 1_592_549)])
+def test_every_single_fault_is_benign(golay_css, kind, configurations):
+    # The paper's fault-tolerance claim, checked exactly on the benchmark
+    # configs (Golay |0>_L with Golay postselection, Golay Bell pairs
+    # without; combination A, n_extra 6): no single fault aborts or rejects
+    # in either round, and every output keeps residual weight <= 1.
+    bch = registry("bch15_7_5")
+    blocks = golay_css if kind == "zero" else [golay_css, golay_css]
+    d1, d2 = (registry("golay23"), registry("golay23_dual")) if kind == "zero" else (None, None)
+    spec = build_ancilla_spec(blocks, kind)
+    runner = ProtocolRunner(DistillationConfig(
+        spec=spec, code_c1=bch, code_c2=bch, code_d1=d1, code_d2=d2,
+        model=FailureModel.uniform(0.0), n_extra=6,
+    ))
+    table = spec.weight_table(4)
+    seen = 0
+    for gate, meas, count in _single_fault_batches(runner):
+        batch = runner._execute(gate, meas, count)
+        seen += count
+        assert not batch.aborted.any()
+        assert not batch.rej1.any() and not batch.rej2.any()
+        for side, frames in (("x", batch.out_e), ("z", batch.out_f)):
+            weights = table.weights(side, frames)
+            assert ((weights >= 0) & (weights <= 1)).all(), side
+    assert seen == configurations
 
 
 class TestRunProtocol:

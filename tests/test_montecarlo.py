@@ -77,7 +77,10 @@ class TestRunExperiment:
         # Units too wide for the batched kernel (the Steane code padded with
         # unencoded qubits: one block of 67, two of 32) run on the
         # reference; their counters were recorded with that scalar engine,
-        # and the 67-qubit outputs are classified as object arrays.
+        # and the 67-qubit outputs are classified as object arrays.  The
+        # Steane |0>_L with rep3 rounds at p = 0.35 and 1 pins the streams
+        # where numpy's geometric searches and where p = 1 takes every
+        # location without a draw.
         zero = dataclasses.replace(comb_a_config, n_extra=6)
         golay = zero.spec.blocks[0]
         steane = build_css(registry("hamming7"), registry("hamming7"))
@@ -90,6 +93,10 @@ class TestRunExperiment:
             code = build_code(BitMatrix(3, n, registry("hamming7").h.data), d=1)
             spec = build_ancilla_spec([build_css(code, code)] * blocks, kind)
             return dataclasses.replace(zero, spec=spec, code_d1=None, code_d2=None, n_extra=2)
+
+        rep3 = registry("rep3")
+        edge = dataclasses.replace(zero, spec=build_ancilla_spec(steane, "zero"), code_c1=rep3,
+                                   code_c2=rep3, code_d1=None, code_d2=None, n_extra=2)
 
         cases = [
             (zero, [1e-4, 1.6e-3], 300, [
@@ -131,6 +138,14 @@ class TestRunExperiment:
                 {"p": 4e-3, "trials": 60, "aborted": 0, "cand1": 7140, "rej1": 0,
                  "cand2": 2940, "rej2": 0, "accepted": 2940,
                  "hist_x": [54, 222, 391, 514, 1759], "hist_z": [832, 936, 773, 399, 0]},
+            ]),
+            (edge, [0.35, 1.0], 40, [
+                {"p": 0.35, "trials": 40, "aborted": 0, "cand1": 200, "rej1": 0,
+                 "cand2": 40, "rej2": 0, "accepted": 40,
+                 "hist_x": [0, 21, 15, 4, 0], "hist_z": [7, 33, 0, 0, 0]},
+                {"p": 1.0, "trials": 40, "aborted": 0, "cand1": 200, "rej1": 0,
+                 "cand2": 40, "rej2": 0, "accepted": 40,
+                 "hist_x": [3, 22, 13, 2, 0], "hist_z": [4, 36, 0, 0, 0]},
             ]),
         ]
         for cfg, grid, trials, want in cases:
