@@ -127,7 +127,7 @@ def build_spec(cfg: ExperimentConfig) -> AncillaSpec:
     except ValueError as exc:
         raise ConfigError(f"css: {exc}") from exc
     kind = cfg.ancilla.get("kind", "zero")
-    blocks = [quantum, quantum] if kind in ("bell", "omega", "theta") else quantum
+    blocks = [quantum, quantum] if kind == "bell" else quantum
     try:
         return build_ancilla_spec(
             blocks,
@@ -282,6 +282,21 @@ def print_summary(stats: RunStats, file=None) -> None:
 
 # ---- commands --------------------------------------------------------------
 
+def _check_types(cfg: ExperimentConfig) -> None:
+    """Type checks of the fields every command reads; an integral float
+    such as 1e3 is taken as an integer."""
+    for name in ("seed", "w_cap", "n_extra"):
+        value = getattr(cfg, name)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+            setattr(cfg, name, value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    for name in ("css", "ancilla"):
+        if not isinstance(getattr(cfg, name), dict):
+            raise ConfigError(f"{name}: expected an object, got {getattr(cfg, name)!r}")
+
+
 def _run_size(cfg: ExperimentConfig) -> tuple[list[float], int]:
     """The checked p grid and trial count of a simulate config."""
     grid, trials = cfg.p_grid, cfg.trials_per_p
@@ -299,6 +314,7 @@ def _run_size(cfg: ExperimentConfig) -> tuple[list[float], int]:
 
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
+    _check_types(cfg)
     grid, trials = _run_size(cfg)
     workers = args.workers
     if not workers:
@@ -312,9 +328,9 @@ def cmd_simulate(args) -> int:
         dconfig,
         grid,
         trials_per_p=trials,
-        seed=int(cfg.seed),
+        seed=cfg.seed,
         workers=workers,
-        w_cap=int(cfg.w_cap),
+        w_cap=cfg.w_cap,
     )
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(stats.to_json(), encoding="utf-8")
@@ -329,7 +345,7 @@ def parse_scenario(text: str) -> dict[str, dict[int, FaultInjection]]:
     """Scenario lines: '<stage> <instance> <step> <gate_idx> <pauli>'.
 
     Stage is prep (instance = block unit) or round1/round2 (instance =
-    group); the remaining fields follow the fault-injection file format.
+    group); step and gate index a location of that stage's circuit.
     """
     staged: dict[str, dict[int, list[Fault]]] = {"prep": {}, "round1": {}, "round2": {}}
     for lineno, ln in enumerate(text.strip().splitlines(), 1):
@@ -349,18 +365,7 @@ def parse_scenario(text: str) -> dict[str, dict[int, FaultInjection]]:
                                   f"got {text!r}") from None
 
         inst, step = integer("instance", parts[1]), integer("step", parts[2])
-        if parts[3] == "mem":
-            if stage != "prep":
-                raise ConfigError(f"scenario line {lineno}: gate: memory faults are not "
-                                  f"supported in {stage}")
-            if len(parts) < 7:
-                raise ConfigError(f"scenario line {lineno}: gate: 'mem' needs "
-                                  f"'<block> <qubit>' after the Pauli")
-            loc = (integer("block", parts[5]), integer("qubit", parts[6]))
-            fault = Fault(step, -1, pauli, loc)
-        else:
-            fault = Fault(step, integer("gate", parts[3]), pauli)
-        staged[stage].setdefault(inst, []).append(fault)
+        staged[stage].setdefault(inst, []).append(Fault(step, integer("gate", parts[3]), pauli))
     return {
         stage: {inst: FaultInjection(tuple(fl)) for inst, fl in d.items()}
         for stage, d in staged.items()
@@ -369,6 +374,7 @@ def parse_scenario(text: str) -> dict[str, dict[int, FaultInjection]]:
 
 def cmd_inject(args) -> int:
     cfg = ExperimentConfig.load(args.config)
+    _check_types(cfg)
     dconfig = build_distillation_config(cfg)
     runner = ProtocolRunner(dconfig)
     staged = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))

@@ -73,9 +73,6 @@ class LinearCode:
             return BitVec.zeros(self.n), False
         return BitVec(self.n, leader), True
 
-    def is_codeword(self, v: BitVec | int) -> bool:
-        return self.syndrome(v).is_zero()
-
     def codewords(self):
         """All 2^k codewords (packed ints); only sensible for small k."""
         return gf2.iter_row_space(self.g)

@@ -264,34 +264,20 @@ def _round_sets_for_kind(css_blocks, kind, i, j, basis):
             (zrows(0), (css_blocks[0].r_z,), ("Z",), log1, cor1),
             (xrows(0), (css_blocks[0].r_x,), ("X",), log2, cor2),
         )
-    if kind == "bell":
-        ka, kb = css_blocks[0].k, css_blocks[1].k
-        log1 = [zbar(0, u) for u in range(ka) if u != i]
-        cor1 = [xbar(0, u) for u in range(ka) if u != i]
-        log1 += [zbar(1, v) for v in range(kb) if v != j]
-        cor1 += [xbar(1, v) for v in range(kb) if v != j]
-        log1.append(zbar(0, i).xor(zbar(1, j)))
-        cor1.append(xbar(0, i))
-        log2 = [xbar(0, i).xor(xbar(1, j))]
-        cor2 = [zbar(0, i)]
-        return (
-            (zrows(0) + zrows(1), (css_blocks[0].r_z, css_blocks[1].r_z), ("Z", "Z"), log1, cor1),
-            (xrows(0) + xrows(1), (css_blocks[0].r_x, css_blocks[1].r_x), ("X", "X"), log2, cor2),
-        )
-    if kind == "omega":
-        ka, kb = css_blocks[0].k, css_blocks[1].k
-        log1, cor1 = [zbar(0, i).xor(xbar(1, j))], [xbar(0, i)]
-        log2 = [xbar(0, u) for u in range(ka) if u != i]
-        cor2 = [zbar(0, u) for u in range(ka) if u != i]
-        log2 += [zbar(1, v) for v in range(kb) if v != j]
-        cor2 += [xbar(1, v) for v in range(kb) if v != j]
-        log2.append(xbar(0, i).xor(zbar(1, j)))
-        cor2.append(zbar(0, i))
-        return (
-            (zrows(0) + xrows(1), (css_blocks[0].r_z, css_blocks[1].r_x), ("Z", "X"), log1, cor1),
-            (xrows(0) + zrows(1), (css_blocks[0].r_x, css_blocks[1].r_z), ("X", "Z"), log2, cor2),
-        )
-    raise ValueError(f"unknown ancilla kind {kind!r}")
+    # bell
+    ka, kb = css_blocks[0].k, css_blocks[1].k
+    log1 = [zbar(0, u) for u in range(ka) if u != i]
+    cor1 = [xbar(0, u) for u in range(ka) if u != i]
+    log1 += [zbar(1, v) for v in range(kb) if v != j]
+    cor1 += [xbar(1, v) for v in range(kb) if v != j]
+    log1.append(zbar(0, i).xor(zbar(1, j)))
+    cor1.append(xbar(0, i))
+    log2 = [xbar(0, i).xor(xbar(1, j))]
+    cor2 = [zbar(0, i)]
+    return (
+        (zrows(0) + zrows(1), (css_blocks[0].r_z, css_blocks[1].r_z), ("Z", "Z"), log1, cor1),
+        (xrows(0) + xrows(1), (css_blocks[0].r_x, css_blocks[1].r_x), ("X", "X"), log2, cor2),
+    )
 
 
 def build_ancilla_spec(
@@ -303,20 +289,17 @@ def build_ancilla_spec(
 ) -> AncillaSpec:
     """Build the stabilizer description of one of the ancilla-state kinds.
 
-    kinds: ``zero``, ``plus``, ``mixed`` (logical j in the opposite basis),
-    ``bell`` (logical i of block a with logical j of block b), ``omega``,
-    ``theta`` (j on both blocks; built from omega by the bitwise phase map).
+    kinds: ``zero``, ``plus``, ``mixed`` (logical j in the opposite basis)
+    and ``bell`` (logical i of block a with logical j of block b).
     """
     if isinstance(blocks, CssCode):
         blocks = (blocks,)
     blocks = tuple(blocks)
-    expected_m = 2 if kind in ("bell", "omega", "theta") else 1
+    expected_m = {"zero": 1, "plus": 1, "mixed": 1, "bell": 2}.get(kind)
+    if expected_m is None:
+        raise ValueError(f"unknown ancilla kind {kind!r}")
     if len(blocks) != expected_m:
         raise ValueError(f"kind {kind!r} needs {expected_m} block(s), got {len(blocks)}")
-
-    if kind == "theta":
-        omega = build_ancilla_spec(blocks, "omega", i=j, j=j)
-        return apply_bitwise_phase(omega)
 
     (g1, counts1, bases1, log1, cor1), (g2, counts2, bases2, log2, cor2) = _round_sets_for_kind(
         blocks, kind, i, j, basis
@@ -338,7 +321,7 @@ def build_ancilla_spec(
     return spec
 
 
-def _validate_spec(spec: AncillaSpec, allow_mixed: bool = False) -> None:
+def _validate_spec(spec: AncillaSpec) -> None:
     elems = spec.all_elements()
     if len(elems) != spec.total_qubits:
         raise ValueError("stabilizer count must equal total qubit count")
@@ -354,8 +337,6 @@ def _validate_spec(spec: AncillaSpec, allow_mixed: bool = False) -> None:
             for idx, el in enumerate(s):
                 if cor.commutes(el) == (idx == gens + t):
                     raise ValueError("corrector breaks the eigenvalue-rule contract")
-    if allow_mixed:
-        return
     for s, bases in ((spec.s1, spec.bases1), (spec.s2, spec.bases2)):
         for el in s:
             for b in range(spec.m):
@@ -363,70 +344,6 @@ def _validate_spec(spec: AncillaSpec, allow_mixed: bool = False) -> None:
                     raise ValueError("round element has X part on a Z-measured block")
                 if bases[b] == "X" and el.z[b]:
                     raise ValueError("round element has Z part on an X-measured block")
-
-
-def check_phase_gate_compatible(css: CssCode) -> bool:
-    """Whether bitwise phase gates preserve the stabilizer group.
-
-    Requires a symmetric CSS code whose X-check row space (the classical
-    dual) is doubly even, and odd-weight logical X representatives.
-    """
-    if not gf2.row_space_equal(css.h_x, css.h_z):
-        return False
-    for idx, row in enumerate(css.h_x.data):
-        if row.bit_count() % 4 != 0:
-            return False
-        for row2 in css.h_x.data[idx + 1:]:
-            if (row & row2).bit_count() % 2 != 0:
-                return False
-    return all(r.bit_count() % 2 == 1 for r in css.d_mat.data)
-
-
-def apply_bitwise_phase(spec: AncillaSpec) -> AncillaSpec:
-    """Map an omega(j, j) spec to the theta(j) spec.
-
-    Bitwise phase gates on block b send X -> Y; pure-X checks of block b
-    pick up a Z part equal to a Z-check row and are renormalized back to
-    pure X, so only the crossing logicals change form.  The physical frame
-    transformation itself is the phase gate rule in the circuit layer.
-    """
-    if spec.kind != "omega":
-        raise ValueError("bitwise phase construction starts from an omega spec")
-    pi = dict(spec.params)["i"]
-    pj = dict(spec.params)["j"]
-    if pi != pj:
-        raise ValueError("theta construction needs omega(j, j)")
-    if not check_phase_gate_compatible(spec.blocks[1]):
-        raise ValueError("block b fails phase-gate compatibility")
-
-    def conj(el: PauliElement) -> PauliElement:
-        return PauliElement(el.x, tuple(z ^ x if b == 1 else z for b, (x, z) in enumerate(zip(el.x, el.z))))
-
-    def fix(el: PauliElement, blocks) -> PauliElement:
-        new = conj(el)
-        # Renormalize: a Z part created inside the block-b check row space is
-        # a stabilizer factor, drop it.
-        if new.z[1] and gf2.row_space_contains(blocks[1].h_z, BitVec(blocks[1].n, new.z[1])):
-            new = PauliElement(new.x, (new.z[0], 0))
-        return new
-
-    s1 = tuple(fix(el, spec.blocks) for el in spec.s1)
-    s2 = tuple(fix(el, spec.blocks) for el in spec.s2)
-    out = AncillaSpec(
-        blocks=spec.blocks,
-        kind="theta",
-        params=spec.params,
-        s1=s1,
-        s2=s2,
-        bases1=spec.bases1,
-        bases2=spec.bases2,
-        gen_counts1=spec.gen_counts1,
-        gen_counts2=spec.gen_counts2,
-        correctors1=tuple(fix(el, spec.blocks) for el in spec.correctors1),
-        correctors2=tuple(fix(el, spec.blocks) for el in spec.correctors2),
-    )
-    _validate_spec(out, allow_mixed=True)
-    return out
 
 
 def generalized_syndrome(spec: AncillaSpec, e: tuple[int, ...], f: tuple[int, ...]) -> BitVec:

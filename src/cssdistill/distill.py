@@ -9,7 +9,8 @@ errors after regrouping.
 
 The protocol runner precompiles fault-propagation tables from the generic
 circuit layer: each elementary fault component at each location is pushed
-through the remaining gates once, so a trial only XORs per-fault effect
+through the remaining gates once (a round's through the one-qubit slice of
+its transversal circuit), so a trial only XORs per-fault effect
 masks and decodes sparse syndromes.  Tables are derived from
 :func:`cssdistill.frames.run_noisy` itself, which keeps the fast path and
 the reference path (:meth:`ProtocolRunner.run_reference`: ``run_noisy``
@@ -608,18 +609,6 @@ class CompiledRound:
         n = spec.blocks[0].n
         if any(c.n != n for c in spec.blocks):
             raise ValueError("all blocks must have equal length for transversal rounds")
-        for el in self.s:
-            for b in range(m):
-                if self.bases[b] == "Z" and el.x[b]:
-                    raise ValueError(
-                        f"{spec.kind!r} round {round_} has a non-measurable element; "
-                        "this state cannot be distilled directly"
-                    )
-                if self.bases[b] == "X" and el.z[b]:
-                    raise ValueError(
-                        f"{spec.kind!r} round {round_} has a non-measurable element; "
-                        "this state cannot be distilled directly"
-                    )
         self.m = m
         self.n = n
         self.r_c = code_c.r
@@ -635,22 +624,7 @@ class CompiledRound:
         self.layers = [
             (i, j) for i in range(self.r_c) for j in range(self.k_c) if code_c.a.get(i, j)
         ]
-        layer_of = {pair: idx for idx, pair in enumerate(self.layers)}
-        self._gate_index: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self._meas_index: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for s_idx, g_idx, gate in self.circuit.gates():
-            if gate.kind == "cnot":
-                (b1, q), (b2, _) = gate.locs
-                unit_a, blk = divmod(b1, m)
-                unit_b, _ = divmod(b2, m)
-                check_slot = min(unit_a, unit_b)
-                data_slot = max(unit_a, unit_b)
-                layer = layer_of[(check_slot, data_slot - self.r_c)]
-                self._gate_index[(s_idx, g_idx)] = (layer, blk, q)
-            elif gate.kind in ("meas_z", "meas_x"):
-                (bq, q) = gate.locs[0]
-                unit, blk = divmod(bq, m)
-                self._meas_index[(s_idx, g_idx)] = (unit, blk, q)
+        self._gate_index, self._meas_index = self._locations(self.circuit)
         # The circuit location of each (layer, block, qubit) CNOT and each
         # (check slot, block, qubit) readout.
         self._gate_at = {loc: key for key, loc in self._gate_index.items()}
@@ -677,19 +651,21 @@ class CompiledRound:
         if not self.batched:
             return
         # Per layer, block and Pauli code: bitmasks of the check slots whose
-        # records flip and of the slots whose e / f parts flip.  Each
-        # component fault at the block's qubit 0 is pushed through the rest
-        # of the circuit; by transversality the pattern is qubit-independent.
+        # records flip and of the slots whose e / f parts flip.  A
+        # transversal round couples qubit q only with qubit q of other
+        # blocks, so every qubit has the pattern of the one-qubit slice of
+        # the circuit (blocks of one qubit), through which each component
+        # fault is pushed.
+        slice_ = build_round_circuit(code_c.a, round_, 1, bases=self.bases)
+        slice_at = {loc: key for key, loc in self._locations(slice_)[0].items()}
         single = np.zeros((len(self.layers), m, 4, 3), dtype=np.int64)
         for layer in range(len(self.layers)):
             for blk in range(m):
-                loc = self._gate_at[(layer, blk, 0)]
+                loc = slice_at[(layer, blk, 0)]
                 for i, pauli in enumerate(("XI", "ZI", "IX", "IZ")):
-                    frame, _ = run_noisy(self.circuit, FaultInjection((Fault(*loc, pauli),)))
+                    frame, _ = run_noisy(slice_, FaultInjection((Fault(*loc, pauli),)))
                     for slot in range(self.n_c):
                         eb, fb = frame.e[slot * m + blk], frame.f[slot * m + blk]
-                        # transversality: only the representative qubit is hit
-                        assert (eb | fb) & ~1 == 0
                         if slot < self.r_c:
                             single[layer, blk, i, 0] |= (eb if round_ == 1 else fb) << slot
                         else:
@@ -729,6 +705,26 @@ class CompiledRound:
             np.array([self.r_c + j for j in range(self.k_c) if code_c.a.get(i, j)], dtype=np.intp)
             for i in range(self.r_c)
         ]
+
+    def _locations(self, circuit: Circuit):
+        """Engine coordinates of a circuit of this round's layout, keyed by
+        (step, gate): (layer, block, qubit) per CNOT and (check slot, block,
+        qubit) per readout."""
+        layer_of = {pair: idx for idx, pair in enumerate(self.layers)}
+        gates: dict[tuple[int, int], tuple[int, int, int]] = {}
+        reads: dict[tuple[int, int], tuple[int, int, int]] = {}
+        for s_idx, g_idx, gate in circuit.gates():
+            if gate.kind == "cnot":
+                (b1, q), (b2, _) = gate.locs
+                unit_a, blk = divmod(b1, self.m)
+                unit_b, _ = divmod(b2, self.m)
+                check_slot, data_slot = sorted((unit_a, unit_b))
+                gates[(s_idx, g_idx)] = (layer_of[(check_slot, data_slot - self.r_c)], blk, q)
+            elif gate.kind in ("meas_z", "meas_x"):
+                (bq, q) = gate.locs[0]
+                unit, blk = divmod(bq, self.m)
+                reads[(s_idx, g_idx)] = (unit, blk, q)
+        return gates, reads
 
     def batch_records(self, meas, flow, hits) -> np.ndarray:
         """Check records of (trials, groups, n_c) unit words.
@@ -844,8 +840,6 @@ class CompiledRound:
 
     def classify_fault(self, fault: Fault) -> tuple:
         """Map a circuit fault onto engine coordinates."""
-        if fault.gate_idx < 0:
-            raise NotImplementedError("memory faults are not supported by the round engine")
         key = (fault.step, fault.gate_idx)
         if key in self._gate_index:
             layer, blk, q = self._gate_index[key]
@@ -859,20 +853,11 @@ class CompiledRound:
         raise ValueError(f"fault does not address a circuit location: {fault}")
 
 
-def _check_model(model: FailureModel) -> None:
-    if model.p_mem > 0:
-        raise NotImplementedError(
-            "the protocol engine assumes p_mem = 0; memory noise is only "
-            "available in the generic circuit layer"
-        )
-
-
 class ProtocolRunner:
     """Compiled end-to-end protocol: noisy preparation, two distillation
     rounds with refill and regrouping, per-trial fault sampling."""
 
     def __init__(self, config: DistillationConfig):
-        _check_model(config.model)
         self.config = config
         spec = config.spec
         self.spec = spec
@@ -919,7 +904,6 @@ class ProtocolRunner:
     def with_model(self, model: FailureModel) -> "ProtocolRunner":
         """This compiled protocol under another failure model; no compiled
         table depends on the model."""
-        _check_model(model)
         other = copy.copy(self)
         other.config = dataclasses.replace(self.config, model=model)
         return other

@@ -11,10 +11,8 @@ Phases are dropped throughout; syndromes and weights are phase-blind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from . import gf2
 from .css import AncillaSpec
@@ -33,7 +31,7 @@ _CHAR_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 class Gate(NamedTuple):
-    kind: str  # prep_z | prep_x | cnot | phase | meas_z | meas_x
+    kind: str  # prep_z | prep_x | cnot | meas_z | meas_x
     locs: tuple[tuple[int, int], ...]  # (block, qubit); cnot = (control, target)
 
 
@@ -107,37 +105,17 @@ class Circuit:
     def count(self, kind: str) -> int:
         return sum(1 for _, _, g in self.gates() if g.kind == kind)
 
-    def idle_slots(self) -> list[tuple[int, tuple[int, int]]]:
-        """(step, (block, qubit)) pairs where an alive qubit does nothing."""
-        first: dict[tuple[int, int], int] = {}
-        last: dict[tuple[int, int], int] = {}
-        busy: dict[tuple[int, int], set[int]] = {}
-        for s, _, gate in self.gates():
-            for loc in gate.locs:
-                first.setdefault(loc, s)
-                last[loc] = s
-                busy.setdefault(loc, set()).add(s)
-        out = []
-        for loc, f0 in first.items():
-            for s in range(f0 + 1, last[loc]):
-                if s not in busy[loc]:
-                    out.append((s, loc))
-        return out
-
 
 @dataclass(frozen=True)
 class FailureModel:
     """Independent-failure circuit noise: depolarizing CNOT and prep
-    failures at p_gate, measurement flips at p_meas, idle-qubit memory
-    failures at p_mem (zero by default: relevant platforms have memory
-    noise far below gate noise)."""
+    failures at p_gate, measurement flips at p_meas; no memory noise."""
 
     p_gate: float
     p_meas: float
-    p_mem: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p_gate", "p_meas", "p_mem"):
+        for name in ("p_gate", "p_meas"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -149,9 +127,8 @@ class FailureModel:
 
 class Fault(NamedTuple):
     step: int
-    gate_idx: int  # -1 for a memory fault
-    pauli: str  # one char per gate loc; single char for memory
-    loc: tuple[int, int] | None = None  # memory faults only
+    gate_idx: int
+    pauli: str  # one char per gate loc
 
 
 @dataclass(frozen=True)
@@ -162,29 +139,6 @@ class FaultInjection:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def to_text(self) -> str:
-        lines = []
-        for it in self.items:
-            if it.gate_idx < 0:
-                b, q = it.loc
-                lines.append(f"{it.step} mem {it.pauli} {b} {q}")
-            else:
-                lines.append(f"{it.step} {it.gate_idx} {it.pauli}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text: str) -> "FaultInjection":
-        items = []
-        for ln in text.strip().splitlines():
-            parts = ln.split()
-            if not parts:
-                continue
-            if parts[1] == "mem":
-                items.append(Fault(int(parts[0]), -1, parts[2], (int(parts[3]), int(parts[4]))))
-            else:
-                items.append(Fault(int(parts[0]), int(parts[1]), parts[2]))
-        return cls(tuple(items))
 
 
 def apply_gate(frame: PauliFrame, gate: Gate) -> None:
@@ -199,10 +153,6 @@ def apply_gate(frame: PauliFrame, gate: Gate) -> None:
         b, q = gate.locs[0]
         frame.e[b] &= ~(1 << q)
         frame.f[b] &= ~(1 << q)
-    elif gate.kind == "phase":
-        b, q = gate.locs[0]
-        if (frame.e[b] >> q) & 1:
-            frame.f[b] ^= 1 << q
     elif gate.kind in ("meas_z", "meas_x"):
         pass
     else:
@@ -227,18 +177,13 @@ def run_noisy(
 
     Faults attached to a gate are applied right after it; a fault on a
     measurement gate is a classical readout flip (its relevant component
-    XORs into the record, the frame is untouched).  Memory faults
-    (gate_idx -1) apply after their step.  Returns the final frame and, per
-    measured block, the packed error contribution to the outcomes: the e
-    bit under meas_z, the f bit under meas_x, at measurement time.
+    XORs into the record, the frame is untouched).  Returns the final frame
+    and, per measured block, the packed error contribution to the outcomes:
+    the e bit under meas_z, the f bit under meas_x, at measurement time.
     """
     by_gate: dict[tuple[int, int], list[str]] = {}
-    by_step_mem: dict[int, list[Fault]] = {}
     for it in injection.items:
-        if it.gate_idx < 0:
-            by_step_mem.setdefault(it.step, []).append(it)
-        else:
-            by_gate.setdefault((it.step, it.gate_idx), []).append(it.pauli)
+        by_gate.setdefault((it.step, it.gate_idx), []).append(it.pauli)
 
     frame = PauliFrame.zeros(circuit.ns) if initial is None else initial.copy()
     records: dict[int, int] = {}
@@ -260,43 +205,7 @@ def run_noisy(
                 apply_gate(frame, gate)
                 for pauli in pend:
                     _inject(frame, gate.locs, pauli)
-        for it in by_step_mem.get(s, ()):
-            b, q = it.loc
-            xb, zb = _CHAR_XZ[it.pauli]
-            if xb:
-                frame.e[b] ^= 1 << q
-            if zb:
-                frame.f[b] ^= 1 << q
     return frame, records
-
-
-def sample_failures(model: FailureModel, circuit: Circuit, rng: np.random.Generator) -> FaultInjection:
-    """Draw an independent fault set for one execution of the circuit.
-
-    CNOTs fail with p_gate, uniformly over the 15 nontrivial two-qubit
-    Paulis; preps (and phase gates) with p_gate, uniformly over {X, Y, Z};
-    measurements flip with p_meas (an X before meas_z, a Z before meas_x);
-    idle qubit-steps suffer uniform single-qubit Paulis at p_mem.
-    """
-    items: list[Fault] = []
-    for s, g, gate in circuit.gates():
-        if gate.kind == "cnot":
-            if rng.random() < model.p_gate:
-                items.append(Fault(s, g, PAULI_2Q[rng.integers(15)]))
-        elif gate.kind in ("prep_z", "prep_x", "phase"):
-            if rng.random() < model.p_gate:
-                items.append(Fault(s, g, PAULI_1Q[rng.integers(3)]))
-        elif gate.kind == "meas_z":
-            if rng.random() < model.p_meas:
-                items.append(Fault(s, g, "X"))
-        elif gate.kind == "meas_x":
-            if rng.random() < model.p_meas:
-                items.append(Fault(s, g, "Z"))
-    if model.p_mem > 0:
-        for s, loc in circuit.idle_slots():
-            if rng.random() < model.p_mem:
-                items.append(Fault(s, -1, PAULI_1Q[rng.integers(3)], loc))
-    return FaultInjection(tuple(items))
 
 
 def effective_support(
@@ -310,11 +219,7 @@ def effective_support(
     x_sup = [0] * len(circuit.ns)
     z_sup = [0] * len(circuit.ns)
     for it in injection.items:
-        if it.gate_idx < 0:
-            locs = (it.loc,)
-        else:
-            locs = circuit.steps[it.step][it.gate_idx].locs
-        for (b, q), ch in zip(locs, it.pauli):
+        for (b, q), ch in zip(circuit.steps[it.step][it.gate_idx].locs, it.pauli):
             xb, zb = _CHAR_XZ[ch]
             if xb:
                 x_sup[b] ^= 1 << q
@@ -410,10 +315,6 @@ def _conjugate_through(circuit: Circuit, x0: list[int], z0: list[int]) -> tuple[
                 x[bt] ^= 1 << qt
             if (z[bt] >> qt) & 1:
                 z[bc] ^= 1 << qc
-        elif gate.kind == "phase":
-            b, q = gate.locs[0]
-            if (x[b] >> q) & 1:
-                z[b] ^= 1 << q
     return x, z
 
 

@@ -16,10 +16,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
-def _mask(n: int) -> int:
-    return (1 << n) - 1
-
-
 @dataclass(frozen=True)
 class BitVec:
     """A length-``n`` binary vector packed into a single int.
@@ -312,30 +308,6 @@ def invert(m: BitMatrix) -> BitMatrix:
                 aug[i] ^= aug[r]
         r += 1
     return BitMatrix(n, n, tuple(row >> n for row in aug))
-
-
-def solve(m: BitMatrix, y: BitVec) -> BitVec | None:
-    """One solution x of M x^T = y^T, or None if inconsistent."""
-    if m.rows != y.n:
-        raise ValueError("dimension mismatch")
-    aug = BitMatrix(m.rows, m.cols + 1, tuple(m.data[i] | (y.get(i) << m.cols) for i in range(m.rows)))
-    red, pivots, _ = rref(aug)
-    x = 0
-    for r_idx, p in enumerate(pivots):
-        if p == m.cols:
-            return None
-        if (red.data[r_idx] >> m.cols) & 1:
-            x |= 1 << p
-    return BitVec(m.cols, x)
-
-
-def row_space_contains(m: BitMatrix, v: BitVec) -> bool:
-    if m.cols != v.n:
-        raise ValueError("dimension mismatch")
-    if v.is_zero():
-        return True
-    stacked = m.vstack(BitMatrix(1, m.cols, (v.bits,)))
-    return rank(stacked) == rank(m)
 
 
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:

@@ -171,8 +171,7 @@ def _runner_for(p_index: int) -> ProtocolRunner:
         if _WORKER["compiled"] is None:
             _WORKER["compiled"] = ProtocolRunner(_WORKER["config"])
         p = _WORKER["p_grid"][p_index]
-        model = FailureModel(p_gate=p, p_meas=p, p_mem=_WORKER["config"].model.p_mem)
-        runner = _WORKER["compiled"].with_model(model)
+        runner = _WORKER["compiled"].with_model(FailureModel.uniform(p))
         _WORKER["runners"][p_index] = runner
     return runner
 

@@ -111,6 +111,30 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
         assert f"error: {field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", "abc"),
+        ("w_cap", "x"),
+        ("n_extra", "x"),
+        ("n_extra", 1.5),
+        ("ancilla", "zero"),
+        ("css", "golay"),
+    ], ids=["seed-string", "w_cap-string", "n_extra-string", "n_extra-fraction",
+            "ancilla-string", "css-string"])
+    def test_wrong_type_names_field(self, tmp_path, capsys, field, value):
+        cfg_path = write_config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "inject"])
+    @pytest.mark.parametrize("kind", ["omega", "theta"])
+    def test_unknown_kind_names_ancilla(self, tmp_path, capsys, command, kind):
+        cfg_path = write_config(tmp_path, combination="D", ancilla={"kind": kind})
+        scen = tmp_path / "empty.txt"
+        scen.write_text("")
+        extra = ["--workers", "1"] if command == "simulate" else ["--scenario", str(scen)]
+        assert main([command, "--config", str(cfg_path), *extra]) == 1
+        assert f"error: ancilla: unknown ancilla kind {kind!r}" in capsys.readouterr().err
+
     def test_bad_workers_variable_names_it(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CSSDISTILL_WORKERS", "abc")
         assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1

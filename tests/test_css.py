@@ -6,11 +6,8 @@ import pytest
 from cssdistill import gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import (
-    PauliElement,
-    apply_bitwise_phase,
     build_ancilla_spec,
     build_css,
-    check_phase_gate_compatible,
     generalized_syndrome,
     residual_weight,
 )
@@ -58,6 +55,11 @@ class TestBuildCss:
     def test_steane_odd_logical(self, steane_css):
         assert (steane_css.n, steane_css.k) == (7, 1)
         assert steane_css.d_mat.row(0).weight() % 2 == 1
+
+    def test_golay_logical_coset_is_odd(self, golay_css):
+        # Every representative of the logical class has odd weight.
+        for w in gf2.iter_row_space(golay_css.h_x):
+            assert (GOLAY_LOGICAL.bits ^ w).bit_count() % 2 == 1
 
     def test_css_condition_violated(self):
         rep3 = registry("rep3")
@@ -108,16 +110,12 @@ class TestAncillaSpecs:
         assert crossing_x.x == (GOLAY_LOGICAL.bits, GOLAY_LOGICAL.bits) and crossing_x.z == (0, 0)
 
     def test_all_elements_commute(self, golay_css):
-        for kind, m in (("zero", 1), ("plus", 1), ("bell", 2), ("omega", 2)):
+        for kind, m in (("zero", 1), ("plus", 1), ("bell", 2)):
             spec = build_ancilla_spec([golay_css] * m if m > 1 else golay_css, kind)
             elems = spec.all_elements()
             assert len(elems) == spec.total_qubits
             for a, b in itertools.combinations(elems, 2):
                 assert a.commutes(b)
-
-    def test_omega_round_bases(self, golay_css):
-        om = build_ancilla_spec([golay_css, golay_css], "omega")
-        assert om.bases1 == ("Z", "X") and om.bases2 == ("X", "Z")
 
     def test_zero_correctors_are_logical_x(self, zero_spec, golay_css):
         assert len(zero_spec.correctors1) == 1
@@ -125,15 +123,14 @@ class TestAncillaSpecs:
         assert cor.x == (golay_css.d_mat.data[0],) and cor.z == (0,)
 
     def test_corrector_contract(self, golay_css):
-        for kind, m in (("bell", 2), ("omega", 2)):
-            spec = build_ancilla_spec([golay_css] * m, kind)
-            for round_, s, correctors in ((1, spec.s1, spec.correctors1), (2, spec.s2, spec.correctors2)):
-                logicals = spec.logicals(round_)
-                gens = len(s) - len(logicals)
-                for t, cor in enumerate(correctors):
-                    for idx, el in enumerate(s):
-                        expect = idx == gens + t
-                        assert cor.commutes(el) != expect
+        spec = build_ancilla_spec([golay_css] * 2, "bell")
+        for round_, s, correctors in ((1, spec.s1, spec.correctors1), (2, spec.s2, spec.correctors2)):
+            logicals = spec.logicals(round_)
+            gens = len(s) - len(logicals)
+            for t, cor in enumerate(correctors):
+                for idx, el in enumerate(s):
+                    expect = idx == gens + t
+                    assert cor.commutes(el) != expect
 
     def test_wrong_block_count(self, golay_css):
         with pytest.raises(ValueError, match="block"):
@@ -275,83 +272,3 @@ class TestResidualWeight:
         assert words.dtype == object
         got = tab.weights("x", words)
         assert got.tolist() == [-1 if w is None else w for w in want]
-
-
-class TestPhaseGate:
-    def test_golay_compatible(self, golay_css):
-        assert check_phase_gate_compatible(golay_css)
-
-    def test_steane_compatible_by_enumeration(self, steane_css):
-        # Exhaustive over the 2^3 dual codewords: all weights are 0 mod 4
-        # and the logical has odd weight, so the check holds.
-        weights = {w.bit_count() for w in gf2.iter_row_space(steane_css.h_x)}
-        assert weights == {0, 4}
-        assert check_phase_gate_compatible(steane_css) is True
-
-    def test_golay_logical_coset_is_odd(self, golay_css):
-        # Every representative of the logical class has odd weight, which is
-        # what makes the bitwise-phase construction work at all.
-        for w in gf2.iter_row_space(golay_css.h_x):
-            assert (GOLAY_LOGICAL.bits ^ w).bit_count() % 2 == 1
-
-    def test_asymmetric_code_fails(self):
-        # [[23,0]] from the Golay code and its dual: valid CSS pair, but the
-        # check row spaces differ, so condition (a) rejects it.
-        golay = registry("golay23")
-        dual = registry("golay23_dual")
-        css = build_css(golay, dual)
-        assert css.k == 0
-        assert css.hp_z.rows == css.h_z.rows  # no logical rows to stack
-        assert check_phase_gate_compatible(css) is False
-
-    def test_even_weight_logical_fails(self, golay_css):
-        # Synthetic fixture hitting condition (c): same checks, but with an
-        # even-weight vector in place of the logical X representative.
-        from dataclasses import replace
-
-        even = GOLAY_LOGICAL.bits ^ (1 << 0)  # weight 8, no longer in C_Z
-        forged = replace(
-            golay_css,
-            d_mat=gf2.BitMatrix(1, 23, (even,)),
-        )
-        assert check_phase_gate_compatible(forged) is False
-
-    def test_theta_from_omega(self, golay_css):
-        omega = build_ancilla_spec([golay_css, golay_css], "omega", i=0, j=0)
-        theta = apply_bitwise_phase(omega)
-        assert theta.kind == "theta"
-        ybars = [
-            el
-            for el in theta.all_elements()
-            if el.x[1] and el.z[1] and el.x[1] == el.z[1] == GOLAY_LOGICAL.bits
-        ]
-        assert len(ybars) == 1
-        assert ybars[0].z[0] == GOLAY_LOGICAL.bits  # the Z(a) (x) Y(b) element
-        for a, b in itertools.combinations(theta.all_elements(), 2):
-            assert a.commutes(b)
-
-    def test_other_logicals_unaffected(self, golay_css):
-        # k=1 for the Golay block, so check on the Steane pair where the
-        # transform must leave the pure-Z crossing structure alone.
-        omega = build_ancilla_spec([golay_css, golay_css], "omega")
-        theta = apply_bitwise_phase(omega)
-        # Block-level generators keep their pure types.
-        for el_o, el_t in zip(omega.s1[:22], theta.s1[:22]):
-            assert el_o == el_t
-
-    def test_phase_twice_is_z_conjugation(self, golay_css):
-        # P^2 = Z: reps transform by z ^= x twice, identity on all reps.
-        omega = build_ancilla_spec([golay_css, golay_css], "omega")
-
-        def conj_twice(el):
-            z1 = tuple(z ^ x if b == 1 else z for b, (x, z) in enumerate(zip(el.x, el.z)))
-            z2 = tuple(z ^ x if b == 1 else z for b, (x, z) in enumerate(zip(el.x, z1)))
-            return PauliElement(el.x, z2)
-
-        for el in omega.all_elements():
-            assert conj_twice(el) == el
-
-    def test_requires_omega(self, golay_css):
-        zero = build_ancilla_spec(golay_css, "zero")
-        with pytest.raises(ValueError):
-            apply_bitwise_phase(zero)

@@ -31,7 +31,6 @@ from cssdistill.frames import (
     PauliFrame,
     effective_support,
     run_noisy,
-    sample_failures,
 )
 from cssdistill.gf2 import BitMatrix, BitVec
 
@@ -450,21 +449,8 @@ class TestRoundEngineEquivalence:
         assert any(any(any(e) or any(f) for e, f in o.outputs) for o in outcomes)
 
     def _random_faults(self, runner, p, rng):
-        model = FailureModel.uniform(p)
-        prep, r1, r2 = {}, {}, {}
-        for u in range(runner.n_units):
-            inj = sample_failures(model, runner.enc_circuit, rng)
-            if len(inj):
-                prep[u] = inj
-        for g in range(runner.groups1):
-            inj = sample_failures(model, runner.round1.circuit, rng)
-            if len(inj):
-                r1[g] = inj
-        for g in range(runner.groups2):
-            inj = sample_failures(model, runner.round2.circuit, rng)
-            if len(inj):
-                r2[g] = inj
-        return prep, r1, r2
+        noisy = runner.with_model(FailureModel.uniform(p))
+        return noisy._injections(noisy._sample(rng))
 
     def test_plus_spec_round2_logicals(self, golay_css):
         # The plus state moves the logical eigenvalue handling to round 2
@@ -692,6 +678,36 @@ def test_every_single_fault_is_benign(golay_css, kind, configurations):
     assert seen == configurations
 
 
+@pytest.mark.parametrize("round_", [1, 2])
+@pytest.mark.parametrize("c_name", ["rep3", "bch15_7_5"])
+@pytest.mark.parametrize("kind", ["zero", "bell"])
+def test_slice_effects_match_full_circuit(golay_css, kind, c_name, round_):
+    # The effect masks, compiled on the one-qubit slice of the round
+    # circuit, are those of a fault at the first and at the last qubit of
+    # the full circuit; such a fault hits no other qubit of any slot.
+    spec = build_ancilla_spec([golay_css] * 2 if kind == "bell" else golay_css, kind)
+    rnd = CompiledRound(spec, round_, registry(c_name), None)
+    assert rnd.batched
+    m, n = rnd.m, rnd.n
+    for layer, blk, q in itertools.product(range(len(rnd.layers)), range(m), (0, n - 1)):
+        for code, pauli in ((1, "XI"), (2, "ZI"), (4, "IX"), (8, "IZ")):
+            fault = Fault(*rnd._gate_at[(layer, blk, q)], pauli)
+            frame, _ = run_noisy(rnd.circuit, FaultInjection((fault,)))
+            want = [0, 0, 0]
+            for slot in range(rnd.n_c):
+                for b in range(m):
+                    hit = frame.e[slot * m + b] | frame.f[slot * m + b]
+                    assert hit & ~(1 << q) == 0 and (b == blk or hit == 0)
+                eb = frame.e[slot * m + blk] >> q & 1
+                fb = frame.f[slot * m + blk] >> q & 1
+                if slot < rnd.r_c:
+                    want[0] |= (eb if round_ == 1 else fb) << slot
+                else:
+                    want[1] |= eb << slot
+                    want[2] |= fb << slot
+            assert rnd.eff_masks[layer, blk, code].tolist() == want
+
+
 class TestRunProtocol:
     def test_perfect_circuit_full_yield(self, zero_spec):
         bch = registry("bch15_7_5")
@@ -721,16 +737,6 @@ class TestRunProtocol:
             a = r1.run_trial(fresh)
             b = r2.run_trial(r2._trial_rng(77, 3, t))
             assert a == b
-
-    def test_memory_noise_rejected(self, zero_spec):
-        bch = registry("bch15_7_5")
-        cfg = DistillationConfig(
-            spec=zero_spec, code_c1=bch, code_c2=bch,
-            code_d1=registry("golay23"), code_d2=registry("golay23_dual"),
-            model=FailureModel(1e-3, 1e-3, p_mem=1e-4), n_extra=2,
-        )
-        with pytest.raises(NotImplementedError, match="p_mem"):
-            ProtocolRunner(cfg)
 
     def test_dimension_validation(self, zero_spec):
         bch = registry("bch15_7_5")

@@ -6,6 +6,7 @@ import pytest
 from cssdistill import gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import build_ancilla_spec, build_css
+from cssdistill.distill import DistillationConfig, ProtocolRunner
 from cssdistill.frames import (
     PAULI_2Q,
     Circuit,
@@ -17,7 +18,6 @@ from cssdistill.frames import (
     apply_gate,
     effective_support,
     run_noisy,
-    sample_failures,
     synth_encoding_circuit,
 )
 from cssdistill.gf2 import BitMatrix
@@ -83,19 +83,6 @@ class TestApplyGate:
         apply_gate(fr, Gate("cnot", ((0, 0), (0, 1))))
         assert fr.f[0] == 0b011 and fr.e[0] == 0
 
-    def test_phase_x_to_y(self):
-        fr = PauliFrame.zeros((2,))
-        fr.e[0] = 0b01
-        apply_gate(fr, Gate("phase", ((0, 0),)))
-        assert fr.e[0] == 0b01 and fr.f[0] == 0b01
-
-    def test_phase_twice_is_identity_on_frame(self):
-        fr = PauliFrame.zeros((2,))
-        fr.e[0] = 0b01
-        apply_gate(fr, Gate("phase", ((0, 0),)))
-        apply_gate(fr, Gate("phase", ((0, 0),)))
-        assert (fr.e[0], fr.f[0]) == (0b01, 0b00)
-
     def test_prep_resets(self):
         fr = PauliFrame.zeros((2,))
         fr.e[0], fr.f[0] = 0b11, 0b01
@@ -147,63 +134,57 @@ class TestSynthEncoding:
         circ = synth_encoding_circuit(bell)  # symbolic check runs inside
         assert circ.count("prep_x") + circ.count("prep_z") == 46
 
-    def test_omega_rejected(self, golay_css):
-        omega = build_ancilla_spec([golay_css, golay_css], "omega")
-        with pytest.raises(ValueError, match="not CNOT-preparable"):
-            synth_encoding_circuit(omega)
-
     def test_noiseless_run_keeps_zero_frame(self, enc_circuit):
         frame, records = run_noisy(enc_circuit, FaultInjection(()))
         assert frame.is_zero() and records == {}
 
 
-class TestSampleFailures:
-    def test_zero_rates_empty(self, enc_circuit):
-        rng = np.random.default_rng(0)
-        inj = sample_failures(FailureModel(0.0, 0.0), enc_circuit, rng)
-        assert len(inj) == 0
+@pytest.fixture(scope="module")
+def steane_runner():
+    steane = build_css(registry("hamming7"), registry("hamming7"))
+    rep3 = registry("rep3")
+    return ProtocolRunner(DistillationConfig(
+        spec=build_ancilla_spec(steane, "zero"), code_c1=rep3, code_c2=rep3,
+        code_d1=None, code_d2=None, model=FailureModel.uniform(0.0), n_extra=2,
+    ))
 
-    def test_expected_cnot_fault_count(self, enc_circuit):
+
+class TestSampleFailures:
+    """The protocol runner's per-trial fault sampler against the model."""
+
+    def test_zero_rates_empty(self, steane_runner):
+        rng = np.random.default_rng(0)
+        assert all(len(part) == 0 for part in steane_runner._sample(rng))
+
+    def test_expected_cnot_fault_count(self, steane_runner):
         rng = np.random.default_rng(123)
         p = 0.01
-        model = FailureModel(p_gate=p, p_meas=p)
-        n_cnots = enc_circuit.count("cnot")
-        n_preps = enc_circuit.count("prep_z") + enc_circuit.count("prep_x")
+        runner = steane_runner.with_model(FailureModel(p_gate=p, p_meas=0.0))
         trials = 4000
-        total = sum(len(sample_failures(model, enc_circuit, rng)) for _ in range(trials))
-        n_locs = n_cnots + n_preps
+        total = sum(len(runner._sample(rng)[0]) for _ in range(trials))
+        n_locs = runner._gate_space  # CNOTs and preparations
         mean = trials * n_locs * p
         sigma = (trials * n_locs * p * (1 - p)) ** 0.5
         assert abs(total - mean) < 5 * sigma
 
-    def test_pauli_histogram_uniform(self):
-        # chi^2 over the 15 two-qubit fault classes at N = 1e6.
-        circ = Circuit((2,), ((Gate("cnot", ((0, 0), (0, 1))),),))
+    def test_pauli_histogram_uniform(self, steane_runner):
+        # chi^2 over the 15 two-qubit fault classes of every CNOT, encoder
+        # and rounds, as the runner's injections label them.
+        runner = steane_runner.with_model(FailureModel(p_gate=1.0, p_meas=0.0))
         rng = np.random.default_rng(7)
-        n = 1_000_000
         counts = dict.fromkeys(PAULI_2Q, 0)
-        model = FailureModel(p_gate=1.0, p_meas=0.0)
-        for _ in range(n):
-            inj = sample_failures(model, circ, rng)
-            counts[inj.items[0].pauli] += 1
+        for _ in range(1000):
+            for stage in runner._injections(runner._sample(rng)):
+                for inj in stage.values():
+                    for fault in inj.items:
+                        if len(fault.pauli) == 2:
+                            counts[fault.pauli] += 1
+        n = sum(counts.values())
+        assert n > 100_000
         expected = n / 15
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         # df = 14; 70 corresponds to a ~1.7e-9 tail.
         assert chi2 < 70
-
-    def test_memory_faults_sampled(self):
-        steps = (
-            (Gate("prep_z", ((0, 0),)), Gate("prep_z", ((0, 1),))),
-            (Gate("cnot", ((0, 0), (0, 1))),),
-            (Gate("phase", ((0, 0),)),),  # qubit 1 idles here
-            (Gate("cnot", ((0, 0), (0, 1))),),
-        )
-        circ = Circuit((2,), steps)
-        assert circ.idle_slots() == [(2, (0, 1))]
-        rng = np.random.default_rng(5)
-        model = FailureModel(0.0, 0.0, p_mem=1.0)
-        inj = sample_failures(model, circ, rng)
-        assert len(inj) == 1 and inj.items[0].gate_idx == -1
 
 
 class TestRunNoisy:
@@ -298,8 +279,3 @@ class TestEffectiveSupport:
         x_sup, _ = effective_support(FaultInjection(faults), circ)
         data_block = 2
         assert x_sup[data_block].bit_count() == 3
-
-    def test_scenario_text_roundtrip(self):
-        inj = FaultInjection((Fault(0, 1, "XZ"), Fault(2, -1, "Y", (0, 5))))
-        assert FaultInjection.from_text(inj.to_text()) == inj
-        assert FaultInjection.from_text("") == FaultInjection(())

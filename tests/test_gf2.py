@@ -172,19 +172,6 @@ class TestInvert:
             assert gf2.mat_mul(m, inv) == BitMatrix.identity(5)
 
 
-class TestSolve:
-    def test_consistent(self):
-        m = BitMatrix.from_strings(["110", "011"])
-        y = BitVec.from_string("10")
-        x = gf2.solve(m, y)
-        assert x is not None
-        assert gf2.mat_vec(m, x) == y
-
-    def test_inconsistent(self):
-        m = BitMatrix.from_strings(["110", "110"])
-        assert gf2.solve(m, BitVec.from_string("10")) is None
-
-
 class TestTextFormat:
     def test_roundtrip(self):
         m = BitMatrix.from_strings(["10110", "01011"])
