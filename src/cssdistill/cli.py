@@ -128,6 +128,11 @@ def build_spec(cfg: ExperimentConfig) -> AncillaSpec:
         raise ConfigError(f"css: {exc}") from exc
     kind = cfg.ancilla.get("kind", "zero")
     blocks = [quantum, quantum] if kind == "bell" else quantum
+    for name in ("i", "j"):
+        value = cfg.ancilla.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < quantum.k:
+            raise ConfigError(f"ancilla.{name}: expected a logical qubit index in "
+                              f"0..{quantum.k - 1}, got {value!r}")
     try:
         return build_ancilla_spec(
             blocks,

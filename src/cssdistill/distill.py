@@ -56,15 +56,16 @@ def pauli2_code(pauli: str) -> int:
 
 PAULI15_CODE = tuple(pauli2_code(p) for p in PAULI_2Q)
 PAULI3_CODE = tuple(_CHAR_CODE[p] for p in PAULI_1Q)
-_PAULI15_CODES = np.array(PAULI15_CODE, dtype=np.intp)
+_PAULI15_CODES = np.array(PAULI15_CODE, dtype=np.int8)
 
 # Trials per batch of the trial-batched engine.  Larger batches spread the
 # fixed numpy call cost of a batch over more trials, but the temporaries
-# grow as BATCH * groups * |SE| words.  On the reference workload (2-vCPU
-# Xeon VM, five alternating pairs of 60 s benchmark runs), 64 read a median
-# of 7,690 trials/s against 6,860 at 32, and a peak resident memory of
-# 44.3 against 43.4 MiB; the scalar engine it replaced read 43.7 MiB.
-BATCH = 64
+# grow with BATCH.  On the reference workload (2-vCPU Xeon VM, 20 s
+# benchmark runs of this kernel), 128 read 19.5-24.8k trials/s at 44.8 MiB
+# peak resident memory, 64 read 16.6-17.2k at 43.3-43.4 MiB, and 256 read
+# 21.8-23.7k at 46.4-46.7 MiB: no faster than 128, and more than 5% over
+# the 44.1 MiB of the earlier 64-trial kernel.
+BATCH = 128
 
 # Largest unit width (m blocks of n qubits), |SE| and round-code length the
 # batched kernel packs into int64 words, and the most syndrome bits of its
@@ -74,14 +75,32 @@ _DENSE_BITS = 20
 
 
 def _dense_table(table: dict[int, int], bits: int) -> np.ndarray:
-    """A syndrome -> leader dict as an array over all 2^bits keys; -1 marks
-    a syndrome the dict does not hold."""
-    wide = max(table.values(), default=0) >> 31
-    out = np.full(1 << bits, -1, dtype=np.int64 if wide else np.int32)
+    """A syndrome -> leader dict as an array over all 2^bits keys, in the
+    narrowest signed dtype; -1 marks a syndrome the dict does not hold."""
+    top = max(table.values(), default=0)
+    out = np.full(1 << bits, -1, dtype=np.min_scalar_type(-top - 1))
     out[np.fromiter(table.keys(), np.int64, len(table))] = np.fromiter(
         table.values(), np.int64, len(table)
     )
     return out
+
+
+def _flat(words: np.ndarray) -> np.ndarray:
+    """A 1-D view of ``words`` for a scatter; hits scattered into a copy
+    would be lost, so an array that is not C-contiguous is refused."""
+    if not words.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    return words.reshape(-1)
+
+
+def _nonzero_rows(words: np.ndarray) -> np.ndarray:
+    """Indices of the rows of 2-D ``words`` with a bit set, by an OR over
+    the columns: numpy reduces along a short last axis several times
+    slower."""
+    acc = words[:, 0].copy()
+    for k in range(1, words.shape[1]):
+        acc |= words[:, k]
+    return np.flatnonzero(acc)
 
 
 def _pack(blocks: Sequence[int], n: int) -> int:
@@ -104,7 +123,8 @@ def _by_code(single: np.ndarray, codes) -> np.ndarray:
 
 def _bit_transpose(words: np.ndarray, width: int) -> np.ndarray:
     """Transpose the bit matrix held in the last axis: (..., rows) integer
-    words of ``width`` bits become (..., width) int64 words of ``rows`` bits.
+    words of ``width`` bits become (..., width) words of ``rows`` bits, in
+    the narrowest signed dtype that holds them, int64 at most.
 
     Works on 8x8 bit blocks, each transposed inside one uint64 by three
     delta swaps (Hacker's Delight, section 7-3).
@@ -125,9 +145,11 @@ def _bit_transpose(words: np.ndarray, width: int) -> np.ndarray:
     t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
     x ^= t ^ (t << 28)
     cols = x.view(np.uint8).reshape(*lead, r8, 8 * w8)[..., :width]
-    out = cols[..., 0, :].astype(np.int64)
+    # The smallest signed type holding -2^rows holds every rows-bit word.
+    dtype = np.min_scalar_type(-(1 << min(rows, 63)))
+    out = cols[..., 0, :].astype(dtype)
     for k in range(1, r8):
-        out |= cols[..., k, :].astype(np.int64) << (8 * k)
+        out |= cols[..., k, :].astype(dtype) << (8 * k)
     return out
 
 
@@ -650,6 +672,7 @@ class CompiledRound:
         )
         if not self.batched:
             return
+        self.word = np.int32 if m * n < 32 else np.int64
         # Per layer, block and Pauli code: bitmasks of the check slots whose
         # records flip and of the slots whose e / f parts flip.  A
         # transversal round couples qubit q only with qubit q of other
@@ -671,6 +694,14 @@ class CompiledRound:
                         else:
                             single[layer, blk, i, 1:] |= (eb << slot, fb << slot)
         self.eff_masks = _by_code(single, range(16))
+        # Per part, the masks as (layer, block, Pauli code) rows of slot
+        # flags, and the unit word of each (block, qubit) bit, for the
+        # scatters of fault_hits.
+        self._hit_slots = [
+            ((self.eff_masks[..., part, None] >> np.arange(width)) & 1 == 1).reshape(-1, width)
+            for part, width in enumerate((self.r_c, self.n_c, self.n_c))
+        ]
+        self._bits = np.left_shift(1, np.arange(m * n), dtype=self.word)
         # Per (block, qubit) of a unit: the SE elements whose measured part
         # touches it.
         se_cols = [0] * (m * n)
@@ -684,7 +715,6 @@ class CompiledRound:
         # Per block: its correction table, shifted to the block's bits
         # (-1 still marks a miss), and the offset and mask of its
         # generator syndrome in the estimated SE rows.
-        self.word = np.int32 if m * n < 32 else np.int64
         self.corrections = []
         off = 0
         for b, (code, count) in enumerate(zip(corr_codes, self.gen_counts)):
@@ -698,12 +728,17 @@ class CompiledRound:
         for t, lg in enumerate(self.s[off:]):
             rep = _pack(lg.z if round_ == 1 else lg.x, n)
             parity = gf2.byte_tables([(rep >> i) & 1 for i in range(m * n)])
-            cor = _pack(correctors[t].x if round_ == 1 else correctors[t].z, n)
+            cor = self.word(_pack(correctors[t].x if round_ == 1 else correctors[t].z, n))
             self.logical_fix.append((parity, cor, off + t))
-        # Per check row: the slots of the data units feeding it.
+        # Per check row: the slots of the data units feeding it; per data
+        # unit: the check slots it meets.
         self.row_data_idx = [
             np.array([self.r_c + j for j in range(self.k_c) if code_c.a.get(i, j)], dtype=np.intp)
             for i in range(self.r_c)
+        ]
+        self.col_check_idx = [
+            np.array([i for i in range(self.r_c) if code_c.a.get(i, j)], dtype=np.intp)
+            for j in range(self.k_c)
         ]
 
     def _locations(self, circuit: Circuit):
@@ -737,10 +772,11 @@ class CompiledRound:
         nu = meas[..., :self.r_c].copy()
         for i, cols in enumerate(self.row_data_idx):
             nu[..., i] ^= np.bitwise_xor.reduce(meas[..., cols], axis=-1)
-            flow[..., cols] ^= flow[..., i, None]
+        for slot, rows in enumerate(self.col_check_idx, self.r_c):
+            flow[..., slot] ^= np.bitwise_xor.reduce(flow[..., rows], axis=-1)
         e_part, f_part = (meas, flow) if self.round == 1 else (flow, meas)
-        for target, (t, g, s, bit) in zip((nu, e_part, f_part), hits):
-            np.bitwise_xor.at(target, (t, g, s), bit)
+        for target, (index, bit) in zip((nu, e_part, f_part), hits):
+            np.bitwise_xor.at(_flat(target), index, bit)
         return nu
 
     def batch_decode(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -751,27 +787,60 @@ class CompiledRound:
         every column's syndrome is in the table, and the estimated SE rows
         of the data slots.
         """
-        leader = self.leaders[_bit_transpose(sigma, -(-self.n_se // 8) * 8)]
-        return (leader >= 0).all(axis=1), _bit_transpose(leader >> self.r_c, self.k_c)
+        leader = self.leaders.take(_bit_transpose(sigma, -(-self.n_se // 8) * 8))
+        # A leader has n_c bits and a miss (-1) every bit, so bit k_c of a
+        # shifted leader flags a miss: row k_c of the transpose collects
+        # the missed columns.
+        rows = _bit_transpose(leader >> self.r_c, self.k_c + 1)
+        return rows[:, self.k_c] == 0, rows[:, :self.k_c]
 
-    def fault_hits(self, trial, group, layer, qubit, code, m_trial, m_group, m_slot, m_qubit):
-        """Round faults of a batch as XOR hits on (trial, group, slot) words.
+    def batch_correct(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode, postselect and correct groups from their nonzero
+        (groups, r_c) sigma rows: returns the (groups, k_c) accept mask and
+        the corrections of the data units, zero on rejected units."""
+        r_c, n_c, k_c = self.r_c, self.n_c, self.k_c
+        decoded, se_hat = self.batch_decode(sigma)
+        acc = np.repeat(decoded[:, None], k_c, axis=1)
+        if self.hd_parity is not None:
+            acc &= gf2.xor_lookup(self.hd_parity, se_hat) == 0
+        if self.ideal:
+            data_bits = np.arange(r_c, n_c)
+            for d in np.flatnonzero(decoded):
+                mask = ideal_postselect(sigma[d].tolist(), self.code_c, self.n_s)
+                acc[d] &= (mask >> data_bits) & 1 == 1
+        s_hat = se_hat & ((1 << self.n_s) - 1)
+        est = np.zeros(s_hat.shape, self.word)
+        for table, off, mask in self.corrections:
+            est |= table.take((s_hat >> off) & mask)
+        acc &= est >= 0
+        est *= acc
+        for parity, cor, bidx in self.logical_fix:
+            wrong = gf2.xor_lookup(parity, est) != (s_hat >> bidx) & 1
+            est ^= (wrong & acc) * cor
+        return acc, est
 
-        CNOT faults are (trial, group, layer, qubit, Pauli code) arrays,
-        readout flips (trial, group, check slot, qubit); qubit q of block
-        blk is bit ``blk * n + q`` of the unit word.  Returns three (trial,
-        group, slot, bit) array tuples: on the check records, on the e
-        parts and on the f parts.
+    def fault_hits(self, row, layer, qubit, code, m_row, m_slot, m_qubit):
+        """Round faults of a batch as XOR hits on its (trials, groups,
+        slots) words, a row being trial * groups + group.
+
+        CNOT faults are (row, layer, qubit, Pauli code) arrays, readout
+        flips (row, check slot, qubit); qubit q of block blk is bit
+        ``blk * n + q`` of the unit word.  Returns three (flat index, bit)
+        pairs, the bits in the unit word dtype: on the (trials, groups,
+        r_c) check records, on the (trials, groups, n_c) e parts and on the
+        f parts.
         """
-        bit = np.left_shift(1, qubit)
-        masks = self.eff_masks[layer, qubit // self.n, code]
+        bit = self._bits.take(qubit)
+        combo = (layer * self.m + qubit // self.n) * 16 + code
         hits = []
-        for part, width in enumerate((self.r_c, self.n_c, self.n_c)):
-            k, slot = np.nonzero((masks[:, part, None] >> np.arange(width)) & 1)
-            hits.append((trial[k], group[k], slot, bit[k]))
-        flips = (m_trial, m_group, m_slot, np.left_shift(1, m_qubit))
-        hits[0] = tuple(np.concatenate(pair) for pair in zip(hits[0], flips))
-        return tuple(hits)
+        for width, table in zip((self.r_c, self.n_c, self.n_c), self._hit_slots):
+            # flatnonzero and divmod: a 2-D nonzero costs ten times more.
+            k, slot = np.divmod(np.flatnonzero(table.take(combo, axis=0)), width)
+            hits.append((row[k] * width + slot, bit[k]))
+        index, bits = hits[0]
+        hits[0] = (np.concatenate((index, m_row * self.r_c + m_slot)),
+                   np.concatenate((bits, self._bits.take(m_qubit))))
+        return hits
 
     def run(
         self,
@@ -889,6 +958,8 @@ class ProtocolRunner:
         self._r1_end = self._enc_end + self.groups1 * len(self.round1.layers) * m * n
         self._meas_space = self.groups1 * self.r_c1 * m * n + self.groups2 * self.r_c2 * m * n
         self._meas1_end = self.groups1 * self.r_c1 * m * n
+        # Fault rows hold trial indices, positions and draws.
+        self._rows = np.int32 if max(self._gate_space, self._meas_space) < 2**31 else np.int64
         # Protocols whose rounds fit the batched kernel run trial-batched;
         # the rest run trial by trial on the reference.
         self.batched = self.round1.batched and self.round2.batched
@@ -979,20 +1050,19 @@ class ProtocolRunner:
             draw15 = draw3 = gate_pos
         return gate_pos, draw15, draw3, meas_pos
 
-    @staticmethod
-    def _fault_rows(samples):
+    def _fault_rows(self, samples):
         """Stack per-trial samples into the arguments of :meth:`_execute`:
         gate rows (trial, position, draw15, draw3), readout rows (trial,
         position) and the trial count."""
         trials = np.arange(len(samples))
-        gate = np.column_stack((
+        gate = np.stack((
             np.repeat(trials, [len(s[0]) for s in samples]),
             *(np.concatenate([s[i] for s in samples]) for i in range(3)),
-        ))
-        meas = np.column_stack((
+        ), axis=1, dtype=self._rows)
+        meas = np.stack((
             np.repeat(trials, [len(s[3]) for s in samples]),
             np.concatenate([s[3] for s in samples]),
-        ))
+        ), axis=1, dtype=self._rows)
         return gate, meas, len(samples)
 
     def run_trial(self, rng: np.random.Generator) -> TrialOutcome:
@@ -1046,10 +1116,9 @@ class ProtocolRunner:
         m_pos, m_k, m_bad = _batch_positions(exps[:, c_g:], *families[1])
         draw15, draw3, rejected = _pauli_draws(raw, k)
         bad |= m_bad | rejected
-        g_trial = np.repeat(np.arange(count), k)
-        m_trial = np.repeat(np.arange(count), m_k)
-        gate = np.column_stack((g_trial, g_pos, draw15, draw3))
-        meas = np.column_stack((m_trial, m_pos))
+        trial = np.arange(count)
+        gate = np.stack((np.repeat(trial, k), g_pos, draw15, draw3), axis=1, dtype=self._rows)
+        meas = np.stack((np.repeat(trial, m_k), m_pos), axis=1, dtype=self._rows)
         redo = np.flatnonzero(bad)
         if len(redo):
             r_gate, r_meas, _ = self._fault_rows(
@@ -1127,36 +1196,45 @@ class ProtocolRunner:
 
         ``gate_faults`` rows are (trial, position, draw15, draw3) and
         ``meas_faults`` rows (trial, position), positions as laid out by
-        the gate and readout spaces.  Encoding faults land in (trial, unit)
-        frames; round faults become hits for the round kernels.
+        the gate and readout spaces.
         """
+        return self._run_protocol_core(*self._scatter(gate_faults, meas_faults, n_trials))
+
+    def _scatter(self, gate_faults, meas_faults, n_trials: int):
+        """Encoding faults applied to (trials, units) frames, which start
+        clean, and round faults as each round's hits (see
+        :meth:`CompiledRound.fault_hits`): the arguments of
+        :meth:`_run_protocol_core`.  Its per-fault arrays end with it,
+        before the rounds run."""
         e = np.zeros((n_trials, self.n_units), dtype=self._word)
         f = np.zeros_like(e)
         trial, pos, draw15, draw3 = gate_faults.T
         prep = pos < self._enc_end
         unit, loc = np.divmod(pos[prep], self.n_enc_locs)
         draw = np.where(loc < self.n_enc_cnots, draw15[prep], draw3[prep])
-        eff = self._enc_eff[loc, draw]
-        np.bitwise_xor.at(e, (trial[prep], unit), eff[:, 0])
-        np.bitwise_xor.at(f, (trial[prep], unit), eff[:, 1])
-        code = _PAULI15_CODES[draw15]
+        eff = self._enc_eff.reshape(-1, 2).take(loc * 15 + draw, axis=0)
+        index = trial[prep] * self.n_units + unit
+        np.bitwise_xor.at(_flat(e), index, eff[:, 0])
+        np.bitwise_xor.at(_flat(f), index, eff[:, 1])
+        code = _PAULI15_CODES.take(draw15)
         m_trial, m_pos = meas_faults.T
         # Round locations run over (group, layer or check slot, unit qubit).
         width = self.m * self.n
         hits = []
-        for rnd, in_round, offset, m_in_round, m_offset in (
-            (self.round1, ~prep & (pos < self._r1_end), self._enc_end,
+        for rnd, groups, in_round, offset, m_in_round, m_offset in (
+            (self.round1, self.groups1, ~prep & (pos < self._r1_end), self._enc_end,
              m_pos < self._meas1_end, 0),
-            (self.round2, pos >= self._r1_end, self._r1_end,
+            (self.round2, self.groups2, pos >= self._r1_end, self._r1_end,
              m_pos >= self._meas1_end, self._meas1_end),
         ):
             group, rel = np.divmod(pos[in_round] - offset, len(rnd.layers) * width)
             layer, qubit = np.divmod(rel, width)
             m_group, m_rel = np.divmod(m_pos[m_in_round] - m_offset, rnd.r_c * width)
             m_slot, m_qubit = np.divmod(m_rel, width)
-            hits.append(rnd.fault_hits(trial[in_round], group, layer, qubit, code[in_round],
-                                       m_trial[m_in_round], m_group, m_slot, m_qubit))
-        return self._run_protocol_core(e, f, *hits)
+            hits.append(rnd.fault_hits(trial[in_round] * groups + group, layer, qubit,
+                                       code[in_round], m_trial[m_in_round] * groups + m_group,
+                                       m_slot, m_qubit))
+        return e, f, *hits
 
     def _run_protocol_core(self, e, f, hits1, hits2) -> BatchOutcome:
         """Both rounds, refill and regrouping on a batch of (trials, units)
@@ -1168,29 +1246,25 @@ class ProtocolRunner:
 
         aborted, primary = self._refill(acc1)
 
-        # Regroup: round-2 group j takes the j-th unit of every primary group.
-        live = np.flatnonzero(~aborted)
-        units2 = (live[:, None, None], primary[live].transpose(0, 2, 1))
+        # Regroup: round-2 group j takes the j-th unit of every primary
+        # group.  Aborted trials run round 2 on meaningless ids, and their
+        # outcome is dropped.  A contiguous index makes contiguous frames
+        # for the hit scatter.
+        units2 = (np.arange(n_trials)[:, None, None], primary.transpose(0, 2, 1).copy())
         e2, f2 = e[units2], f[units2]
-        # Round-2 hits of live trials move to those trials' rows.
-        row = np.cumsum(~aborted) - 1
-        live_hits = []
-        for t, g, s, bit in hits2:
-            keep = ~aborted[t]
-            live_hits.append((row[t[keep]], g[keep], s[keep], bit[keep]))
-        acc2 = self._process_group_m1(self.round2, f2, e2, live_hits)
+        acc2 = self._process_group_m1(self.round2, f2, e2, hits2)
+        acc2[aborted] = False
 
-        out_b, out_g, out_s = np.nonzero(acc2)
-        out_s = out_s + self.r_c2
+        out_b, out_gs = np.divmod(np.flatnonzero(acc2), self.groups2 * self.k_c2)
+        out_g, out_s = np.divmod(out_gs, self.k_c2)
+        out_s += self.r_c2
         cand1 = np.full(n_trials, g1 * k1, dtype=np.int64)
         cand2 = np.where(aborted, 0, self.groups2 * self.k_c2)
-        rej2 = cand2.copy()
-        rej2[live] -= acc2.sum(axis=(1, 2))
         return BatchOutcome(
             aborted=aborted,
             cand1=cand1, rej1=cand1 - acc1.sum(axis=(1, 2)),
-            cand2=cand2, rej2=rej2,
-            out_trial=live[out_b],
+            cand2=cand2, rej2=cand2 - acc2.sum(axis=(1, 2)),
+            out_trial=out_b,
             out_e=self._blocks(e2[out_b, out_g, out_s]),
             out_f=self._blocks(f2[out_b, out_g, out_s]),
         )
@@ -1237,33 +1311,20 @@ class ProtocolRunner:
         any block's syndrome outside its correction table alone.
         """
         r_c, n_c, k_c = rnd.r_c, rnd.n_c, rnd.k_c
-        sigma = gf2.xor_lookup(rnd.nu_to_sigma, rnd.batch_records(meas, flow, hits))
-        accept = np.ones(meas.shape[:2] + (k_c,), dtype=bool)
-        tb, gb = np.nonzero(sigma.any(axis=2))
-        if not len(tb):
-            return accept
-        sigma = sigma[tb, gb]
-        decoded, se_hat = rnd.batch_decode(sigma)
-        acc = np.repeat(decoded[:, None], k_c, axis=1)
-        if rnd.hd_parity is not None:
-            acc &= gf2.xor_lookup(rnd.hd_parity, se_hat) == 0
-        if rnd.ideal:
-            data_bits = np.arange(r_c, n_c)
-            for d in np.flatnonzero(decoded):
-                mask = ideal_postselect(sigma[d].tolist(), rnd.code_c, rnd.n_s)
-                acc[d] &= (mask >> data_bits) & 1 == 1
-        s_hat = se_hat & ((1 << rnd.n_s) - 1)
-        est = np.zeros(s_hat.shape, rnd.word)
-        for table, off, mask in rnd.corrections:
-            est |= table[(s_hat >> off) & mask]
-        acc &= est >= 0
-        est[~acc] = 0
-        for parity, cor, bidx in rnd.logical_fix:
-            wrong = gf2.xor_lookup(parity, est) != (s_hat >> bidx) & 1
-            est[wrong & acc] ^= cor
-        meas[tb, gb, r_c:] ^= est
-        accept[tb, gb] = acc
-        return accept
+        # Groups by row, trial * groups + group.
+        nu = rnd.batch_records(meas, flow, hits).reshape(-1, r_c)
+        accept = np.ones((len(nu), k_c), dtype=bool)
+        # sigma is linear in the records: only groups with some record can
+        # have a syndrome.
+        rows = _nonzero_rows(nu)
+        sigma = gf2.xor_lookup(rnd.nu_to_sigma, nu[rows])
+        dirty = _nonzero_rows(sigma)
+        rows, sigma = rows[dirty], sigma[dirty]
+        if len(rows):
+            acc, est = rnd.batch_correct(sigma)
+            accept[rows] = acc
+            _flat(meas).reshape(-1, n_c)[rows, r_c:] ^= est
+        return accept.reshape(meas.shape[:2] + (k_c,))
 
     # ---- reference protocol ------------------------------------------------
 

@@ -350,9 +350,11 @@ def byte_tables(cols: Sequence[int]) -> np.ndarray:
 
     Row k holds the image of every value of input byte k, so the image of a
     packed word is the XOR of one entry per byte (:func:`xor_lookup`).
-    Images must fit an int64.
+    Images must fit an int64; the tables are int32 when every image fits
+    one.
     """
-    tables = np.zeros((max(1, -(-len(cols) // 8)), 256), dtype=np.int64)
+    wide = any(c >> 31 for c in cols)
+    tables = np.zeros((max(1, -(-len(cols) // 8)), 256), dtype=np.int64 if wide else np.int32)
     for i in range(8 * len(tables)):
         k, bit = divmod(i, 8)
         # Values with this bit set: the values below it, plus its image.
@@ -372,9 +374,11 @@ def xor_lookup(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
         byte = (words >> (8 * k)) & 0xFF if k else words & 0xFF
         return byte.astype(np.intp) if wide else byte
 
-    out = tables[0][octet(0)]
+    # take, not fancy indexing: it gathers by a narrow index several
+    # times faster.
+    out = tables[0].take(octet(0))
     for k in range(1, len(tables)):
-        out ^= tables[k][octet(k)]
+        out ^= tables[k].take(octet(k))
     return out
 
 

@@ -135,6 +135,21 @@ class TestSimulate:
         assert main([command, "--config", str(cfg_path), *extra]) == 1
         assert f"error: ancilla: unknown ancilla kind {kind!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ancilla,field", [
+        ({"kind": "bell", "i": "x"}, "i"),
+        ({"kind": "bell", "i": 1.5}, "i"),
+        ({"kind": "bell", "j": None}, "j"),
+        ({"kind": "bell", "i": True}, "i"),
+        ({"kind": "mixed", "j": 5}, "j"),
+        ({"kind": "bell", "i": -1}, "i"),
+    ], ids=["i-string", "i-fraction", "j-null", "i-bool", "j-above-k", "i-negative"])
+    def test_bad_logical_index_names_field(self, tmp_path, capsys, ancilla, field):
+        # The Golay code has k = 1, so 0 is the only logical index.
+        cfg_path = write_config(tmp_path, combination="D", p_grid=[0.0], ancilla=ancilla)
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
+        assert f"error: ancilla.{field}: expected a logical qubit index in 0..0" \
+            in capsys.readouterr().err
+
     def test_bad_workers_variable_names_it(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CSSDISTILL_WORKERS", "abc")
         assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cssdistill import distill, montecarlo
 from cssdistill.codes import build_code, registry
 from cssdistill.css import build_ancilla_spec, build_css
 from cssdistill.distill import DistillationConfig
@@ -151,6 +152,34 @@ class TestRunExperiment:
         for cfg, grid, trials, want in cases:
             stats = run_experiment(cfg, grid, trials, seed=2718, workers=1, chunk_size=37)
             assert [s.to_dict() for s in stats.per_p] == want
+
+    def test_batch_size_invariance(self, comb_a_config, monkeypatch):
+        # The trials a batch carries never change a counter: the benchmark
+        # configs (Golay |0>_L with postselection at 1.6e-3, where trials
+        # abort; Golay Bell pairs at 4e-4) at batches of 1, 37 and 64
+        # trials and at the engine's own size, against counters recorded
+        # with the 64-trial kernel before flat scatters.  Odd sizes end
+        # batches at shapes the pinned counters never reach; the recorded
+        # counters catch a change that loses fault hits at every size.
+        zero = dataclasses.replace(comb_a_config, n_extra=6)
+        golay = zero.spec.blocks[0]
+        bell = dataclasses.replace(zero, spec=build_ancilla_spec([golay, golay], "bell"),
+                                   code_d1=None, code_d2=None)
+        cases = [
+            (zero, 1.6e-3, 300, {
+                "p": 1.6e-3, "trials": 300, "aborted": 13, "cand1": 44100, "rej1": 8034,
+                "cand2": 14063, "rej2": 12232, "accepted": 1831,
+                "hist_x": [1274, 471, 75, 9, 2], "hist_z": [1600, 183, 26, 22, 0]}),
+            (bell, 4e-4, 150, {
+                "p": 4e-4, "trials": 150, "aborted": 0, "cand1": 22050, "rej1": 0,
+                "cand2": 7350, "rej2": 0, "accepted": 7350,
+                "hist_x": [4972, 1466, 337, 163, 412], "hist_z": [4940, 1172, 418, 301, 519]}),
+        ]
+        for cfg, p, trials, want in cases:
+            for batch in (1, 37, 64, distill.BATCH):
+                monkeypatch.setattr(montecarlo, "BATCH", batch)
+                stats = run_experiment(cfg, [p], trials, seed=77, workers=1)
+                assert [s.to_dict() for s in stats.per_p] == [want], batch
 
     def test_json_roundtrip(self, comb_a_config):
         stats = run_experiment(comb_a_config, [1e-3, 2e-3], 20, seed=1, workers=1)
