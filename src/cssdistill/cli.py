@@ -99,6 +99,8 @@ def _load_classical(value, fieldname: str) -> LinearCode:
             return registry(value)
         raise ConfigError(f"{fieldname}: unknown code name {value!r}")
     if isinstance(value, dict) and "file" in value:
+        if not isinstance(value["file"], str):
+            raise ConfigError(f"{fieldname}: expected a file path, got {value['file']!r}")
         try:
             return codes_mod.load_code(value["file"], name=value.get("name", ""))
         except (OSError, ValueError) as exc:
@@ -114,9 +116,15 @@ def _load_detecting(value, fieldname: str):
     return _load_classical(value, fieldname)
 
 
+_ANCILLA_KEYS = ("kind", "i", "j", "basis")
+
+
 def build_spec(cfg: ExperimentConfig) -> AncillaSpec:
     css_d = cfg.css
     if "cx_file" in css_d or "cz_file" in css_d:
+        for name, other in (("cx_file", "cz_file"), ("cz_file", "cx_file")):
+            if name not in css_d:
+                raise ConfigError(f"css.{name}: required with css.{other}")
         cx = _load_classical({"file": css_d["cx_file"]}, "css.cx_file")
         cz = _load_classical({"file": css_d["cz_file"]}, "css.cz_file")
     else:
@@ -126,6 +134,12 @@ def build_spec(cfg: ExperimentConfig) -> AncillaSpec:
         quantum = build_css(cx, cz)
     except ValueError as exc:
         raise ConfigError(f"css: {exc}") from exc
+    for name in cfg.ancilla:
+        if name not in _ANCILLA_KEYS:
+            raise ConfigError(f"ancilla.{name}: unknown key; expected one of {list(_ANCILLA_KEYS)}")
+    basis = cfg.ancilla.get("basis", "Z")
+    if basis not in ("Z", "X"):
+        raise ConfigError(f"ancilla.basis: expected 'Z' or 'X', got {basis!r}")
     kind = cfg.ancilla.get("kind", "zero")
     blocks = [quantum, quantum] if kind == "bell" else quantum
     for name in ("i", "j"):
@@ -139,7 +153,7 @@ def build_spec(cfg: ExperimentConfig) -> AncillaSpec:
             kind,
             i=cfg.ancilla.get("i", 0),
             j=cfg.ancilla.get("j", 0),
-            basis=cfg.ancilla.get("basis", "Z"),
+            basis=basis,
         )
     except ValueError as exc:
         raise ConfigError(f"ancilla: {exc}") from exc
@@ -300,6 +314,13 @@ def _check_types(cfg: ExperimentConfig) -> None:
     for name in ("css", "ancilla"):
         if not isinstance(getattr(cfg, name), dict):
             raise ConfigError(f"{name}: expected an object, got {getattr(cfg, name)!r}")
+    for name in ("combination", "out"):
+        value = getattr(cfg, name)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{name}: expected a string or null, got {value!r}")
+    kind = cfg.ancilla.get("kind", "zero")
+    if not isinstance(kind, str):
+        raise ConfigError(f"ancilla.kind: expected a string, got {kind!r}")
 
 
 def _run_size(cfg: ExperimentConfig) -> tuple[list[float], int]:

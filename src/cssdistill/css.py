@@ -160,19 +160,17 @@ class AncillaSpec:
 
     ``s1``/``s2`` each hold, per block in block order, that block's
     generator elements for the round, followed by the round's logical
-    elements.  ``bases1[b]`` is the measurement basis of block ``b`` in
-    round 1 ('Z' removes X errors).  ``correctors1[i]`` anticommutes with
-    logical ``s1[gen_count + i]`` and commutes with everything else in s1,
-    restricted to the error type the round corrects.
+    elements.  Round 1 measures Z on every block and corrects X errors, so
+    its elements are pure Z; round 2 measures X, corrects Z errors, and its
+    elements are pure X.  ``correctors1[i]`` anticommutes with logical
+    ``s1[gen_count + i]`` and commutes with everything else in s1, and is
+    of the error type the round corrects.
     """
 
     blocks: tuple[CssCode, ...]
     kind: str
-    params: tuple[tuple[str, int | str], ...]
     s1: tuple[PauliElement, ...]
     s2: tuple[PauliElement, ...]
-    bases1: tuple[str, ...]
-    bases2: tuple[str, ...]
     gen_counts1: tuple[int, ...]
     gen_counts2: tuple[int, ...]
     correctors1: tuple[PauliElement, ...]
@@ -215,7 +213,7 @@ class AncillaSpec:
 
 
 def _round_sets_for_kind(css_blocks, kind, i, j, basis):
-    """Per round: (generators, gen_counts, bases, logicals, correctors).
+    """Per round: (generators, gen_counts, logicals, correctors).
 
     A corrector is the logical partner multiplied into the error estimate by
     the eigenvalue rules: the anticommuting counterpart of the round logical,
@@ -237,16 +235,16 @@ def _round_sets_for_kind(css_blocks, kind, i, j, basis):
     if kind == "zero":
         k = css_blocks[0].k
         return (
-            (zrows(0), (css_blocks[0].r_z,), ("Z",),
-             [zbar(0, u) for u in range(k)], [xbar(0, u) for u in range(k)]),
-            (xrows(0), (css_blocks[0].r_x,), ("X",), [], []),
+            (zrows(0), (css_blocks[0].r_z,), [zbar(0, u) for u in range(k)],
+             [xbar(0, u) for u in range(k)]),
+            (xrows(0), (css_blocks[0].r_x,), [], []),
         )
     if kind == "plus":
         k = css_blocks[0].k
         return (
-            (zrows(0), (css_blocks[0].r_z,), ("Z",), [], []),
-            (xrows(0), (css_blocks[0].r_x,), ("X",),
-             [xbar(0, u) for u in range(k)], [zbar(0, u) for u in range(k)]),
+            (zrows(0), (css_blocks[0].r_z,), [], []),
+            (xrows(0), (css_blocks[0].r_x,), [xbar(0, u) for u in range(k)],
+             [zbar(0, u) for u in range(k)]),
         )
     if kind == "mixed":
         k = css_blocks[0].k
@@ -261,8 +259,8 @@ def _round_sets_for_kind(css_blocks, kind, i, j, basis):
         else:
             raise ValueError("mixed basis must be 'Z' or 'X'")
         return (
-            (zrows(0), (css_blocks[0].r_z,), ("Z",), log1, cor1),
-            (xrows(0), (css_blocks[0].r_x,), ("X",), log2, cor2),
+            (zrows(0), (css_blocks[0].r_z,), log1, cor1),
+            (xrows(0), (css_blocks[0].r_x,), log2, cor2),
         )
     # bell
     ka, kb = css_blocks[0].k, css_blocks[1].k
@@ -275,8 +273,8 @@ def _round_sets_for_kind(css_blocks, kind, i, j, basis):
     log2 = [xbar(0, i).xor(xbar(1, j))]
     cor2 = [zbar(0, i)]
     return (
-        (zrows(0) + zrows(1), (css_blocks[0].r_z, css_blocks[1].r_z), ("Z", "Z"), log1, cor1),
-        (xrows(0) + xrows(1), (css_blocks[0].r_x, css_blocks[1].r_x), ("X", "X"), log2, cor2),
+        (zrows(0) + zrows(1), (css_blocks[0].r_z, css_blocks[1].r_z), log1, cor1),
+        (xrows(0) + xrows(1), (css_blocks[0].r_x, css_blocks[1].r_x), log2, cor2),
     )
 
 
@@ -301,17 +299,14 @@ def build_ancilla_spec(
     if len(blocks) != expected_m:
         raise ValueError(f"kind {kind!r} needs {expected_m} block(s), got {len(blocks)}")
 
-    (g1, counts1, bases1, log1, cor1), (g2, counts2, bases2, log2, cor2) = _round_sets_for_kind(
+    (g1, counts1, log1, cor1), (g2, counts2, log2, cor2) = _round_sets_for_kind(
         blocks, kind, i, j, basis
     )
     spec = AncillaSpec(
         blocks=blocks,
         kind=kind,
-        params=(("i", i), ("j", j), ("basis", basis)),
         s1=tuple(g1) + tuple(log1),
         s2=tuple(g2) + tuple(log2),
-        bases1=bases1,
-        bases2=bases2,
         gen_counts1=counts1,
         gen_counts2=counts2,
         correctors1=tuple(cor1),
@@ -322,6 +317,9 @@ def build_ancilla_spec(
 
 
 def _validate_spec(spec: AncillaSpec) -> None:
+    """The checks every spec passes, among them the protocol's rule: round 1
+    measures Z (pure-Z elements) and corrects X errors (pure-X correctors),
+    round 2 measures X and corrects Z errors."""
     elems = spec.all_elements()
     if len(elems) != spec.total_qubits:
         raise ValueError("stabilizer count must equal total qubit count")
@@ -337,13 +335,11 @@ def _validate_spec(spec: AncillaSpec) -> None:
             for idx, el in enumerate(s):
                 if cor.commutes(el) == (idx == gens + t):
                     raise ValueError("corrector breaks the eigenvalue-rule contract")
-    for s, bases in ((spec.s1, spec.bases1), (spec.s2, spec.bases2)):
-        for el in s:
-            for b in range(spec.m):
-                if bases[b] == "Z" and el.x[b]:
-                    raise ValueError("round element has X part on a Z-measured block")
-                if bases[b] == "X" and el.z[b]:
-                    raise ValueError("round element has Z part on an X-measured block")
+        measured, corrected = ("z", "x") if round_ == 1 else ("x", "z")
+        if any(any(getattr(el, corrected)) for el in s):
+            raise ValueError(f"round-{round_} elements must be pure {measured.upper()}")
+        if any(any(getattr(cor, measured)) for cor in correctors):
+            raise ValueError(f"round-{round_} correctors must be pure {corrected.upper()}")
 
 
 def generalized_syndrome(spec: AncillaSpec, e: tuple[int, ...], f: tuple[int, ...]) -> BitVec:

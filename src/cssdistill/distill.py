@@ -284,11 +284,6 @@ class RoundResult:
 
     accepted_slots: list[int]
     frames: list[PauliFrame]
-    nu: list[list[int]]
-    sigma: list[int]
-    se_hat: list[int]
-    accept_mask: int
-    uncorrectable_cols: int
 
 
 @dataclass
@@ -351,26 +346,17 @@ class BatchOutcome:
         )
 
 
-def build_round_circuit(
-    a_c: BitMatrix,
-    round_: int,
-    n: int,
-    bases: tuple[str, ...] | None = None,
-) -> Circuit:
-    """Transversal distillation circuit for one round.
+def build_round_circuit(a_c: BitMatrix, round_: int, n: int, m: int = 1) -> Circuit:
+    """Transversal distillation circuit for one round on units of ``m``
+    blocks of ``n`` qubits; unit u is blocks u*m .. u*m + m - 1.
 
-    Blocks 0..r_c-1 are the check ancillas.  A 1 at (i, j) of the
-    systematic part couples data block r_c + j with check block i through
-    a transversal CNOT layer; on a Z-measured block the data side is the
-    control (X errors do not flow back into the data), on an X-measured
-    block the directions reverse.  Layers sharing a block land in distinct
-    time steps.  ``bases`` gives the measurement basis per code block of a
-    multi-block ancilla unit; it defaults to all-Z for round 1 and all-X
-    for round 2.
+    Units 0..r_c-1 are the check ancillas.  A 1 at (i, j) of the
+    systematic part couples data unit r_c + j with check unit i through a
+    transversal CNOT layer on every block.  Round 1 measures Z: the data
+    side is the control (X errors do not flow back into the data).  Round
+    2 measures X and the directions reverse.  Layers sharing a unit land
+    in distinct time steps.
     """
-    if bases is None:
-        bases = ("Z",) if round_ == 1 else ("X",)
-    m = len(bases)
     r_c, k_c = a_c.rows, a_c.cols
     n_c = r_c + k_c
     ns = tuple(n for _ in range(n_c * m))
@@ -396,16 +382,11 @@ def build_round_circuit(
         for b in range(m):
             data = (r_c + j) * m + b
             check = i * m + b
-            ctrl, tgt = (data, check) if bases[b] == "Z" else (check, data)
+            ctrl, tgt = (data, check) if round_ == 1 else (check, data)
             for q in range(n):
                 steps[s_idx].append(Gate("cnot", ((ctrl, q), (tgt, q))))
-    meas = []
-    for i in range(r_c):
-        for b in range(m):
-            kind = "meas_z" if bases[b] == "Z" else "meas_x"
-            for q in range(n):
-                meas.append(Gate(kind, ((i * m + b, q),)))
-    steps.append(meas)
+    kind = "meas_z" if round_ == 1 else "meas_x"
+    steps.append([Gate(kind, ((unit, q),)) for unit in range(r_c * m) for q in range(n)])
     return Circuit(ns, tuple(tuple(s) for s in steps))
 
 
@@ -436,21 +417,20 @@ def extend_stabilizers(
 def compute_sigma(
     nu_records: Sequence[Sequence[int]],
     se: Sequence[PauliElement],
-    bases: Sequence[str],
+    round_: int,
 ) -> list[int]:
     """Parity rows sigma^(i) = nu^(i) . (SE reps)^T, one int per check unit.
 
     ``nu_records[i][b]`` is the packed error contribution of check unit i,
-    code block b (e bits under Z measurement, f bits under X measurement).
+    code block b: e bits in round 1 (Z measurement), f bits in round 2.
     """
     rows = []
     for nu in nu_records:
         row = 0
         for c, el in enumerate(se):
             acc = 0
-            for b, basis in enumerate(bases):
-                rep = el.z[b] if basis == "Z" else el.x[b]
-                acc ^= (rep & nu[b]).bit_count()
+            for rep, bits in zip(el.z if round_ == 1 else el.x, nu):
+                acc ^= (rep & bits).bit_count()
             if acc & 1:
                 row |= 1 << c
         rows.append(row)
@@ -571,27 +551,22 @@ def correct_block(
     frame and a flag set when a block decode fell outside the syndrome
     table (callers discard such units).
     """
-    s_elems, counts, bases = (
-        (spec.s1, spec.gen_counts1, spec.bases1)
-        if round_ == 1
-        else (spec.s2, spec.gen_counts2, spec.bases2)
-    )
+    counts = spec.gen_counts1 if round_ == 1 else spec.gen_counts2
     correctors = spec.correctors1 if round_ == 1 else spec.correctors2
     m = spec.m
     est_x = [0] * m
     est_z = [0] * m
+    # Round 1 decodes Z syndromes into an X estimate, round 2 the reverse.
+    est = est_x if round_ == 1 else est_z
     off = 0
     for b in range(m):
         syn = (s_hat_row >> off) & ((1 << counts[b]) - 1)
         off += counts[b]
-        code = spec.blocks[b].code_z if bases[b] == "Z" else spec.blocks[b].code_x
+        code = spec.blocks[b].code_z if round_ == 1 else spec.blocks[b].code_x
         err, ok = code.decode(syn)
         if not ok:
             return e, f, True
-        if bases[b] == "Z":
-            est_x[b] = err.bits
-        else:
-            est_z[b] = err.bits
+        est[b] = err.bits
     logicals = spec.logicals(round_)
     for t, logical in enumerate(logicals):
         ell = (s_hat_row >> (off + t)) & 1
@@ -624,7 +599,6 @@ class CompiledRound:
         self.ideal = code_d == "ideal"
         real_d = code_d if isinstance(code_d, LinearCode) else None
         self.spec = spec
-        self.bases = spec.bases1 if round_ == 1 else spec.bases2
         self.s = spec.s1 if round_ == 1 else spec.s2
         self.gen_counts = spec.gen_counts1 if round_ == 1 else spec.gen_counts2
         m = spec.m
@@ -636,7 +610,7 @@ class CompiledRound:
         self.r_c = code_c.r
         self.k_c = code_c.k
         self.n_c = code_c.n
-        self.circuit = build_round_circuit(code_c.a, round_, n, bases=self.bases)
+        self.circuit = build_round_circuit(code_c.a, round_, n, m)
 
         self.se = extend_stabilizers(self.s, real_d)
         self.n_s = len(self.s)
@@ -656,17 +630,11 @@ class CompiledRound:
         # packed into one int64 word, block b in bits [b*n, (b+1)*n), and so
         # are sigma rows, estimated SE rows and check-slot masks; every
         # decoder becomes an array over all its syndromes.  Round 1 measures
-        # Z and corrects e on every block, round 2 X and f; rounds of other
-        # shapes or sizes run on the reference.
-        corr_codes = [
-            blk.code_z if basis == "Z" else blk.code_x for blk, basis in zip(spec.blocks, self.bases)
-        ]
-        correctors = spec.correctors1 if round_ == 1 else spec.correctors2
-        measured = "Z" if round_ == 1 else "X"
+        # Z and corrects e on every block, round 2 X and f; rounds too wide
+        # or with tables too large run on the reference.
+        corr_codes = [blk.code_z if round_ == 1 else blk.code_x for blk in spec.blocks]
         self.batched = (
-            all(basis == measured for basis in self.bases)
-            and not any(any(cor.z if round_ == 1 else cor.x) for cor in correctors)
-            and max(m * n, self.n_se, self.n_c) <= _WORD_BITS
+            max(m * n, self.n_se, self.n_c) <= _WORD_BITS
             and max(self.r_c, *(max(c.r, k) for c, k in zip(corr_codes, self.gen_counts)))
             <= _DENSE_BITS
         )
@@ -679,7 +647,7 @@ class CompiledRound:
         # blocks, so every qubit has the pattern of the one-qubit slice of
         # the circuit (blocks of one qubit), through which each component
         # fault is pushed.
-        slice_ = build_round_circuit(code_c.a, round_, 1, bases=self.bases)
+        slice_ = build_round_circuit(code_c.a, round_, 1, m)
         slice_at = {loc: key for key, loc in self._locations(slice_)[0].items()}
         single = np.zeros((len(self.layers), m, 4, 3), dtype=np.int64)
         for layer in range(len(self.layers)):
@@ -725,6 +693,7 @@ class CompiledRound:
         # Per logical: the parity of a correction against its measured
         # part (byte tables), its corrector and its bit in the SE rows.
         self.logical_fix = []
+        correctors = spec.correctors1 if round_ == 1 else spec.correctors2
         for t, lg in enumerate(self.s[off:]):
             rep = _pack(lg.z if round_ == 1 else lg.x, n)
             parity = gf2.byte_tables([(rep >> i) & 1 for i in range(m * n)])
@@ -863,7 +832,7 @@ class CompiledRound:
                 init.f[slot * m + b] = fr.f[b]
         final, recs = run_noisy(self.circuit, injection, initial=init)
         nu = [[recs.get(i * m + b, 0) for b in range(m)] for i in range(self.r_c)]
-        sigma = compute_sigma(nu, self.se, self.bases)
+        sigma = compute_sigma(nu, self.se, self.round)
         se_hat, bad_cols = decode_columns(sigma, self.code_c, self.n_se)
         frames = [
             PauliFrame(
@@ -897,15 +866,7 @@ class CompiledRound:
                 fr.e = list(new_e)
                 fr.f = list(new_f)
                 accepted.append(slot)
-        return RoundResult(
-            accepted_slots=accepted,
-            frames=frames,
-            nu=nu,
-            sigma=sigma,
-            se_hat=se_hat,
-            accept_mask=accept_mask,
-            uncorrectable_cols=bad_cols,
-        )
+        return RoundResult(accepted_slots=accepted, frames=frames)
 
     def classify_fault(self, fault: Fault) -> tuple:
         """Map a circuit fault onto engine coordinates."""
@@ -915,10 +876,9 @@ class CompiledRound:
             return ("cnot", layer, blk, q, pauli2_code(fault.pauli))
         if key in self._meas_index:
             unit, blk, q = self._meas_index[key]
-            part = 0 if self.bases[blk] == "Z" else 1
-            ch = fault.pauli[0]
-            flip = (ch in "XY") if part == 0 else (ch in "ZY")
-            return ("meas", unit, blk, q, 1 if flip else 0)
+            # A readout flips on the Pauli component its basis sees.
+            flip = fault.pauli[0] in ("XY" if self.round == 1 else "ZY")
+            return ("meas", unit, blk, q, int(flip))
         raise ValueError(f"fault does not address a circuit location: {fault}")
 
 
@@ -1404,6 +1364,6 @@ class ProtocolRunner:
             group, rel = divmod(pos - start, rnd.r_c * width)
             slot, rel = divmod(rel, width)
             blk, q = divmod(rel, n)
-            flip = "X" if rnd.bases[blk] == "Z" else "Z"
+            flip = "X" if rnd.round == 1 else "Z"
             staged[stage].setdefault(group, []).append(Fault(*rnd._meas_at[(slot, blk, q)], flip))
         return tuple({k: FaultInjection(tuple(v)) for k, v in faults.items()} for faults in staged)

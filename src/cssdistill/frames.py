@@ -228,7 +228,7 @@ def effective_support(
     return x_sup, z_sup
 
 
-def _greedy_schedule(prep_gates: list[Gate], cnots: list[Gate], meas_gates: list[Gate], ns) -> Circuit:
+def _greedy_schedule(prep_gates: list[Gate], cnots: list[Gate], ns) -> Circuit:
     steps: list[list[Gate]] = [prep_gates] if prep_gates else []
     occupied: list[set[tuple[int, int]]] = [set()] if prep_gates else []
     if prep_gates:
@@ -245,8 +245,6 @@ def _greedy_schedule(prep_gates: list[Gate], cnots: list[Gate], meas_gates: list
         if not placed:
             steps.append([gate])
             occupied.append(set(gate.locs))
-    if meas_gates:
-        steps.append(meas_gates)
     return Circuit(tuple(ns), tuple(tuple(s) for s in steps))
 
 
@@ -266,19 +264,7 @@ def synth_encoding_circuit(spec: AncillaSpec) -> Circuit:
     for n in sizes[:-1]:
         offs.append(offs[-1] + n)
 
-    for el in spec.s1:
-        if any(el.x):
-            raise ValueError("encoding synthesis needs pure-Z round-1 elements; "
-                             f"{spec.kind!r} states are not CNOT-preparable")
-    x_rows = []
-    for el in spec.s2:
-        if any(el.z):
-            raise ValueError("encoding synthesis needs pure-X round-2 elements; "
-                             f"{spec.kind!r} states are not CNOT-preparable")
-        bits = 0
-        for b in range(m):
-            bits |= el.x[b] << offs[b]
-        x_rows.append(bits)
+    x_rows = [sum(el.x[b] << offs[b] for b in range(m)) for el in spec.s2]
 
     xmat = BitMatrix(len(x_rows), total, tuple(x_rows))
     red, pivots, rnk = gf2.rref(xmat)
@@ -300,7 +286,7 @@ def synth_encoding_circuit(spec: AncillaSpec) -> Circuit:
         for c in range(total):
             if c != p and (row >> c) & 1:
                 cnots.append(Gate("cnot", (to_loc(p), to_loc(c))))
-    circuit = _greedy_schedule(preps, cnots, [], sizes)
+    circuit = _greedy_schedule(preps, cnots, sizes)
     _verify_encoding(circuit, spec)
     return circuit
 

@@ -111,19 +111,59 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
         assert f"error: {field}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [
-        ("seed", "abc"),
-        ("w_cap", "x"),
-        ("n_extra", "x"),
-        ("n_extra", 1.5),
-        ("ancilla", "zero"),
-        ("css", "golay"),
+    @pytest.mark.parametrize("field,value,named", [
+        ("seed", "abc", "seed"),
+        ("w_cap", "x", "w_cap"),
+        ("n_extra", "x", "n_extra"),
+        ("n_extra", 1.5, "n_extra"),
+        ("ancilla", "zero", "ancilla"),
+        ("css", "golay", "css"),
+        ("combination", 5, "combination"),
+        ("ancilla", {"kind": ["zero"]}, "ancilla.kind"),
+        ("out", 5, "out"),
     ], ids=["seed-string", "w_cap-string", "n_extra-string", "n_extra-fraction",
-            "ancilla-string", "css-string"])
-    def test_wrong_type_names_field(self, tmp_path, capsys, field, value):
+            "ancilla-string", "css-string", "combination-number", "kind-list", "out-number"])
+    def test_wrong_type_names_field(self, tmp_path, capsys, field, value, named):
         cfg_path = write_config(tmp_path, **{field: value})
         assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
-        assert f"error: {field}: " in capsys.readouterr().err
+        assert f"error: {named}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["c1", "c2", "d1", "d2", "css.cx_file", "css.cz_file"])
+    @pytest.mark.parametrize("path", [2**20, None], ids=["descriptor", "null"])
+    def test_code_file_must_be_a_path(self, tmp_path, capsys, field, path):
+        # An integer would open as a file descriptor (2**20 is not an open
+        # one, so nothing is read from or closed in this process).
+        code = tmp_path / "rep3.txt"
+        code.write_text("d=3\n2 3\n110\n011\n")
+        cfg = {"combination": None, "c1": "rep3", "c2": "rep3", "p_grid": [0.0]}
+        if field.startswith("css."):
+            cfg["css"] = {"cx_file": str(code), "cz_file": str(code)}
+            cfg["css"][field[4:]] = path
+        else:
+            cfg[field] = {"file": path}
+        cfg_path = write_config(tmp_path, **cfg)
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
+        assert f"error: {field}: expected a file path, got {path!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given,missing", [("cx_file", "cz_file"), ("cz_file", "cx_file")])
+    def test_half_file_pair_names_missing_field(self, tmp_path, capsys, given, missing):
+        code = tmp_path / "rep3.txt"
+        code.write_text("d=3\n2 3\n110\n011\n")
+        cfg_path = write_config(tmp_path, css={given: str(code)})
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
+        assert f"error: css.{missing}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ancilla,field", [
+        ({"kind": "zero", "frob": 1}, "frob"),
+        ({"kind": "bell", "block": 2}, "block"),
+        ({"kind": "zero", "basis": "Y"}, "basis"),
+        ({"kind": "mixed", "basis": "Y"}, "basis"),
+        ({"kind": "plus", "basis": 1}, "basis"),
+    ], ids=["unknown-key", "unknown-key-bell", "zero-basis-Y", "mixed-basis-Y", "basis-number"])
+    def test_bad_ancilla_key_names_it(self, tmp_path, capsys, ancilla, field):
+        cfg_path = write_config(tmp_path, combination="D", p_grid=[0.0], ancilla=ancilla)
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
+        assert f"error: ancilla.{field}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "inject"])
     @pytest.mark.parametrize("kind", ["omega", "theta"])

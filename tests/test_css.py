@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from cssdistill import gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import (
+    _validate_spec,
     build_ancilla_spec,
     build_css,
     generalized_syndrome,
@@ -131,6 +133,26 @@ class TestAncillaSpecs:
                 for idx, el in enumerate(s):
                     expect = idx == gens + t
                     assert cor.commutes(el) != expect
+
+    @pytest.mark.parametrize("broken,message", [
+        ("s1", "round-1 elements must be pure Z"),
+        ("s2", "round-2 elements must be pure X"),
+        ("correctors1", "round-1 correctors must be pure X"),
+        ("correctors2", "round-2 correctors must be pure Z"),
+    ])
+    def test_validate_spec_guards_the_round_rule(self, golay_css, zero_spec, broken, message):
+        # The first element or corrector times a stabilizer of the other
+        # type: the stabilizers still commute and each corrector still
+        # anticommutes with its own logical alone, so only the rule that
+        # round 1 measures Z and corrects X (round 2 the reverse) is broken.
+        # The zero state has no round-2 corrector; that case breaks the plus
+        # state's.
+        spec = build_ancilla_spec(golay_css, "plus") if broken == "correctors2" else zero_spec
+        other = {"s1": spec.s2, "s2": spec.s1, "correctors1": spec.s1, "correctors2": spec.s2}
+        parts = list(getattr(spec, broken))
+        parts[0] = parts[0].xor(other[broken][0])
+        with pytest.raises(ValueError, match=message):
+            _validate_spec(dataclasses.replace(spec, **{broken: tuple(parts)}))
 
     def test_wrong_block_count(self, golay_css):
         with pytest.raises(ValueError, match="block"):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -152,12 +153,12 @@ class TestExtendStabilizers:
 class TestComputeSigma:
     def test_zero_records(self, zero_spec):
         se = extend_stabilizers(zero_spec.s1, registry("golay23"))
-        assert compute_sigma([[0], [0]], se, ("Z",)) == [0, 0]
+        assert compute_sigma([[0], [0]], se, 1) == [0, 0]
 
     def test_single_flip_reads_se_column(self, zero_spec):
         se = extend_stabilizers(zero_spec.s1, registry("golay23"))
         q = 7
-        rows = compute_sigma([[1 << q], [0]], se, ("Z",))
+        rows = compute_sigma([[1 << q], [0]], se, 1)
         assert rows[0] == se_column_mask(se, q) and rows[1] == 0
 
     def test_rep3_x_fault_on_data_qubit0(self, zero_spec):
@@ -170,7 +171,7 @@ class TestComputeSigma:
         _, recs = run_noisy(circ, FaultInjection(()), initial=init)
         assert recs[0] == 1 and recs[1] == 1
         se = extend_stabilizers(zero_spec.s1, registry("golay23"))
-        rows = compute_sigma([[recs[0]], [recs[1]]], se, ("Z",))
+        rows = compute_sigma([[recs[0]], [recs[1]]], se, 1)
         expect = se_column_mask(se, 0)
         assert rows == [expect, expect]
 
@@ -651,22 +652,67 @@ def _single_fault_batches(runner, size=2048):
         yield none_gate, np.column_stack((np.arange(len(rows)), rows)), len(rows)
 
 
+def _benchmark_runner(golay_css, kind):
+    """The runner of a benchmark config at p = 0: Golay |0>_L with Golay
+    postselection, or Golay Bell pairs without; combination A, n_extra 6."""
+    bch = registry("bch15_7_5")
+    blocks = golay_css if kind == "zero" else [golay_css, golay_css]
+    d1, d2 = (registry("golay23"), registry("golay23_dual")) if kind == "zero" else (None, None)
+    return ProtocolRunner(DistillationConfig(
+        spec=build_ancilla_spec(blocks, kind), code_c1=bch, code_c2=bch, code_d1=d1,
+        code_d2=d2, model=FailureModel.uniform(0.0), n_extra=6,
+    ))
+
+
+def _digest(*items) -> str:
+    """A SHA-256 prefix of arrays (dtype, shape and bytes), scalars,
+    circuits and nested lists or tuples of them."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        if isinstance(x, (list, tuple)):
+            h.update(b"[%d" % len(x))
+            for y in x:
+                feed(y)
+        elif isinstance(x, (np.ndarray, np.generic)):
+            a = np.ascontiguousarray(x)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        else:
+            h.update(repr(x).encode())
+
+    feed(items)
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind,digests", [
+    ("zero", {"round1": "ef7174c3a775258d", "round2": "01ba2271e3f0ba2d",
+              "encoder": "8666236d5ebb9a13"}),
+    ("bell", {"round1": "9cf7f48e61611493", "round2": "b84bfac1c93107bc",
+              "encoder": "f4e6b6e6f6ce2de8"}),
+], ids=["golay0-A-ref", "bell-A-nops"])
+def test_compiled_tables_are_pinned(golay_css, kind, digests):
+    # Every table and circuit the batched kernel runs on the benchmark
+    # configs, against digests recorded before the per-block measurement
+    # bases were deleted: the rounds' gates and tables, and the encoder's
+    # gates and effects, did not move.
+    runner = _benchmark_runner(golay_css, kind)
+    tables = ("eff_masks", "_hit_slots", "nu_to_sigma", "hd_parity", "leaders",
+              "corrections", "logical_fix")
+    got = {f"round{rnd.round}": _digest(rnd.circuit, *(getattr(rnd, t) for t in tables))
+           for rnd in (runner.round1, runner.round2)}
+    got["encoder"] = _digest(runner.enc_circuit, runner._enc_eff)
+    assert got == digests
+
+
 @pytest.mark.exhaustive
 @pytest.mark.parametrize("kind,configurations", [("zero", 680_512), ("bell", 1_592_549)])
 def test_every_single_fault_is_benign(golay_css, kind, configurations):
     # The paper's fault-tolerance claim, checked exactly on the benchmark
-    # configs (Golay |0>_L with Golay postselection, Golay Bell pairs
-    # without; combination A, n_extra 6): no single fault aborts or rejects
-    # in either round, and every output keeps residual weight <= 1.
-    bch = registry("bch15_7_5")
-    blocks = golay_css if kind == "zero" else [golay_css, golay_css]
-    d1, d2 = (registry("golay23"), registry("golay23_dual")) if kind == "zero" else (None, None)
-    spec = build_ancilla_spec(blocks, kind)
-    runner = ProtocolRunner(DistillationConfig(
-        spec=spec, code_c1=bch, code_c2=bch, code_d1=d1, code_d2=d2,
-        model=FailureModel.uniform(0.0), n_extra=6,
-    ))
-    table = spec.weight_table(4)
+    # configs: no single fault aborts or rejects in either round, and every
+    # output keeps residual weight <= 1.
+    runner = _benchmark_runner(golay_css, kind)
+    table = runner.spec.weight_table(4)
     seen = 0
     for gate, meas, count in _single_fault_batches(runner):
         batch = runner._execute(gate, meas, count)
