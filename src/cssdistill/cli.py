@@ -41,27 +41,116 @@ COMBINATIONS = {
     "D": ("rep3", "rep3"),
 }
 
-_DEFAULT_D = ("golay23", "golay23_dual")
+# ---- config schema ---------------------------------------------------------
+# A check takes a value and its dotted field name, and returns the value,
+# normalised, or raises ConfigError naming the field.
+
+def _rule(what: str, ok, convert=lambda value: value):
+    def check(value, name):
+        if not ok(value):
+            raise ConfigError(f"{name}: expected {what}, got {value!r}")
+        return convert(value)
+    return check
+
+
+def _nullable(check):
+    return lambda value, name: None if value is None else check(value, name)
+
+
+def _integer(low: int | None = None):
+    """An integer (>= low); an integral float such as 1e3 is taken as one."""
+    return _rule("an integer" if low is None else f"an integer >= {low}",
+                 lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                            or isinstance(v, float) and v.is_integer())
+                 and (low is None or v >= low), int)
+
+
+def _object(**keys):
+    """A JSON object whose keys are among ``keys``, each with its own check."""
+    def check(value, name):
+        _rule("an object", lambda v: isinstance(v, dict))(value, name)
+        for key in value:
+            if key not in keys:
+                raise ConfigError(f"{name}.{key}: unknown key; expected one of {list(keys)}")
+        return {key: keys[key](v, f"{name}.{key}") for key, v in value.items()}
+    return check
+
+
+_string = _rule("a string", lambda v: isinstance(v, str))
+_path = _rule("a file path", lambda v: isinstance(v, str))
+_registry_name = _rule("a registry name or {'file': path}", lambda v: v in codes_mod.REGISTRY_NAMES)
+_code_file = _object(file=_path, name=_string)
+
+
+def _code(value, name):
+    """A registry name or a {"file": path, "name": label} object."""
+    if isinstance(value, dict) and "file" in value:
+        _path(value["file"], name)  # the file is the code, so name the field itself
+        return _code_file(value, name)
+    return _registry_name(value, name)
+
+
+_css_keys = _object(cx=_code, cz=_code, cx_file=_path, cz_file=_path)
+
+
+def _css(value, name):
+    """Codes ``cx``/``cz`` (golay23 by default), or the ``cx_file``/``cz_file`` pair."""
+    value = _css_keys(value, name)
+    files = [key for key in ("cx_file", "cz_file") if key in value]
+    for key in ("cx_file", "cz_file", "cx", "cz") if files else ():
+        if (key in value) != key.endswith("_file"):
+            rule = "required" if key.endswith("_file") else "not allowed"
+            raise ConfigError(f"{name}.{key}: {rule} with {name}.{files[0]}")
+    return value
+
+
+def _detecting(value, name):
+    """A postselection code, or "none" (also null) or "ideal"."""
+    return value if value in (None, "none", "ideal") else _code(value, name)
+
+
+# Every ExperimentConfig field and its check.  Two rules need more than the
+# field: c1/c2 are given exactly when combination is null (__post_init__),
+# and ancilla.i/j must be below the code's k (build_spec).
+FIELDS = {
+    "css": _css,
+    "ancilla": _object(kind=_string, i=lambda v, name: v, j=lambda v, name: v,
+                       basis=_rule("'Z' or 'X'", lambda v: v in ("Z", "X"))),
+    "combination": _nullable(_rule(
+        f"one of {list(COMBINATIONS)} or 'name1+name2' of registry names",
+        lambda v: isinstance(v, str) and (v in COMBINATIONS or v.count("+") == 1
+                                          and set(v.split("+")) <= set(codes_mod.REGISTRY_NAMES)))),
+    "c1": _nullable(_code),
+    "c2": _nullable(_code),
+    "d1": _detecting,
+    "d2": _detecting,
+    "p_grid": _rule("a non-empty list of failure rates in [0, 1]",
+                    lambda v: isinstance(v, list) and v != [] and all(
+                        isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p <= 1
+                        for p in v),
+                    lambda v: [float(p) for p in v]),
+    "trials_per_p": _integer(1),
+    "n_extra": _integer(0),
+    "seed": _integer(),
+    "w_cap": _integer(3),  # weights 0..3 are histogram bins of their own
+    "ideal_postselection": _rule("true or false", lambda v: isinstance(v, bool)),
+    "out": _nullable(_string),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """JSON-serializable description of one experiment.
-
-    ``css`` names the classical codes of the quantum code ({"cx", "cz"}
-    registry names or {"cx_file", "cz_file"} paths); ``combination``
-    resolves c1/c2 from the named pair ("A".."D" or "name1+name2");
-    ``d1``/``d2`` accept registry names, file paths ({"file": path}),
-    "none" or "ideal".
-    """
+    """JSON-serializable description of one experiment.  README's "Config
+    fields" table gives each field's type, range, default and allowed keys;
+    ``FIELDS`` checks them whenever a config is made."""
 
     css: dict = field(default_factory=lambda: {"cx": "golay23", "cz": "golay23"})
     ancilla: dict = field(default_factory=lambda: {"kind": "zero"})
     combination: str | None = None
     c1: str | dict | None = None
     c2: str | dict | None = None
-    d1: str | dict = "golay23"
-    d2: str | dict = "golay23_dual"
+    d1: str | dict | None = "golay23"
+    d2: str | dict | None = "golay23_dual"
     p_grid: list = field(default_factory=lambda: [4e-4, 8e-4, 1.6e-3])
     trials_per_p: int = 10_000
     n_extra: int = 2
@@ -69,6 +158,13 @@ class ExperimentConfig:
     w_cap: int = 4
     ideal_postselection: bool = False
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        for name, check in FIELDS.items():
+            setattr(self, name, check(getattr(self, name), name))
+        for name in ("c1", "c2"):
+            if (getattr(self, name) is None) == (self.combination is None):
+                raise ConfigError(f"{name}: set both c1 and c2, or a combination, not both")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -78,8 +174,7 @@ class ExperimentConfig:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -94,67 +189,34 @@ class ExperimentConfig:
 
 
 def _load_classical(value, fieldname: str) -> LinearCode:
+    """A checked code value: a registry name or a {"file": ...} object."""
     if isinstance(value, str):
-        if value in codes_mod.REGISTRY_NAMES:
-            return registry(value)
-        raise ConfigError(f"{fieldname}: unknown code name {value!r}")
-    if isinstance(value, dict) and "file" in value:
-        if not isinstance(value["file"], str):
-            raise ConfigError(f"{fieldname}: expected a file path, got {value['file']!r}")
-        try:
-            return codes_mod.load_code(value["file"], name=value.get("name", ""))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{fieldname}: {exc}") from exc
-    raise ConfigError(f"{fieldname}: expected a registry name or {{'file': path}}")
-
-
-def _load_detecting(value, fieldname: str):
-    if value in (None, "none"):
-        return None
-    if value == "ideal":
-        return "ideal"
-    return _load_classical(value, fieldname)
-
-
-_ANCILLA_KEYS = ("kind", "i", "j", "basis")
+        return registry(value)
+    try:
+        return codes_mod.load_code(value["file"], name=value.get("name", ""))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{fieldname}: {exc}") from exc
 
 
 def build_spec(cfg: ExperimentConfig) -> AncillaSpec:
-    css_d = cfg.css
-    if "cx_file" in css_d or "cz_file" in css_d:
-        for name, other in (("cx_file", "cz_file"), ("cz_file", "cx_file")):
-            if name not in css_d:
-                raise ConfigError(f"css.{name}: required with css.{other}")
-        cx = _load_classical({"file": css_d["cx_file"]}, "css.cx_file")
-        cz = _load_classical({"file": css_d["cz_file"]}, "css.cz_file")
-    else:
-        cx = _load_classical(css_d.get("cx", "golay23"), "css.cx")
-        cz = _load_classical(css_d.get("cz", "golay23"), "css.cz")
+    cx, cz = (
+        _load_classical({"file": cfg.css[f"{key}_file"]}, f"css.{key}_file") if "cx_file" in cfg.css
+        else _load_classical(cfg.css.get(key, "golay23"), f"css.{key}")
+        for key in ("cx", "cz")
+    )
     try:
         quantum = build_css(cx, cz)
     except ValueError as exc:
         raise ConfigError(f"css: {exc}") from exc
-    for name in cfg.ancilla:
-        if name not in _ANCILLA_KEYS:
-            raise ConfigError(f"ancilla.{name}: unknown key; expected one of {list(_ANCILLA_KEYS)}")
-    basis = cfg.ancilla.get("basis", "Z")
-    if basis not in ("Z", "X"):
-        raise ConfigError(f"ancilla.basis: expected 'Z' or 'X', got {basis!r}")
-    kind = cfg.ancilla.get("kind", "zero")
-    blocks = [quantum, quantum] if kind == "bell" else quantum
+    ancilla = {"kind": "zero", **cfg.ancilla}
     for name in ("i", "j"):
-        value = cfg.ancilla.get(name, 0)
+        value = ancilla.get(name, 0)
         if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < quantum.k:
             raise ConfigError(f"ancilla.{name}: expected a logical qubit index in "
                               f"0..{quantum.k - 1}, got {value!r}")
+    blocks = [quantum, quantum] if ancilla["kind"] == "bell" else quantum
     try:
-        return build_ancilla_spec(
-            blocks,
-            kind,
-            i=cfg.ancilla.get("i", 0),
-            j=cfg.ancilla.get("j", 0),
-            basis=basis,
-        )
+        return build_ancilla_spec(blocks, **ancilla)
     except ValueError as exc:
         raise ConfigError(f"ancilla: {exc}") from exc
 
@@ -163,38 +225,19 @@ def build_distillation_config(cfg: ExperimentConfig, p: float = 0.0) -> Distilla
     spec = build_spec(cfg)
     c1, c2 = cfg.c1, cfg.c2
     if cfg.combination:
-        name = cfg.combination
-        if name in COMBINATIONS:
-            c1n, c2n = COMBINATIONS[name]
-        elif "+" in name:
-            c1n, c2n = name.split("+", 1)
-        else:
-            raise ConfigError(f"combination: unknown name {name!r}")
-        c1, c2 = c1n, c2n
-    if c1 is None or c2 is None:
-        raise ConfigError("c1/c2: set both codes or a combination name")
-    code_c1 = _load_classical(c1, "c1")
-    code_c2 = _load_classical(c2, "c2")
-    d1 = "ideal" if cfg.ideal_postselection else _load_detecting(cfg.d1, "d1")
-    d2 = "ideal" if cfg.ideal_postselection else _load_detecting(cfg.d2, "d2")
-    for dval, s, fieldname in ((d1, spec.s1, "d1"), (d2, spec.s2, "d2")):
+        c1, c2 = COMBINATIONS.get(cfg.combination) or cfg.combination.split("+", 1)
+    d1, d2 = (
+        "ideal" if cfg.ideal_postselection or value == "ideal"
+        else None if value in (None, "none") else _load_classical(value, name)
+        for value, name in ((cfg.d1, "d1"), (cfg.d2, "d2"))
+    )
+    for dval, s, name in ((d1, spec.s1, "d1"), (d2, spec.s2, "d2")):
         if isinstance(dval, LinearCode) and dval.k != len(s):
-            raise ConfigError(
-                f"{fieldname}: error-detecting code must encode k={len(s)} bits, "
-                f"got k={dval.k}"
-            )
-    try:
-        return DistillationConfig(
-            spec=spec,
-            code_c1=code_c1,
-            code_c2=code_c2,
-            code_d1=d1,
-            code_d2=d2,
-            model=FailureModel.uniform(p),
-            n_extra=cfg.n_extra,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{name}: error-detecting code must encode k={len(s)} bits, "
+                              f"got k={dval.k}")
+    return DistillationConfig(spec=spec, code_c1=_load_classical(c1, "c1"),
+                              code_c2=_load_classical(c2, "c2"), code_d1=d1, code_d2=d2,
+                              model=FailureModel.uniform(p), n_extra=cfg.n_extra)
 
 
 # ---- metric emission -------------------------------------------------------
@@ -301,47 +344,8 @@ def print_summary(stats: RunStats, file=None) -> None:
 
 # ---- commands --------------------------------------------------------------
 
-def _check_types(cfg: ExperimentConfig) -> None:
-    """Type checks of the fields every command reads; an integral float
-    such as 1e3 is taken as an integer."""
-    for name in ("seed", "w_cap", "n_extra"):
-        value = getattr(cfg, name)
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-            setattr(cfg, name, value)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    for name in ("css", "ancilla"):
-        if not isinstance(getattr(cfg, name), dict):
-            raise ConfigError(f"{name}: expected an object, got {getattr(cfg, name)!r}")
-    for name in ("combination", "out"):
-        value = getattr(cfg, name)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{name}: expected a string or null, got {value!r}")
-    kind = cfg.ancilla.get("kind", "zero")
-    if not isinstance(kind, str):
-        raise ConfigError(f"ancilla.kind: expected a string, got {kind!r}")
-
-
-def _run_size(cfg: ExperimentConfig) -> tuple[list[float], int]:
-    """The checked p grid and trial count of a simulate config."""
-    grid, trials = cfg.p_grid, cfg.trials_per_p
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError(f"p_grid: expected a non-empty list of failure rates, got {grid!r}")
-    for p in grid:
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise ConfigError(f"p_grid: expected failure rates in [0, 1], got {p!r}")
-    if isinstance(trials, float) and trials.is_integer():
-        trials = int(trials)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials_per_p: expected an integer >= 1, got {trials!r}")
-    return [float(p) for p in grid], trials
-
-
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    _check_types(cfg)
-    grid, trials = _run_size(cfg)
     workers = args.workers
     if not workers:
         try:
@@ -350,14 +354,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(str(exc)) from None
     dconfig = build_distillation_config(cfg)
     out_path = Path(args.out or cfg.out or "results.json")
-    stats = run_experiment(
-        dconfig,
-        grid,
-        trials_per_p=trials,
-        seed=cfg.seed,
-        workers=workers,
-        w_cap=cfg.w_cap,
-    )
+    stats = run_experiment(dconfig, cfg.p_grid, trials_per_p=cfg.trials_per_p, seed=cfg.seed,
+                           workers=workers, w_cap=cfg.w_cap)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(stats.to_json(), encoding="utf-8")
     csv_path = out_path.with_suffix(".csv")
@@ -382,6 +380,9 @@ def parse_scenario(text: str) -> dict[str, dict[int, FaultInjection]]:
             raise ConfigError(f"scenario line {lineno}: expected "
                               f"'<prep|round1|round2> <instance> <step> <gate> <pauli>'")
         stage, pauli = parts[0], parts[4]
+        if set(pauli) - set("IXYZ"):
+            raise ConfigError(f"scenario line {lineno}: pauli: expected letters from IXYZ, "
+                              f"got {pauli!r}")
 
         def integer(field: str, text: str) -> int:
             try:
@@ -400,18 +401,17 @@ def parse_scenario(text: str) -> dict[str, dict[int, FaultInjection]]:
 
 def cmd_inject(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    _check_types(cfg)
+    staged = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     dconfig = build_distillation_config(cfg)
     runner = ProtocolRunner(dconfig)
-    staged = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     try:
         outcome = runner.run_injected(
             prep_faults=staged["prep"],
             round1_faults=staged["round1"],
             round2_faults=staged["round2"],
         )
-    except (ValueError, IndexError, KeyError) as exc:
-        raise ConfigError(f"scenario: invalid circuit location ({exc})") from exc
+    except ValueError as exc:
+        raise ConfigError(f"scenario: {exc}") from exc
 
     table = dconfig.spec.weight_table(cfg.w_cap)
     print(f"aborted: {outcome.aborted}")
@@ -462,13 +462,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_codes(args) -> int:
-    if args.action == "list":
-        for name in codes_mod.REGISTRY_NAMES:
-            code = registry(name)
-            print(f"{name:14} [{code.n},{code.k},{code.d}]  t={code.t}  "
-                  f"max column weight of A: {code.max_col_weight}")
-        return 0
-    raise ConfigError(f"codes: unknown action {args.action!r}")
+    for name in codes_mod.REGISTRY_NAMES:  # "list", the one action argparse accepts
+        code = registry(name)
+        print(f"{name:14} [{code.n},{code.k},{code.d}]  t={code.t}  "
+              f"max column weight of A: {code.max_col_weight}")
+    return 0
 
 
 def main(argv=None) -> int:

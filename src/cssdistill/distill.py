@@ -54,6 +54,15 @@ def pauli2_code(pauli: str) -> int:
     return _CHAR_CODE[pauli[0]] | (_CHAR_CODE[pauli[1]] << 2)
 
 
+def _fault_code(fault: Fault, cnot: bool) -> int:
+    """An injected fault's Pauli code: two letters on a CNOT, one on a
+    preparation or readout."""
+    if len(fault.pauli) != 1 + cnot:
+        raise ValueError(f"{fault}: a {'CNOT' if cnot else 'preparation or readout'} fault "
+                         f"takes {1 + cnot} Pauli letter(s)")
+    return pauli2_code(fault.pauli) if cnot else _CHAR_CODE[fault.pauli]
+
+
 PAULI15_CODE = tuple(pauli2_code(p) for p in PAULI_2Q)
 PAULI3_CODE = tuple(_CHAR_CODE[p] for p in PAULI_1Q)
 _PAULI15_CODES = np.array(PAULI15_CODE, dtype=np.int8)
@@ -873,12 +882,12 @@ class CompiledRound:
         key = (fault.step, fault.gate_idx)
         if key in self._gate_index:
             layer, blk, q = self._gate_index[key]
-            return ("cnot", layer, blk, q, pauli2_code(fault.pauli))
+            return ("cnot", layer, blk, q, _fault_code(fault, cnot=True))
         if key in self._meas_index:
             unit, blk, q = self._meas_index[key]
-            # A readout flips on the Pauli component its basis sees.
-            flip = fault.pauli[0] in ("XY" if self.round == 1 else "ZY")
-            return ("meas", unit, blk, q, int(flip))
+            # A readout flips on the Pauli component its basis sees: X (code
+            # bit 0) under round 1's Z readout, Z (bit 1) under round 2's X.
+            return ("meas", unit, blk, q, _fault_code(fault, cnot=False) >> (self.round - 1) & 1)
         raise ValueError(f"fault does not address a circuit location: {fault}")
 
 
@@ -1124,7 +1133,7 @@ class ProtocolRunner:
                 if loc is None:
                     raise ValueError(f"fault does not address an encoding location: {fault}")
                 cnot = loc < self.n_enc_cnots
-                code = pauli2_code(fault.pauli) if cnot else _CHAR_CODE[fault.pauli[0]]
+                code = _fault_code(fault, cnot)
                 if code:
                     draw = (PAULI15_CODE if cnot else PAULI3_CODE).index(code)
                     gates.append((unit * self.n_enc_locs + loc, *((draw, 0) if cnot else (0, draw))))

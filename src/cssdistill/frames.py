@@ -291,19 +291,6 @@ def synth_encoding_circuit(spec: AncillaSpec) -> Circuit:
     return circuit
 
 
-def _conjugate_through(circuit: Circuit, x0: list[int], z0: list[int]) -> tuple[list[int], list[int]]:
-    """Conjugate a Pauli (per-block x/z masks) forward through the circuit."""
-    x, z = list(x0), list(z0)
-    for _, _, gate in circuit.gates():
-        if gate.kind == "cnot":
-            (bc, qc), (bt, qt) = gate.locs
-            if (x[bc] >> qc) & 1:
-                x[bt] ^= 1 << qt
-            if (z[bt] >> qt) & 1:
-                z[bc] ^= 1 << qc
-    return x, z
-
-
 def _verify_encoding(circuit: Circuit, spec: AncillaSpec) -> None:
     m = spec.m
     sizes = spec.block_sizes
@@ -312,20 +299,16 @@ def _verify_encoding(circuit: Circuit, spec: AncillaSpec) -> None:
     for n in sizes[:-1]:
         offs.append(offs[-1] + n)
 
+    # Each prepared qubit's stabilizer (X after prep_x, Z after prep_z),
+    # pushed through the rest of the circuit.
     x_rows, z_rows = [], []
-    for _, _, gate in circuit.gates():
-        if gate.kind == "prep_x":
-            b, q = gate.locs[0]
-            x0 = [1 << q if bb == b else 0 for bb in range(m)]
-            xs, zs = _conjugate_through(circuit, x0, [0] * m)
-            assert not any(zs)
-            x_rows.append(sum(xs[b] << offs[b] for b in range(m)))
-        elif gate.kind == "prep_z":
-            b, q = gate.locs[0]
-            z0 = [1 << q if bb == b else 0 for bb in range(m)]
-            xs, zs = _conjugate_through(circuit, [0] * m, z0)
-            assert not any(xs)
-            z_rows.append(sum(zs[b] << offs[b] for b in range(m)))
+    for s, g, gate in circuit.gates():
+        if gate.kind in ("prep_x", "prep_z"):
+            is_x = gate.kind == "prep_x"
+            frame, _ = run_noisy(circuit, FaultInjection((Fault(s, g, "X" if is_x else "Z"),)))
+            assert not any(frame.f if is_x else frame.e)
+            (x_rows if is_x else z_rows).append(
+                sum(part << offs[b] for b, part in enumerate(frame.e if is_x else frame.f)))
 
     spec_x = [sum(el.x[b] << offs[b] for b in range(m)) for el in spec.s2]
     spec_z = [sum(el.z[b] << offs[b] for b in range(m)) for el in spec.s1]

@@ -1,7 +1,10 @@
 import json
+from dataclasses import fields
+from importlib import resources
 
 import pytest
 
+from cssdistill import cli
 from cssdistill.cli import (
     COMBINATIONS,
     ConfigError,
@@ -73,6 +76,19 @@ class TestConfig:
         cfg = ExperimentConfig(c1={"file": str(p)}, c2="rep3", d1="golay23", d2="golay23_dual")
         dc = build_distillation_config(cfg)
         assert dc.code_c1.n == 3
+
+    def test_every_way_of_making_a_config_checks_it(self, tmp_path):
+        bad = {"combination": "D", "w_cap": 2}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(bad))
+        for make in (lambda: ExperimentConfig(**bad), lambda: ExperimentConfig.from_dict(bad),
+                     lambda: ExperimentConfig.load(str(path))):
+            with pytest.raises(ConfigError, match="^w_cap: expected an integer >= 3, got 2$"):
+                make()
+        # An integral float is taken as an integer, and p_grid as floats.
+        cfg = ExperimentConfig(combination="D", trials_per_p=1e3, seed=7.0, p_grid=[0, 1])
+        assert (cfg.trials_per_p, cfg.seed, cfg.p_grid) == (1000, 7, [0.0, 1.0])
+        assert type(cfg.trials_per_p) is int and type(cfg.p_grid[0]) is float
 
 
 class TestSimulate:
@@ -196,6 +212,74 @@ class TestSimulate:
         assert "error: CSSDISTILL_WORKERS: " in capsys.readouterr().err
 
 
+    # Inputs that were silently ignored or misread: each must exit 1 naming
+    # the field.  GOLAY is a path, so css.cx beside the file pair is the
+    # only fault of that case.
+    @pytest.mark.parametrize("overrides,named", [
+        ({"ideal_postselection": "yes"}, "ideal_postselection"),
+        ({"ideal_postselection": "false"}, "ideal_postselection"),
+        ({"ideal_postselection": 1}, "ideal_postselection"),
+        ({"css": {"cx": "golay23", "cz": "golay23", "frob": 1}}, "css.frob"),
+        ({"combination": None, "c1": {"file": "GOLAY", "frob": 1}, "c2": "rep3"}, "c1.frob"),
+        ({"combination": None, "c1": {"file": "GOLAY", "name": 5}, "c2": "rep3"}, "c1.name"),
+        ({"css": {"cx": "golay23", "cx_file": "GOLAY", "cz_file": "GOLAY"}}, "css.cx"),
+        ({"css": {"cz": "golay23", "cx_file": "GOLAY", "cz_file": "GOLAY"}}, "css.cz"),
+        ({"c1": "rep5"}, "c1"),
+        ({"c2": "rep5"}, "c2"),
+        ({"w_cap": 0}, "w_cap"),
+    ], ids=["postselection-yes", "postselection-false-string", "postselection-one",
+            "css-unknown-key", "code-file-unknown-key", "code-file-name-number",
+            "cx-beside-files", "cz-beside-files", "c1-with-combination", "c2-with-combination",
+            "w_cap-zero"])
+    def test_ignored_input_names_field(self, tmp_path, capsys, overrides, named):
+        golay = str(resources.files("cssdistill.data").joinpath("golay23.txt"))
+        overrides = json.loads(json.dumps(overrides).replace('"GOLAY"', json.dumps(golay)))
+        cfg_path = write_config(tmp_path, **{"combination": "D", "p_grid": [0.0], "trials_per_p": 1,
+                                             "out": str(tmp_path / "res.json"), **overrides})
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
+        assert f"error: {named}: " in capsys.readouterr().err
+
+
+# One bad value per FIELDS entry, with the field its message names.
+BAD_FIELD_VALUES = {
+    "css": ({"css": "golay"}, "css"),
+    "ancilla": ({"ancilla": {"kind": "zero", "frob": 1}}, "ancilla.frob"),
+    "combination": ({"combination": "Z"}, "combination"),
+    "c1": ({"combination": None, "c1": "nosuchcode", "c2": "rep3"}, "c1"),
+    "c2": ({"combination": None, "c1": "rep3", "c2": {"file": 5}}, "c2"),
+    "d1": ({"d1": "nosuchcode"}, "d1"),
+    "d2": ({"d2": 5}, "d2"),
+    "p_grid": ({"p_grid": [2.0]}, "p_grid"),
+    "trials_per_p": ({"trials_per_p": 0}, "trials_per_p"),
+    "n_extra": ({"n_extra": -1}, "n_extra"),
+    "seed": ({"seed": "abc"}, "seed"),
+    "w_cap": ({"w_cap": 2}, "w_cap"),
+    "ideal_postselection": ({"ideal_postselection": "yes"}, "ideal_postselection"),
+    "out": ({"out": 5}, "out"),
+}
+
+
+def test_schema_covers_every_field():
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert set(cli.FIELDS) == names and set(BAD_FIELD_VALUES) == names
+
+
+@pytest.mark.parametrize("command", ["simulate", "inject"])
+@pytest.mark.parametrize("field", list(BAD_FIELD_VALUES))
+def test_schema_rejects_before_any_build(tmp_path, capsys, monkeypatch, command, field):
+    overrides, named = BAD_FIELD_VALUES[field]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a code was built before the config was checked")
+    monkeypatch.setattr(cli, "build_distillation_config", no_build)
+    cfg_path = write_config(tmp_path, **{"combination": "D", "p_grid": [0.0], **overrides})
+    scen = tmp_path / "empty.txt"
+    scen.write_text("")
+    extra = ["--workers", "1"] if command == "simulate" else ["--scenario", str(scen)]
+    assert main([command, "--config", str(cfg_path), *extra]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}: ")
+
+
 class TestInject:
     def test_empty_scenario_all_accepted(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, combination="D")
@@ -251,6 +335,9 @@ class TestInject:
         ("prep 0 0 zz X", "gate"),
         ("round1 0 0 mem X 0 0", "gate"),
         ("round2 0 0 mem Z 0 0", "gate"),
+        ("round1 0 2 0 Q", "pauli"),
+        ("prep 0 0 0 x", "pauli"),
+        ("round1 0 0 0 X-", "pauli"),
     ])
     def test_malformed_scenario_line(self, tmp_path, capsys, line, field):
         cfg_path = write_config(tmp_path, combination="D")
@@ -260,6 +347,24 @@ class TestInject:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario line 2: ")
         assert f" {field}: " in err
+
+    @pytest.mark.parametrize("line,letters", [
+        ("prep 0 0 0 XZ", 1),
+        ("prep 0 1 0 XIZ", 2),
+        ("prep 0 1 0 X", 2),
+        ("round1 0 0 0 X", 2),
+        ("round1 0 2 0 XZ", 1),
+    ], ids=["preparation-two", "cnot-three", "cnot-one", "round-cnot-one", "readout-two"])
+    def test_pauli_letters_match_gate(self, tmp_path, capsys, line, letters):
+        # Encoder step 0 holds the preparations and step 1 starts its CNOTs;
+        # round-1 step 0 is a CNOT layer and step 2 a readout.
+        cfg_path = write_config(tmp_path, combination="D")
+        scen = tmp_path / "bad.txt"
+        scen.write_text(f"{line}\n")
+        assert main(["inject", "--scenario", str(scen), "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario: Fault(")
+        assert f"takes {letters} Pauli letter(s)" in err
 
     def test_two_fault_scenario_reports_heavy_block(self, tmp_path, capsys):
         # One distillation CNOT fault plus one preparation fault, Hamming
