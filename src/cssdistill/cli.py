@@ -57,12 +57,14 @@ def _nullable(check):
     return lambda value, name: None if value is None else check(value, name)
 
 
-def _integer(low: int | None = None):
-    """An integer (>= low); an integral float such as 1e3 is taken as one."""
-    return _rule("an integer" if low is None else f"an integer >= {low}",
-                 lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                            or isinstance(v, float) and v.is_integer())
-                 and (low is None or v >= low), int)
+def _integer(low: int | None = None, high: int | None = None):
+    """An integer (>= low, <= high); an integral float such as 1e3 is taken
+    as one."""
+    what = ("an integer" if low is None else f"an integer >= {low}" if high is None
+            else f"an integer in {low}..{high}")
+    return _rule(what, lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                                  or isinstance(v, float) and v.is_integer())
+                 and (low is None or v >= low) and (high is None or v <= high), int)
 
 
 def _object(**keys):
@@ -132,7 +134,10 @@ FIELDS = {
     "trials_per_p": _integer(1),
     "n_extra": _integer(0),
     "seed": _integer(),
-    "w_cap": _integer(3),  # weights 0..3 are histogram bins of their own
+    # Weights 0..3 are histogram bins of their own; the weight table grows
+    # about threefold per step of the cap, and beyond 5 it costs seconds
+    # and hundreds of MiB on a two-block ancilla.
+    "w_cap": _integer(3, 5),
     "ideal_postselection": _rule("true or false", lambda v: isinstance(v, bool)),
     "out": _nullable(_string),
 }

@@ -8,13 +8,14 @@ parities, and corrects X errors.  Round 2 mirrors the procedure for Z
 errors after regrouping.
 
 The protocol runner precompiles fault-propagation tables from the generic
-circuit layer: each elementary fault component at each location is pushed
-through the remaining gates once (a round's through the one-qubit slice of
-its transversal circuit), so a trial only XORs per-fault effect
-masks and decodes sparse syndromes.  Tables are derived from
-:func:`cssdistill.frames.run_noisy` itself, which keeps the fast path and
-the reference path (:meth:`ProtocolRunner.run_reference`: ``run_noisy``
-per encoder, :meth:`CompiledRound.run` per group) definitionally in sync.
+circuit layer: one backward sweep of a circuit
+(:func:`cssdistill.frames.fault_images`) gives the final frame of every
+elementary fault component at every location, of the encoder and of the
+one-qubit slice of each round's transversal circuit, so a trial only XORs
+per-fault effect masks and decodes sparse syndromes.  The reference path
+(:meth:`ProtocolRunner.run_reference`: :func:`cssdistill.frames.run_noisy`
+per encoder, :meth:`CompiledRound.run` per group) walks the circuits
+forward instead, and the tests hold the two to the same results.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .frames import (
     FaultInjection,
     Gate,
     PauliFrame,
+    fault_images,
     run_noisy,
     synth_encoding_circuit,
 )
@@ -100,16 +102,6 @@ def _flat(words: np.ndarray) -> np.ndarray:
     if not words.flags.c_contiguous:
         raise ValueError("scatter target must be C-contiguous")
     return words.reshape(-1)
-
-
-def _nonzero_rows(words: np.ndarray) -> np.ndarray:
-    """Indices of the rows of 2-D ``words`` with a bit set, by an OR over
-    the columns: numpy reduces along a short last axis several times
-    slower."""
-    acc = words[:, 0].copy()
-    for k in range(1, words.shape[1]):
-        acc |= words[:, k]
-    return np.flatnonzero(acc)
 
 
 def _pack(blocks: Sequence[int], n: int) -> int:
@@ -654,22 +646,22 @@ class CompiledRound:
         # records flip and of the slots whose e / f parts flip.  A
         # transversal round couples qubit q only with qubit q of other
         # blocks, so every qubit has the pattern of the one-qubit slice of
-        # the circuit (blocks of one qubit), through which each component
-        # fault is pushed.
+        # the circuit (blocks of one qubit), whose component faults' images
+        # one backward sweep gives.
         slice_ = build_round_circuit(code_c.a, round_, 1, m)
-        slice_at = {loc: key for key, loc in self._locations(slice_)[0].items()}
+        images = fault_images(slice_)
         single = np.zeros((len(self.layers), m, 4, 3), dtype=np.int64)
-        for layer in range(len(self.layers)):
-            for blk in range(m):
-                loc = slice_at[(layer, blk, 0)]
-                for i, pauli in enumerate(("XI", "ZI", "IX", "IZ")):
-                    frame, _ = run_noisy(slice_, FaultInjection((Fault(*loc, pauli),)))
-                    for slot in range(self.n_c):
-                        eb, fb = frame.e[slot * m + blk], frame.f[slot * m + blk]
-                        if slot < self.r_c:
-                            single[layer, blk, i, 0] |= (eb if round_ == 1 else fb) << slot
-                        else:
-                            single[layer, blk, i, 1:] |= (eb << slot, fb << slot)
+        for loc, (layer, blk, _) in self._locations(slice_)[0].items():
+            # The components XI, ZI, IX, IZ; a slot's qubit blk is bit
+            # slot * m + blk of an image, and a check's record is its final
+            # e (round 1) or f (round 2) bit, as nothing acts after readout.
+            for i, (e, f) in enumerate(img for pair in images[loc] for img in pair):
+                for slot in range(self.n_c):
+                    eb, fb = e >> (slot * m + blk) & 1, f >> (slot * m + blk) & 1
+                    if slot < self.r_c:
+                        single[layer, blk, i, 0] |= (eb if round_ == 1 else fb) << slot
+                    else:
+                        single[layer, blk, i, 1:] |= (eb << slot, fb << slot)
         self.eff_masks = _by_code(single, range(16))
         # Per part, the masks as (layer, block, Pauli code) rows of slot
         # flags, and the unit word of each (block, qubit) bit, for the
@@ -951,20 +943,19 @@ class ProtocolRunner:
     def _compile_encoding(self) -> None:
         """Encoding effects by (location, draw) as unit words: the 15-way
         draw indexes a CNOT location's Paulis, the 3-way draw a
-        preparation's.  Each component fault is pushed through the rest of
-        the encoder once; composite Paulis add their components' effects."""
-
-        def effect(loc: tuple[int, int], pauli: str) -> tuple[int, int]:
-            frame, _ = run_noisy(self.enc_circuit, FaultInjection((Fault(*loc, pauli),)))
-            return _pack(frame.e, self.n), _pack(frame.f, self.n)
-
+        preparation's.  Every component fault's image comes from one
+        backward sweep of the encoder (blocks of n qubits, so the images
+        are unit words); composite Paulis add their components' effects."""
+        images = fault_images(self.enc_circuit)
         self._enc_eff = np.zeros((self.n_enc_locs, 15, 2), dtype=self._word)
         for locs, comps, codes, rows in (
-            (self.enc_cnot_locs, ("XI", "ZI", "IX", "IZ"), PAULI15_CODE, slice(0, self.n_enc_cnots)),
-            (self.enc_prep_locs, ("X", "Z"), PAULI3_CODE, slice(self.n_enc_cnots, None)),
+            (self.enc_cnot_locs, 4, PAULI15_CODE, slice(0, self.n_enc_cnots)),
+            (self.enc_prep_locs, 2, PAULI3_CODE, slice(self.n_enc_cnots, None)),
         ):
-            single = np.array([[effect(loc, p) for p in comps] for loc in locs], dtype=self._word)
-            self._enc_eff[rows, :len(codes)] = _by_code(single.reshape(-1, len(comps), 2), codes)
+            # Per location: (X, Z) images per gate qubit, i.e. the components
+            # XI, ZI, IX, IZ of a CNOT and X, Z of a preparation.
+            single = np.array([images[loc] for loc in locs], dtype=self._word)
+            self._enc_eff[rows, :len(codes)] = _by_code(single.reshape(-1, comps, 2), codes)
 
     # ---- trial execution -------------------------------------------------
 
@@ -1213,7 +1204,13 @@ class ProtocolRunner:
         shape1 = (n_trials, g1, self.n_c1)
         acc1 = self._process_group_m1(self.round1, e.reshape(shape1), f.reshape(shape1), hits1)
 
-        aborted, primary = self._refill(acc1)
+        # A trial without a round-1 rejection keeps every primary group as
+        # it is; only the others are refilled.
+        aborted = np.zeros(n_trials, dtype=bool)
+        primary = np.repeat(self._g1_data_ids[None, :self.n_c2], n_trials, axis=0)
+        rejected = np.flatnonzero(~acc1.all(axis=(1, 2)))
+        if len(rejected):
+            aborted[rejected], primary[rejected] = self._refill(acc1[rejected])
 
         # Regroup: round-2 group j takes the j-th unit of every primary
         # group.  Aborted trials run round 2 on meaningless ids, and their
@@ -1285,9 +1282,9 @@ class ProtocolRunner:
         accept = np.ones((len(nu), k_c), dtype=bool)
         # sigma is linear in the records: only groups with some record can
         # have a syndrome.
-        rows = _nonzero_rows(nu)
+        rows = gf2.nonzero_rows(nu)
         sigma = gf2.xor_lookup(rnd.nu_to_sigma, nu[rows])
-        dirty = _nonzero_rows(sigma)
+        dirty = gf2.nonzero_rows(sigma)
         rows, sigma = rows[dirty], sigma[dirty]
         if len(rows):
             acc, est = rnd.batch_correct(sigma)

@@ -159,6 +159,39 @@ def apply_gate(frame: PauliFrame, gate: Gate) -> None:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
+Image = tuple[int, int]  # a final frame's (e, f), block b at bit offset ns[0] + .. + ns[b-1]
+
+
+def fault_images(circuit: Circuit) -> dict[tuple[int, int], tuple[tuple[Image, Image], ...]]:
+    """Final frame of every one-component fault, from one backward sweep.
+
+    Keyed by (step, gate) like :class:`Fault`: per gate location, the
+    images of an X and of a Z placed right after the gate, which is where
+    :func:`run_noisy` puts a fault.  Walking the gates last to first, each
+    qubit holds the images of an X and a Z at the current point; a gate
+    first records its qubits' images, then steps back through itself by
+    :func:`apply_gate`'s rule read backwards: a CNOT (c, t) sets X(c) ^= X(t)
+    and Z(t) ^= Z(c), a preparation erases both, a readout changes nothing.
+    """
+    offs = [sum(circuit.ns[:b]) for b in range(len(circuit.ns))]
+    x_img: list[Image] = [(1 << i, 0) for i in range(sum(circuit.ns))]
+    z_img: list[Image] = [(0, 1 << i) for i in range(sum(circuit.ns))]
+    images = {}
+    for s in range(len(circuit.steps) - 1, -1, -1):
+        for g, gate in enumerate(circuit.steps[s]):
+            qs = [offs[b] + q for b, q in gate.locs]
+            images[(s, g)] = tuple((x_img[i], z_img[i]) for i in qs)
+            if gate.kind == "cnot":
+                c, t = qs
+                x_img[c] = (x_img[c][0] ^ x_img[t][0], x_img[c][1] ^ x_img[t][1])
+                z_img[t] = (z_img[t][0] ^ z_img[c][0], z_img[t][1] ^ z_img[c][1])
+            elif gate.kind in ("prep_z", "prep_x"):
+                x_img[qs[0]] = z_img[qs[0]] = (0, 0)
+            elif gate.kind not in ("meas_z", "meas_x"):
+                raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return images
+
+
 def _inject(frame: PauliFrame, gate_locs, pauli: str) -> None:
     for (b, q), ch in zip(gate_locs, pauli):
         xb, zb = _CHAR_XZ[ch]

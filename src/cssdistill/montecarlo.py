@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf2
 from .css import AncillaSpec
 from .distill import BATCH, BatchOutcome, DistillationConfig, ProtocolRunner
 from .frames import FailureModel
@@ -140,12 +141,12 @@ def classify_outcome(batch: BatchOutcome, table, stats: PStats) -> None:
     stats.cand2 += int(batch.cand2.sum())
     stats.rej2 += int(batch.rej2.sum())
     stats.accepted += len(batch.out_trial)
-    for hist, weights in (
-        (stats.hist_x, table.weights("x", batch.out_e)),
-        (stats.hist_z, table.weights("z", batch.out_f)),
-    ):
+    for hist, side, frames in ((stats.hist_x, "x", batch.out_e), (stats.hist_z, "z", batch.out_f)):
+        # A zero frame has weight 0; only the others are looked up.
+        weights = table.weights(side, frames.take(gf2.nonzero_rows(frames), axis=0))
         # Bins 0..3 exact; weight 4 and beyond the table (-1) share bin 4.
         counts = np.bincount(np.where((weights >= 0) & (weights <= 3), weights, 4), minlength=5)
+        counts[0] += len(frames) - len(weights)
         for w in range(5):
             hist[w] += int(counts[w])
 

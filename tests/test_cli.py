@@ -83,7 +83,7 @@ class TestConfig:
         path.write_text(json.dumps(bad))
         for make in (lambda: ExperimentConfig(**bad), lambda: ExperimentConfig.from_dict(bad),
                      lambda: ExperimentConfig.load(str(path))):
-            with pytest.raises(ConfigError, match="^w_cap: expected an integer >= 3, got 2$"):
+            with pytest.raises(ConfigError, match="^w_cap: expected an integer in 3..5, got 2$"):
                 make()
         # An integral float is taken as an integer, and p_grid as floats.
         cfg = ExperimentConfig(combination="D", trials_per_p=1e3, seed=7.0, p_grid=[0, 1])
@@ -257,6 +257,11 @@ BAD_FIELD_VALUES = {
     "ideal_postselection": ({"ideal_postselection": "yes"}, "ideal_postselection"),
     "out": ({"out": 5}, "out"),
 }
+# Further bad values, each with the field its message names.
+MORE_BAD_VALUES = {
+    # The Golay Bell weight table peaks at 45 MiB at cap 4 and 166 MiB at 5.
+    "w_cap-high": ({"w_cap": 6}, "w_cap"),
+}
 
 
 def test_schema_covers_every_field():
@@ -265,9 +270,9 @@ def test_schema_covers_every_field():
 
 
 @pytest.mark.parametrize("command", ["simulate", "inject"])
-@pytest.mark.parametrize("field", list(BAD_FIELD_VALUES))
-def test_schema_rejects_before_any_build(tmp_path, capsys, monkeypatch, command, field):
-    overrides, named = BAD_FIELD_VALUES[field]
+@pytest.mark.parametrize("case", list(BAD_FIELD_VALUES) + list(MORE_BAD_VALUES))
+def test_schema_rejects_before_any_build(tmp_path, capsys, monkeypatch, command, case):
+    overrides, named = {**BAD_FIELD_VALUES, **MORE_BAD_VALUES}[case]
 
     def no_build(*args, **kwargs):
         raise AssertionError("a code was built before the config was checked")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cssdistill import distill, gf2
+from cssdistill import distill, frames, gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import PauliElement, build_ancilla_spec, build_css, residual_weight
 from cssdistill.distill import (
@@ -703,6 +703,23 @@ def test_compiled_tables_are_pinned(golay_css, kind, digests):
            for rnd in (runner.round1, runner.round2)}
     got["encoder"] = _digest(runner.enc_circuit, runner._enc_eff)
     assert got == digests
+
+
+def test_runner_build_walks_only_the_encoder_check(golay_css, monkeypatch):
+    # Effects come from fault_images sweeps; the only forward run_noisy
+    # walks left in a bell-A-nops build are _verify_encoding's, one per
+    # encoder preparation.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run_noisy(*args, **kwargs)
+    monkeypatch.setattr(frames, "run_noisy", counted)
+    monkeypatch.setattr(distill, "run_noisy", counted)
+    runner = _benchmark_runner(golay_css, "bell")
+    preps = runner.enc_circuit.count("prep_x") + runner.enc_circuit.count("prep_z")
+    assert preps == 46
+    assert len(calls) == preps and all(c is runner.enc_circuit for c in calls)
 
 
 @pytest.mark.exhaustive

@@ -6,7 +6,7 @@ import pytest
 from cssdistill import gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import build_ancilla_spec, build_css
-from cssdistill.distill import DistillationConfig, ProtocolRunner
+from cssdistill.distill import DistillationConfig, ProtocolRunner, build_round_circuit
 from cssdistill.frames import (
     PAULI_2Q,
     Circuit,
@@ -17,6 +17,7 @@ from cssdistill.frames import (
     PauliFrame,
     apply_gate,
     effective_support,
+    fault_images,
     run_noisy,
     synth_encoding_circuit,
 )
@@ -239,6 +240,57 @@ class TestRunNoisy:
             fr_ab, _ = run_noisy(enc_circuit, fab)
             both = fr_a.xor(fr_b)
             assert both.e == fr_ab.e and both.f == fr_ab.f
+
+
+def _walked_images(circuit, loc):
+    """Per gate qubit, the (X, Z) images of a fault at ``loc`` by one
+    forward run_noisy walk each, packed as fault_images packs them."""
+    offs = [sum(circuit.ns[:b]) for b in range(len(circuit.ns))]
+
+    def walk(pauli):
+        frame, _ = run_noisy(circuit, FaultInjection((Fault(*loc, pauli),)))
+        return (sum(e << o for e, o in zip(frame.e, offs)),
+                sum(f << o for f, o in zip(frame.f, offs)))
+
+    width = len(circuit.steps[loc[0]][loc[1]].locs)
+    return tuple((walk("I" * i + "X" + "I" * (width - 1 - i)),
+                  walk("I" * i + "Z" + "I" * (width - 1 - i))) for i in range(width))
+
+
+class TestFaultImages:
+    @pytest.mark.parametrize("kind", ["zero", "bell"])
+    def test_encoder_matches_run_noisy(self, golay_css, kind):
+        # Every CNOT and preparation of the Golay encoders, every component.
+        spec = build_ancilla_spec([golay_css] * 2 if kind == "bell" else golay_css, kind)
+        circuit = synth_encoding_circuit(spec)
+        images = fault_images(circuit)
+        assert set(images) == {(s, g) for s, g, _ in circuit.gates()}
+        for s, g, gate in circuit.gates():
+            assert gate.kind in ("cnot", "prep_x", "prep_z")
+            assert images[(s, g)] == _walked_images(circuit, (s, g)), (s, g, gate)
+
+    @pytest.mark.parametrize("round_", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_round_slice_matches_run_noisy(self, round_, m):
+        # Every CNOT of the [15,7,5] rounds' one-qubit slices, which end in
+        # readouts: those change no image.
+        circuit = build_round_circuit(registry("bch15_7_5").a, round_, 1, m)
+        images = fault_images(circuit)
+        cnots = [(s, g) for s, g, gate in circuit.gates() if gate.kind == "cnot"]
+        assert len(cnots) == 30 * m
+        for loc in cnots:
+            assert images[loc] == _walked_images(circuit, loc), loc
+
+    def test_preparation_erases_earlier_faults(self):
+        circ = Circuit((2,), (
+            (Gate("prep_x", ((0, 0),)), Gate("prep_z", ((0, 1),))),
+            (Gate("cnot", ((0, 0), (0, 1))),),
+            (Gate("prep_z", ((0, 1),)),),
+        ))
+        images = fault_images(circ)
+        assert images[(1, 0)] == (((0b01, 0), (0, 0b01)), ((0, 0), (0, 0)))
+        assert images[(0, 0)] == (((0b01, 0), (0, 0b01)),)
+        assert images[(2, 0)] == (((0b10, 0), (0, 0b10)),)
 
 
 class TestEffectiveSupport:

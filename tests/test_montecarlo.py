@@ -181,6 +181,26 @@ class TestRunExperiment:
                 stats = run_experiment(cfg, [p], trials, seed=77, workers=1)
                 assert [s.to_dict() for s in stats.per_p] == [want], batch
 
+    @pytest.mark.parametrize("p", [0.0, 1.6e-3])
+    def test_classify_skips_only_zero_frames(self, comb_a_config, p):
+        # classify_outcome looks up only nonzero output frames and counts
+        # zero ones in bin 0: the histograms equal classifying every frame.
+        runner = distill.ProtocolRunner(comb_a_config).with_model(FailureModel.uniform(p))
+        table = comb_a_config.spec.weight_table(4)
+        got, want = PStats(p=p), PStats(p=p)
+        nonzero = 0
+        for first in range(0, 4 * distill.BATCH, distill.BATCH):
+            batch = runner.run_batch(3, 0, first, distill.BATCH)
+            montecarlo.classify_outcome(batch, table, got)
+            for hist, side, frames in ((want.hist_x, "x", batch.out_e),
+                                       (want.hist_z, "z", batch.out_f)):
+                nonzero += int((frames != 0).any(axis=1).sum())
+                for w in table.weights(side, frames).tolist():
+                    hist[w if 0 <= w <= 3 else 4] += 1
+        assert (got.hist_x, got.hist_z) == (want.hist_x, want.hist_z)
+        assert sum(got.hist_x) == got.accepted and got.hist_x[0] > 0
+        assert (nonzero > 0) == (p > 0)
+
     def test_json_roundtrip(self, comb_a_config):
         stats = run_experiment(comb_a_config, [1e-3, 2e-3], 20, seed=1, workers=1)
         again = RunStats.from_json(stats.to_json())
