@@ -111,8 +111,9 @@ def _detecting(value, name):
     return value if value in (None, "none", "ideal") else _code(value, name)
 
 
-# Every ExperimentConfig field and its check.  Two rules need more than the
-# field: c1/c2 are given exactly when combination is null (__post_init__),
+# Every ExperimentConfig field and its check.  Three rules need more than
+# the field: c1/c2 are given exactly when combination is null, d1/d2 keep
+# their defaults or say "ideal" under ideal_postselection (__post_init__),
 # and ancilla.i/j must be below the code's k (build_spec).
 FIELDS = {
     "css": _css,
@@ -170,6 +171,13 @@ class ExperimentConfig:
         for name in ("c1", "c2"):
             if (getattr(self, name) is None) == (self.combination is None):
                 raise ConfigError(f"{name}: set both c1 and c2, or a combination, not both")
+        # ideal_postselection replaces both detecting codes: any other code
+        # given would go unused.
+        for f in fields(self) if self.ideal_postselection else ():
+            value = getattr(self, f.name)
+            if f.name in ("d1", "d2") and value not in (f.default, "ideal"):
+                raise ConfigError(f"{f.name}: expected {f.default!r} or 'ideal' with "
+                                  f"ideal_postselection true, got {value!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -700,15 +700,20 @@ class CompiledRound:
             parity = gf2.byte_tables([(rep >> i) & 1 for i in range(m * n)])
             cor = self.word(_pack(correctors[t].x if round_ == 1 else correctors[t].z, n))
             self.logical_fix.append((parity, cor, off + t))
+        # The parities folded into the correction tables, per logical and
+        # block: a correction has bits of its own block only, and a corrector
+        # anticommutes with its own logical alone (css._validate_spec).
+        self._fix_parity = [
+            [(gf2.xor_lookup(parity, table) & 1).astype(np.uint8) for table, _, _ in self.corrections]
+            for parity, _, _ in self.logical_fix
+        ]
         # Per check row: the slots of the data units feeding it; per data
         # unit: the check slots it meets.
         self.row_data_idx = [
-            np.array([self.r_c + j for j in range(self.k_c) if code_c.a.get(i, j)], dtype=np.intp)
-            for i in range(self.r_c)
+            [self.r_c + j for j in range(self.k_c) if code_c.a.get(i, j)] for i in range(self.r_c)
         ]
         self.col_check_idx = [
-            np.array([i for i in range(self.r_c) if code_c.a.get(i, j)], dtype=np.intp)
-            for j in range(self.k_c)
+            [i for i in range(self.r_c) if code_c.a.get(i, j)] for j in range(self.k_c)
         ]
 
     def _locations(self, circuit: Circuit):
@@ -732,18 +737,22 @@ class CompiledRound:
         return gates, reads
 
     def batch_records(self, meas, flow, hits) -> np.ndarray:
-        """Check records of (trials, groups, n_c) unit words.
+        """Check records of (n_c, groups * trials) slot planes, column
+        group * trials + trial.
 
         Transversal propagation: measured parts flow data -> check, the
         opposite parts check -> data (``flow`` is updated in place),
-        identically in both rounds; then the round's fault hits (see
-        :meth:`fault_hits`) land on records, e parts and f parts.
+        identically in both rounds, one row XOR per coupling; then the
+        round's fault hits (see :meth:`fault_hits`) land on records, e parts
+        and f parts.
         """
-        nu = meas[..., :self.r_c].copy()
+        nu = meas[:self.r_c].copy()
         for i, cols in enumerate(self.row_data_idx):
-            nu[..., i] ^= np.bitwise_xor.reduce(meas[..., cols], axis=-1)
+            for c in cols:
+                nu[i] ^= meas[c]
         for slot, rows in enumerate(self.col_check_idx, self.r_c):
-            flow[..., slot] ^= np.bitwise_xor.reduce(flow[..., rows], axis=-1)
+            for r in rows:
+                flow[slot] ^= flow[r]
         e_part, f_part = (meas, flow) if self.round == 1 else (flow, meas)
         for target, (index, bit) in zip((nu, e_part, f_part), hits):
             np.bitwise_xor.at(_flat(target), index, bit)
@@ -780,25 +789,30 @@ class CompiledRound:
                 acc[d] &= (mask >> data_bits) & 1 == 1
         s_hat = se_hat & ((1 << self.n_s) - 1)
         est = np.zeros(s_hat.shape, self.word)
+        index = []
         for table, off, mask in self.corrections:
-            est |= table.take((s_hat >> off) & mask)
+            index.append((s_hat >> off) & mask)
+            est |= table.take(index[-1])
         acc &= est >= 0
         est *= acc
-        for parity, cor, bidx in self.logical_fix:
-            wrong = gf2.xor_lookup(parity, est) != (s_hat >> bidx) & 1
-            est ^= (wrong & acc) * cor
+        for (_, cor, bidx), parities in zip(self.logical_fix, self._fix_parity):
+            wrong = (s_hat >> bidx) & 1
+            for parity, idx in zip(parities, index):
+                wrong ^= parity.take(idx)
+            est ^= (wrong.astype(bool) & acc) * cor
         return acc, est
 
-    def fault_hits(self, row, layer, qubit, code, m_row, m_slot, m_qubit):
-        """Round faults of a batch as XOR hits on its (trials, groups,
-        slots) words, a row being trial * groups + group.
+    def fault_hits(self, row, layer, qubit, code, m_row, m_slot, m_qubit, plane: int):
+        """Round faults of a batch as XOR hits on its slot planes (see
+        :meth:`batch_records`), a column being group * trials + trial and a
+        plane ``plane`` = groups * trials words long.
 
-        CNOT faults are (row, layer, qubit, Pauli code) arrays, readout
-        flips (row, check slot, qubit); qubit q of block blk is bit
+        CNOT faults are (column, layer, qubit, Pauli code) arrays, readout
+        flips (column, check slot, qubit); qubit q of block blk is bit
         ``blk * n + q`` of the unit word.  Returns three (flat index, bit)
-        pairs, the bits in the unit word dtype: on the (trials, groups,
-        r_c) check records, on the (trials, groups, n_c) e parts and on the
-        f parts.
+        pairs, index slot * plane + column and the bits in the unit word
+        dtype: on the (r_c, plane) check records, on the (n_c, plane) e
+        parts and on the f parts.
         """
         bit = self._bits.take(qubit)
         combo = (layer * self.m + qubit // self.n) * 16 + code
@@ -806,9 +820,9 @@ class CompiledRound:
         for width, table in zip((self.r_c, self.n_c, self.n_c), self._hit_slots):
             # flatnonzero and divmod: a 2-D nonzero costs ten times more.
             k, slot = np.divmod(np.flatnonzero(table.take(combo, axis=0)), width)
-            hits.append((row[k] * width + slot, bit[k]))
+            hits.append((slot * plane + row[k], bit[k]))
         index, bits = hits[0]
-        hits[0] = (np.concatenate((index, m_row * self.r_c + m_slot)),
+        hits[0] = (np.concatenate((index, m_slot * plane + m_row)),
                    np.concatenate((bits, self._bits.take(m_qubit))))
         return hits
 
@@ -927,10 +941,16 @@ class ProtocolRunner:
         if self.batched:
             # Frames of a batch hold one unit, all m blocks, per word.
             self._word = self.round1.word
-            self._block_shifts = np.arange(m, dtype=self._word) * n
             self._compile_encoding()
             ids = np.arange(self.n_units, dtype=np.intp).reshape(self.groups1, self.n_c1)
             self._g1_data_ids = ids[:, self.r_c1:].copy()
+            # Unit group * n_c1 + slot is row slot * groups1 + group of the
+            # batch frames, so round 1 reads each slot as one plane.
+            self._unit_pos = np.arange(self.n_units, dtype=np.int32).reshape(
+                self.n_c1, self.groups1).T.ravel()
+            # Frame rows of round 2's (slot, group) units after a round 1
+            # without rejections.
+            self._identity_rows = self._unit_pos.take(self._g1_data_ids[:self.n_c2])
         self._rng = None
 
     def with_model(self, model: FailureModel) -> "ProtocolRunner":
@@ -1161,19 +1181,21 @@ class ProtocolRunner:
         return self._run_protocol_core(*self._scatter(gate_faults, meas_faults, n_trials))
 
     def _scatter(self, gate_faults, meas_faults, n_trials: int):
-        """Encoding faults applied to (trials, units) frames, which start
-        clean, and round faults as each round's hits (see
+        """Encoding faults applied to the batch frames, which start clean,
+        and round faults as each round's hits (see
         :meth:`CompiledRound.fault_hits`): the arguments of
-        :meth:`_run_protocol_core`.  Its per-fault arrays end with it,
-        before the rounds run."""
-        e = np.zeros((n_trials, self.n_units), dtype=self._word)
+        :meth:`_run_protocol_core`.  The frames are (units, trials) words,
+        unit u in row ``_unit_pos[u]``, so that round 1 sees (n_c1, groups1,
+        trials) slot planes.  Its per-fault arrays end with it, before the
+        rounds run."""
+        e = np.zeros((self.n_units, n_trials), dtype=self._word)
         f = np.zeros_like(e)
         trial, pos, draw15, draw3 = gate_faults.T
         prep = pos < self._enc_end
         unit, loc = np.divmod(pos[prep], self.n_enc_locs)
         draw = np.where(loc < self.n_enc_cnots, draw15[prep], draw3[prep])
         eff = self._enc_eff.reshape(-1, 2).take(loc * 15 + draw, axis=0)
-        index = trial[prep] * self.n_units + unit
+        index = self._unit_pos.take(unit) * n_trials + trial[prep]
         np.bitwise_xor.at(_flat(e), index, eff[:, 0])
         np.bitwise_xor.at(_flat(f), index, eff[:, 1])
         code = _PAULI15_CODES.take(draw15)
@@ -1191,53 +1213,59 @@ class ProtocolRunner:
             layer, qubit = np.divmod(rel, width)
             m_group, m_rel = np.divmod(m_pos[m_in_round] - m_offset, rnd.r_c * width)
             m_slot, m_qubit = np.divmod(m_rel, width)
-            hits.append(rnd.fault_hits(trial[in_round] * groups + group, layer, qubit,
-                                       code[in_round], m_trial[m_in_round] * groups + m_group,
-                                       m_slot, m_qubit))
+            hits.append(rnd.fault_hits(group * n_trials + trial[in_round], layer, qubit,
+                                       code[in_round], m_group * n_trials + m_trial[m_in_round],
+                                       m_slot, m_qubit, groups * n_trials))
         return e, f, *hits
 
     def _run_protocol_core(self, e, f, hits1, hits2) -> BatchOutcome:
-        """Both rounds, refill and regrouping on a batch of (trials, units)
-        frames; ``hits1``/``hits2`` are the rounds' fault hits."""
-        n_trials = len(e)
+        """Both rounds, refill and regrouping on a batch of (units, trials)
+        frames (see :meth:`_scatter`); ``hits1``/``hits2`` are the rounds'
+        fault hits."""
+        n_trials = e.shape[1]
         g1, k1 = self.groups1, self.k_c1
-        shape1 = (n_trials, g1, self.n_c1)
+        shape1 = (self.n_c1, g1, n_trials)
         acc1 = self._process_group_m1(self.round1, e.reshape(shape1), f.reshape(shape1), hits1)
 
         # A trial without a round-1 rejection keeps every primary group as
         # it is; only the others are refilled.
         aborted = np.zeros(n_trials, dtype=bool)
-        primary = np.repeat(self._g1_data_ids[None, :self.n_c2], n_trials, axis=0)
-        rejected = np.flatnonzero(~acc1.all(axis=(1, 2)))
+        rows = np.repeat(self._identity_rows[:, :, None], n_trials, axis=2)
+        rejected = np.flatnonzero(~acc1.all(axis=(0, 1)))
         if len(rejected):
-            aborted[rejected], primary[rejected] = self._refill(acc1[rejected])
+            aborted[rejected], primary = self._refill(acc1.transpose(2, 1, 0)[rejected])
+            rows[:, :, rejected] = self._unit_pos.take(primary.transpose(1, 2, 0))
 
         # Regroup: round-2 group j takes the j-th unit of every primary
-        # group.  Aborted trials run round 2 on meaningless ids, and their
-        # outcome is dropped.  A contiguous index makes contiguous frames
-        # for the hit scatter.
-        units2 = (np.arange(n_trials)[:, None, None], primary.transpose(0, 2, 1).copy())
-        e2, f2 = e[units2], f[units2]
+        # group, one flat take into (n_c2, groups2, trials) slot planes.
+        # Aborted trials run round 2 on meaningless ids, and their outcome
+        # is dropped.
+        rows *= n_trials
+        rows += np.arange(n_trials, dtype=rows.dtype)
+        e2, f2 = e.take(rows), f.take(rows)
         acc2 = self._process_group_m1(self.round2, f2, e2, hits2)
-        acc2[aborted] = False
+        acc2[:, :, aborted] = False
 
-        out_b, out_gs = np.divmod(np.flatnonzero(acc2), self.groups2 * self.k_c2)
+        # Outputs in (trial, group, slot) order.
+        out_b, out_gs = np.divmod(np.flatnonzero(acc2.transpose(2, 1, 0)), self.groups2 * self.k_c2)
         out_g, out_s = np.divmod(out_gs, self.k_c2)
-        out_s += self.r_c2
+        out = ((out_s + self.r_c2) * self.groups2 + out_g) * n_trials + out_b
         cand1 = np.full(n_trials, g1 * k1, dtype=np.int64)
         cand2 = np.where(aborted, 0, self.groups2 * self.k_c2)
         return BatchOutcome(
             aborted=aborted,
-            cand1=cand1, rej1=cand1 - acc1.sum(axis=(1, 2)),
-            cand2=cand2, rej2=cand2 - acc2.sum(axis=(1, 2)),
+            cand1=cand1, rej1=cand1 - acc1.sum(axis=(0, 1)),
+            cand2=cand2, rej2=cand2 - acc2.sum(axis=(0, 1)),
             out_trial=out_b,
-            out_e=self._blocks(e2[out_b, out_g, out_s]),
-            out_f=self._blocks(f2[out_b, out_g, out_s]),
+            out_e=self._blocks(e2.take(out)),
+            out_f=self._blocks(f2.take(out)),
         )
 
     def _blocks(self, words: np.ndarray) -> np.ndarray:
-        """Unit words as (units, m) per-block words."""
-        return (words[:, None] >> self._block_shifts) & ((1 << self.n) - 1)
+        """Unit words as (units, m) per-block words, one shift per block (a
+        shift broadcast over a length-m axis costs three times more)."""
+        mask = (1 << self.n) - 1
+        return np.stack([(words >> (b * self.n)) & mask for b in range(self.m)], axis=1)
 
     def _refill(self, acc1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Primary groups of a batch after round 1: (aborted, unit ids).
@@ -1267,30 +1295,31 @@ class ProtocolRunner:
     def _process_group_m1(self, rnd: CompiledRound, meas, flow, hits) -> np.ndarray:
         """One round on every group of a batch at once.
 
-        Serves units of any block count m: ``meas``/``flow`` are (trials,
-        groups, n_c) unit words (all m blocks packed) of the measured part
-        (e in round 1, f in round 2) and of the opposite part; both are
-        updated in place: the flowing part picks up the check blocks'
-        errors and accepted data slots are corrected.  Returns the (trials,
-        groups, k_c) accept mask.  A group whose column syndromes include
-        one outside the decoding table is rejected whole, a data unit with
-        any block's syndrome outside its correction table alone.
+        Serves units of any block count m: ``meas``/``flow`` are (n_c,
+        groups, trials) slot planes of unit words (all m blocks packed) of
+        the measured part (e in round 1, f in round 2) and of the opposite
+        part; both are updated in place: the flowing part picks up the check
+        blocks' errors and accepted data slots are corrected.  Returns the
+        (k_c, groups, trials) accept mask.  A group whose column syndromes
+        include one outside the decoding table is rejected whole, a data
+        unit with any block's syndrome outside its correction table alone.
         """
         r_c, n_c, k_c = rnd.r_c, rnd.n_c, rnd.k_c
-        # Groups by row, trial * groups + group.
-        nu = rnd.batch_records(meas, flow, hits).reshape(-1, r_c)
-        accept = np.ones((len(nu), k_c), dtype=bool)
-        # sigma is linear in the records: only groups with some record can
-        # have a syndrome.
-        rows = gf2.nonzero_rows(nu)
-        sigma = gf2.xor_lookup(rnd.nu_to_sigma, nu[rows])
+        planes = _flat(meas).reshape(n_c, -1)
+        nu = rnd.batch_records(planes, _flat(flow).reshape(n_c, -1), hits)
+        accept = np.ones((k_c, planes.shape[1]), dtype=bool)
+        # sigma is linear in the records: only the (group, trial) columns
+        # with some record, found by an OR over the record rows, can have a
+        # syndrome.  Columns are group * trials + trial.
+        cols = gf2.nonzero_rows(nu.T)
+        sigma = gf2.xor_lookup(rnd.nu_to_sigma, nu.T[cols])
         dirty = gf2.nonzero_rows(sigma)
-        rows, sigma = rows[dirty], sigma[dirty]
-        if len(rows):
+        cols, sigma = cols[dirty], sigma[dirty]
+        if len(cols):
             acc, est = rnd.batch_correct(sigma)
-            accept[rows] = acc
-            _flat(meas).reshape(-1, n_c)[rows, r_c:] ^= est
-        return accept.reshape(meas.shape[:2] + (k_c,))
+            accept[:, cols] = acc.T
+            planes[r_c:, cols] ^= est.T
+        return accept.reshape((k_c,) + meas.shape[1:])
 
     # ---- reference protocol ------------------------------------------------
 

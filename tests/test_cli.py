@@ -261,6 +261,10 @@ BAD_FIELD_VALUES = {
 MORE_BAD_VALUES = {
     # The Golay Bell weight table peaks at 45 MiB at cap 4 and 166 MiB at 5.
     "w_cap-high": ({"w_cap": 6}, "w_cap"),
+    # ideal_postselection replaces d1/d2, so a code given there would go
+    # unchecked and unused.
+    "ideal-with-d2": ({"ideal_postselection": True, "d2": "rep3"}, "d2"),
+    "ideal-with-d1-none": ({"ideal_postselection": True, "d1": "none"}, "d1"),
 }
 
 

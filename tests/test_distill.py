@@ -814,6 +814,24 @@ def test_batch_temporaries_stay_lean(golay_css):
     assert peak < 1.9 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("count", [7, BATCH])
+@pytest.mark.parametrize("kind,p_index,p", [("zero", 2, 1.6e-3), ("bell", 0, 4e-4)],
+                         ids=["golay0-A-ref", "bell-A-nops"])
+def test_batch_composition_never_changes_a_trial(golay_css, kind, p_index, p, count):
+    # Every trial of a batch, its output frames one by one and in order,
+    # against the same trial run as a batch of one: where a trial sits in
+    # a batch, and which trials share it, must not change its outcome.
+    # At 1.6e-3 every Golay |0>_L trial has round-1 rejections and some
+    # abort.
+    runner = _benchmark_runner(golay_css, kind).with_model(FailureModel.uniform(p))
+    first = 3 * BATCH + 11
+    batch = runner.run_batch(13, p_index, first, count)
+    for i in range(count):
+        assert batch.outcome(i) == runner.run_batch(13, p_index, first + i, 1).outcome(0), i
+    if kind == "zero" and count == BATCH:
+        assert batch.aborted.any() and batch.rej1.all()
+
+
 class TestRunProtocol:
     def test_perfect_circuit_full_yield(self, zero_spec):
         bch = registry("bch15_7_5")
