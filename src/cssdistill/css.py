@@ -359,45 +359,32 @@ def generalized_syndrome(spec: AncillaSpec, e: tuple[int, ...], f: tuple[int, ..
 
 
 class WeightTable:
-    """Minimum equivalent Pauli weights keyed by generalized syndrome.
+    """Minimum equivalent Pauli weights keyed by generalized syndrome,
+    factored by block.
 
-    Two tables are kept: X-side syndromes (bits of every spec element's Z
-    part against an X error pattern) and Z-side syndromes.  Each is a
-    sorted array of the syndromes of every error of weight <= ``w_cap``
-    with the smallest weight that reaches it, which is the true minimum
-    weight of the syndrome's equivalence class.  A side's syndrome bits
-    number only the elements with a nonzero part on that side and are
-    packed 63 to an int64 key word; keys of more than one word sort as
-    records, word 0 first.
+    Two sides are kept: X-side syndromes (bits of every spec element's Z
+    part against an X error pattern) and Z-side syndromes.  On a side, the
+    local syndrome of block b has one bit per element whose part on that
+    side touches b, read from b's word alone.  Per block, a table gives
+    the least weight of a block error of weight <= ``w_cap`` with each
+    local syndrome, or ``w_cap + 1`` if there is none.  An element with
+    parts on both blocks of a two-block state fixes only the XOR of its two
+    local bits, so an equivalent error may flip that bit on both blocks;
+    the weight of a frame is the least, over those flips, of its block
+    weights' sum, which is the true minimum weight of its class whenever
+    that is <= ``w_cap``.  Local syndromes of up to ``_DENSE_BITS`` bits
+    index a dense int8 table; wider ones are packed 63 to an int64 key word
+    and searched in the sorted syndromes of the block's errors (keys of
+    more than one word sort as records, word 0 first).
     """
+
+    _DENSE_BITS = 20
 
     def __init__(self, spec: AncillaSpec, w_cap: int = 4):
         self.spec = spec
         self.w_cap = w_cap
-        elems = spec.all_elements()
-        sizes = spec.block_sizes
-        n_total = spec.total_qubits
-
-        def col_masks(part: str) -> tuple[list[int], int]:
-            masks = [0] * n_total
-            bit = 0
-            for el in elems:
-                parts = el.z if part == "z" else el.x
-                if not any(parts):
-                    continue
-                off = 0
-                for b in range(spec.m):
-                    p = parts[b]
-                    while p:
-                        q = (p & -p).bit_length() - 1
-                        masks[off + q] |= 1 << bit
-                        p &= p - 1
-                    off += sizes[b]
-                bit += 1
-            return masks, bit
-
-        self._x = self._build(*col_masks("z"), sizes, w_cap)  # Z parts detect X errors
-        self._z = self._build(*col_masks("x"), sizes, w_cap)
+        self._x = self._build(spec, "z", w_cap)  # Z parts detect X errors
+        self._z = self._build(spec, "x", w_cap)
 
     @staticmethod
     def _keys(syn: np.ndarray) -> np.ndarray:
@@ -408,45 +395,87 @@ class WeightTable:
         return np.ascontiguousarray(syn).view(record)[:, 0]
 
     @classmethod
-    def _build(cls, cols: list[int], bits: int, sizes: tuple[int, ...], w_cap: int):
-        """Per-block, per-key-word syndrome byte tables, then the sorted
-        syndromes of all errors of weight <= w_cap with their minimum
-        weights."""
-        words = max(1, -(-bits // 63))
-        split = [[(c >> (63 * i)) & ((1 << 63) - 1) for i in range(words)] for c in cols]
-        tables = []
-        off = 0
-        for n in sizes:
-            block = split[off: off + n]
-            tables.append([gf2.byte_tables([c[i] for c in block]) for i in range(words)])
-            off += n
+    def _build(cls, spec: AncillaSpec, part: str, w_cap: int):
+        """Per block, the per-key-word byte tables of its local syndrome and
+        its weight lookup; then every combination of cross-block element
+        flips, as per-block key words to XOR into the local syndromes."""
+        cols = [[0] * n for n in spec.block_sizes]
+        bits = [0] * spec.m
+        flips = [(0,) * spec.m]
+        for el in spec.all_elements():
+            parts = el.z if part == "z" else el.x
+            touched = [b for b in range(spec.m) if parts[b]]
+            for b in touched:
+                p = parts[b]
+                while p:
+                    q = (p & -p).bit_length() - 1
+                    cols[b][q] |= 1 << bits[b]
+                    p &= p - 1
+                bits[b] += 1
+            if len(touched) > 1:
+                flip = [1 << (bits[b] - 1) if b in touched else 0 for b in range(spec.m)]
+                flips += [tuple(v ^ f for v, f in zip(fl, flip)) for fl in flips]
+        words = [max(1, -(-nb // 63)) for nb in bits]
+
+        def split(v: int, b: int) -> list[int]:
+            return [(v >> (63 * i)) & ((1 << 63) - 1) for i in range(words[b])]
+
+        tables, lookups = [], []
+        for b in range(spec.m):
+            block = [split(c, b) for c in cols[b]]
+            tables.append([gf2.byte_tables([c[i] for c in block]) for i in range(words[b])])
+            lookups.append(cls._block_lookup(block, bits[b], w_cap))
+        return tables, lookups, [[split(v, b) for b, v in enumerate(fl)] for fl in flips]
+
+    @classmethod
+    def _block_lookup(cls, block: list[list[int]], bits: int, w_cap: int):
+        """The minimum weight of every local syndrome reached by a block
+        error of weight <= w_cap: a dense table over all syndromes, or the
+        sorted syndrome keys and their weights."""
         # Weight-w errors extend weight-(w-1) ones by a qubit above their
         # highest, so every subset is enumerated once, in weight order.
-        col_words = np.array(split, dtype=np.int64).reshape(len(cols), words)
-        syn, top = np.zeros((1, words), dtype=np.int64), np.full(1, -1)
-        syns, weights = [syn], [np.zeros(1, dtype=np.int64)]
+        col_words = np.array(block, dtype=np.int64).reshape(len(block), -1)
+        syn, top = np.zeros((1, col_words.shape[1]), dtype=np.int64), np.full(1, -1)
+        syns, weights = [syn], [np.zeros(1, dtype=np.int8)]
         for w in range(1, w_cap + 1):
             grown = [syn[top < q] ^ col for q, col in enumerate(col_words)]
-            top = np.repeat(np.arange(len(cols)), [len(g) for g in grown])
+            top = np.repeat(np.arange(len(col_words)), [len(g) for g in grown])
             syn = np.concatenate(grown)
             syns.append(syn)
-            weights.append(np.full(len(syn), w, dtype=np.int64))
+            weights.append(np.full(len(syn), w, dtype=np.int8))
         keys, first = np.unique(cls._keys(np.concatenate(syns)), return_index=True)
-        return tables, keys, np.concatenate(weights)[first]
+        values = np.concatenate(weights)[first]
+        if bits > cls._DENSE_BITS:
+            return keys, values
+        dense = np.full(1 << bits, w_cap + 1, dtype=np.int8)
+        dense[keys] = values
+        return dense
 
     def weights(self, side: str, frames: np.ndarray) -> np.ndarray:
         """Minimum weights of the X errors (side ``"x"``, e frames) or Z
         errors (side ``"z"``, f frames) in the rows of an (count, m) array
         of per-block words (:func:`gf2.word_array`); -1 where the class is
         beyond the table."""
-        tables, keys, values = self._x if side == "x" else self._z
-        syn = np.zeros((len(frames), len(tables[0])), dtype=np.int64)
-        for b, per_word in enumerate(tables):
-            for i, tab in enumerate(per_word):
-                syn[:, i] ^= gf2.xor_lookup(tab, frames[:, b])
-        syn = self._keys(syn)
+        tables, lookups, flips = self._x if side == "x" else self._z
+        local = [[gf2.xor_lookup(tab, frames[:, b]) for tab in per_word]
+                 for b, per_word in enumerate(tables)]
+        best = None
+        for flip in flips:
+            # int8 sums: each term is at most w_cap + 1.
+            total = sum(
+                self._block_weights(lookup, [w ^ f if f else w for w, f in zip(loc, fl)])
+                for loc, lookup, fl in zip(local, lookups, flip)
+            )
+            best = total if best is None else np.minimum(best, total)
+        return np.where(best > self.w_cap, -1, best)
+
+    def _block_weights(self, lookup, words: list[np.ndarray]) -> np.ndarray:
+        if isinstance(lookup, np.ndarray):
+            return lookup.take(words[0])
+        keys, values = lookup
+        syn = self._keys(np.stack(words, axis=1))
         idx = np.minimum(np.searchsorted(keys, syn), len(keys) - 1)
-        return np.where(keys[idx] == syn, values[idx], -1)
+        return np.where(keys[idx] == syn, values[idx], self.w_cap + 1)
 
     def _weight(self, side: str, frame: tuple[int, ...]) -> int | None:
         w = int(self.weights(side, gf2.word_array([frame]))[0])

@@ -611,7 +611,6 @@ class CompiledRound:
         self.r_c = code_c.r
         self.k_c = code_c.k
         self.n_c = code_c.n
-        self.circuit = build_round_circuit(code_c.a, round_, n, m)
 
         self.se = extend_stabilizers(self.s, real_d)
         self.n_s = len(self.s)
@@ -621,11 +620,6 @@ class CompiledRound:
         self.layers = [
             (i, j) for i in range(self.r_c) for j in range(self.k_c) if code_c.a.get(i, j)
         ]
-        self._gate_index, self._meas_index = self._locations(self.circuit)
-        # The circuit location of each (layer, block, qubit) CNOT and each
-        # (check slot, block, qubit) readout.
-        self._gate_at = {loc: key for key, loc in self._gate_index.items()}
-        self._meas_at = {loc: key for key, loc in self._meas_index.items()}
 
         # Dense tables of the trial-batched kernel: a unit's m blocks are
         # packed into one int64 word, block b in bits [b*n, (b+1)*n), and so
@@ -715,6 +709,31 @@ class CompiledRound:
         self.col_check_idx = [
             [i for i in range(self.r_c) if code_c.a.get(i, j)] for j in range(self.k_c)
         ]
+
+    # The full round circuit and its locations are built on first use: only
+    # the reference path, fault injection and tests read them, and the
+    # kernel compiles from the one-qubit slice.
+    @functools.cached_property
+    def circuit(self) -> Circuit:
+        return build_round_circuit(self.code_c.a, self.round, self.n, self.m)
+
+    @functools.cached_property
+    def _gate_index(self) -> dict[tuple[int, int], tuple[int, int, int]]:
+        return self._locations(self.circuit)[0]
+
+    @functools.cached_property
+    def _meas_index(self) -> dict[tuple[int, int], tuple[int, int, int]]:
+        return self._locations(self.circuit)[1]
+
+    @functools.cached_property
+    def _gate_at(self) -> dict[tuple[int, int, int], tuple[int, int]]:
+        """The circuit location of each (layer, block, qubit) CNOT."""
+        return {loc: key for key, loc in self._gate_index.items()}
+
+    @functools.cached_property
+    def _meas_at(self) -> dict[tuple[int, int, int], tuple[int, int]]:
+        """The circuit location of each (check slot, block, qubit) readout."""
+        return {loc: key for key, loc in self._meas_index.items()}
 
     def _locations(self, circuit: Circuit):
         """Engine coordinates of a circuit of this round's layout, keyed by

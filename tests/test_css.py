@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cssdistill import gf2
@@ -263,6 +265,58 @@ class TestResidualWeight:
             e_blocks = split(e)
             assert tab.x_weight(e_blocks) == oracle_x(e_blocks)
 
+
+    @pytest.mark.parametrize("code,w_cap", [("hamming7", 4), ("golay23", 3)])
+    def test_cross_block_split_oracle(self, code, w_cap):
+        # The per-block tables against a whole-state enumeration of the
+        # Bell state's syndromes, on every frame of weight <= 2 and on
+        # random frames of weight 3..6.  Z̄aZ̄b and X̄aX̄b fix only the XOR of
+        # their two local bits, so some frames' lightest equivalent error
+        # splits differently between the blocks than the frame does.
+        c = build_css(registry(code), registry(code))
+        spec = build_ancilla_spec([c, c], "bell")
+        tab = spec.weight_table(w_cap)
+        n = c.n
+        zeros = (0, 0)
+
+        def split(bits):
+            return bits & ((1 << n) - 1), bits >> n
+
+        def frame_syndrome(side, bits):
+            e, f = (split(bits), zeros) if side == "x" else (zeros, split(bits))
+            return generalized_syndrome(spec, e, f).bits
+
+        oracle = {"x": {}, "z": {}}
+        for bits, w in gf2.iter_weight_le(2 * n, w_cap):
+            for side, table in oracle.items():
+                table.setdefault(frame_syndrome(side, bits), w)
+        rng = random.Random(2 * n)
+        frames = [bits for bits, _ in gf2.iter_weight_le(2 * n, 2)]
+        frames += [sum(1 << q for q in rng.sample(range(2 * n), rng.randint(3, 6)))
+                   for _ in range(2000)]
+        words = gf2.word_array([split(bits) for bits in frames])
+        # The same tables, read at the frame's own split only.
+        own = copy.copy(tab)
+        own._x, own._z = ((tables, lookups, flips[:1]) for tables, lookups, flips in (tab._x, tab._z))
+        for side in ("x", "z"):
+            want = [oracle[side].get(frame_syndrome(side, bits), -1) for bits in frames]
+            got = tab.weights(side, words)
+            assert got.tolist() == want, side
+            if code == "hamming7":
+                unsplit = own.weights(side, words)
+                assert ((got >= 0) & ((unsplit < 0) | (unsplit > got))).any(), side
+
+    def test_bell_table_stays_small(self, golay_css):
+        # Per-block tables over 12-bit local syndromes: a whole-state table
+        # of every weight-<=5 error on 46 qubits took over 30 MB.
+        tab = build_ancilla_spec([golay_css] * 2, "bell").weight_table(5)
+
+        def nbytes(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            return sum(nbytes(x) for x in obj) if isinstance(obj, (tuple, list)) else 0
+
+        assert nbytes((tab._x, tab._z)) <= 64 * 1024
 
     def test_wide_spec_oracle(self):
         # The Steane code plus 60 unencoded qubits: its zero state has 64
