@@ -196,6 +196,8 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(raw)
@@ -360,11 +362,13 @@ def print_summary(stats: RunStats, file=None) -> None:
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     workers = args.workers
-    if not workers:
+    if workers is None:
         try:
             workers = default_workers()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    elif workers < 1:
+        raise ConfigError(f"--workers: expected an integer >= 1, got {workers}")
     dconfig = build_distillation_config(cfg)
     out_path = Path(args.out or cfg.out or "results.json")
     stats = run_experiment(dconfig, cfg.p_grid, trials_per_p=cfg.trials_per_p, seed=cfg.seed,
@@ -414,7 +418,11 @@ def parse_scenario(text: str) -> dict[str, dict[int, FaultInjection]]:
 
 def cmd_inject(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    staged = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"scenario: cannot read {args.scenario}: {exc}") from exc
+    staged = parse_scenario(text)
     dconfig = build_distillation_config(cfg)
     runner = ProtocolRunner(dconfig)
     try:
@@ -452,7 +460,7 @@ def cmd_analyze(args) -> int:
     path = Path(args.results)
     try:
         stats = RunStats.from_json(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"results: cannot read {path}: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -41,6 +41,7 @@ from .frames import (
     FaultInjection,
     Gate,
     PauliFrame,
+    check_injection,
     fault_images,
     run_noisy,
     synth_encoding_circuit,
@@ -54,15 +55,6 @@ _CHAR_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 
 def pauli2_code(pauli: str) -> int:
     return _CHAR_CODE[pauli[0]] | (_CHAR_CODE[pauli[1]] << 2)
-
-
-def _fault_code(fault: Fault, cnot: bool) -> int:
-    """An injected fault's Pauli code: two letters on a CNOT, one on a
-    preparation or readout."""
-    if len(fault.pauli) != 1 + cnot:
-        raise ValueError(f"{fault}: a {'CNOT' if cnot else 'preparation or readout'} fault "
-                         f"takes {1 + cnot} Pauli letter(s)")
-    return pauli2_code(fault.pauli) if cnot else _CHAR_CODE[fault.pauli]
 
 
 PAULI15_CODE = tuple(pauli2_code(p) for p in PAULI_2Q)
@@ -711,8 +703,8 @@ class CompiledRound:
         ]
 
     # The full round circuit and its locations are built on first use: only
-    # the reference path, fault injection and tests read them, and the
-    # kernel compiles from the one-qubit slice.
+    # the reference path and tests read them, and the kernel compiles from
+    # the one-qubit slice.
     @functools.cached_property
     def circuit(self) -> Circuit:
         return build_round_circuit(self.code_c.a, self.round, self.n, self.m)
@@ -902,19 +894,6 @@ class CompiledRound:
                 accepted.append(slot)
         return RoundResult(accepted_slots=accepted, frames=frames)
 
-    def classify_fault(self, fault: Fault) -> tuple:
-        """Map a circuit fault onto engine coordinates."""
-        key = (fault.step, fault.gate_idx)
-        if key in self._gate_index:
-            layer, blk, q = self._gate_index[key]
-            return ("cnot", layer, blk, q, _fault_code(fault, cnot=True))
-        if key in self._meas_index:
-            unit, blk, q = self._meas_index[key]
-            # A readout flips on the Pauli component its basis sees: X (code
-            # bit 0) under round 1's Z readout, Z (bit 1) under round 2's X.
-            return ("meas", unit, blk, q, _fault_code(fault, cnot=False) >> (self.round - 1) & 1)
-        raise ValueError(f"fault does not address a circuit location: {fault}")
-
 
 class ProtocolRunner:
     """Compiled end-to-end protocol: noisy preparation, two distillation
@@ -1065,11 +1044,9 @@ class ProtocolRunner:
         return gate, meas, len(samples)
 
     def run_trial(self, rng: np.random.Generator) -> TrialOutcome:
-        """One protocol cycle with faults sampled from ``rng``."""
-        sample = self._sample(rng)
-        if not self.batched:
-            return self.run_reference(*self._injections(sample))
-        return self._execute(*self._fault_rows([sample])).outcome(0)
+        """One protocol cycle with faults sampled from ``rng``, on the
+        reference."""
+        return self.run_reference(*self._injections(self._sample(rng)))
 
     def run_batch(self, seed: int, p_index: int, first: int, count: int) -> BatchOutcome:
         """Trials ``first .. first + count - 1`` of the (seed, p index)
@@ -1137,56 +1114,24 @@ class ProtocolRunner:
         round1_faults: dict[int, FaultInjection] | None = None,
         round2_faults: dict[int, FaultInjection] | None = None,
     ) -> TrialOutcome:
-        """Deterministic protocol run with faults pinned to circuit
-        locations of specific units (preparation) or groups (rounds).
+        """Deterministic protocol run on the reference with faults pinned to
+        circuit locations of specific units (preparation) or groups (rounds).
 
         Raises ``ValueError`` for a unit, group or location off the
-        protocol's circuits.  Runs a batch of one on the batched engine,
-        else the reference."""
+        protocol's circuits, or a Pauli without one letter per gate qubit.
+        Every stage is checked before anything runs: the reference stops at
+        an abort and would never see the round-2 faults."""
         injections = (prep_faults or {}, round1_faults or {}, round2_faults or {})
-        sample = self._sample_of(*injections)  # checks every fault's location
-        if not self.batched:
-            return self.run_reference(*injections)
-        return self._execute(*self._fault_rows([sample])).outcome(0)
-
-    def _sample_of(self, prep, r1, r2):
-        """Injected faults as a sample, the inverse of :meth:`_injections`;
-        identity faults and readout faults that flip nothing drop out."""
-        n, width = self.n, self.m * self.n
-        enc_index = {loc: i for i, loc in enumerate(self.enc_cnot_locs + self.enc_prep_locs)}
-        gates, reads = [], []
-        for unit, inj in prep.items():
-            if not 0 <= unit < self.n_units:
-                raise ValueError(f"unit {unit} is outside 0..{self.n_units - 1}")
-            for fault in inj.items:
-                loc = enc_index.get((fault.step, fault.gate_idx))
-                if loc is None:
-                    raise ValueError(f"fault does not address an encoding location: {fault}")
-                cnot = loc < self.n_enc_cnots
-                code = _fault_code(fault, cnot)
-                if code:
-                    draw = (PAULI15_CODE if cnot else PAULI3_CODE).index(code)
-                    gates.append((unit * self.n_enc_locs + loc, *((draw, 0) if cnot else (0, draw))))
-        for rnd, faults, groups, start, m_start in (
-            (self.round1, r1, self.groups1, self._enc_end, 0),
-            (self.round2, r2, self.groups2, self._r1_end, self._meas1_end),
-        ):
-            for group, inj in faults.items():
-                if not 0 <= group < groups:
-                    raise ValueError(f"round {rnd.round} group {group} is outside 0..{groups - 1}")
-                for fault in inj.items:
-                    kind, *rest = rnd.classify_fault(fault)
-                    if kind == "cnot":
-                        layer, blk, q, code = rest
-                        if code:
-                            pos = start + (group * len(rnd.layers) + layer) * width + blk * n + q
-                            gates.append((pos, PAULI15_CODE.index(code), 0))
-                    else:
-                        slot, blk, q, flip = rest
-                        if flip:
-                            reads.append(m_start + (group * rnd.r_c + slot) * width + blk * n + q)
-        gate_pos, draw15, draw3 = np.array(gates, dtype=np.int64).reshape(-1, 3).T
-        return gate_pos, draw15, draw3, np.array(reads, dtype=np.int64)
+        for (name, count, circuit, place), faults in zip((
+            ("unit", self.n_units, self.enc_circuit, "an encoding location"),
+            ("round 1 group", self.groups1, self.round1.circuit, "a circuit location"),
+            ("round 2 group", self.groups2, self.round2.circuit, "a circuit location"),
+        ), injections):
+            for index, injection in faults.items():
+                if not 0 <= index < count:
+                    raise ValueError(f"{name} {index} is outside 0..{count - 1}")
+                check_injection(circuit, injection, place)
+        return self.run_reference(*injections)
 
     # ---- trial-batched engine ----------------------------------------------
 
@@ -1349,8 +1294,10 @@ class ProtocolRunner:
 
         Walks each unit's encoder with :func:`run_noisy` and each group with
         :meth:`CompiledRound.run`; refill and regrouping are plain Python.
-        It defines the semantics the batched engine is tested against, and
-        runs the protocols whose rounds do not fit that engine.
+        It defines the semantics the batched engine is tested against, runs
+        the one-off cycles (:meth:`run_trial`, :meth:`run_injected` and so
+        the ``inject`` command) and runs the protocols whose rounds do not
+        fit that engine.
         """
         empty = FaultInjection(())
         frames = [run_noisy(self.enc_circuit, prep.get(u, empty))[0] for u in range(self.n_units)]

@@ -201,6 +201,20 @@ def _inject(frame: PauliFrame, gate_locs, pauli: str) -> None:
             frame.f[b] ^= 1 << q
 
 
+def check_injection(circuit: Circuit, injection: FaultInjection, place: str) -> None:
+    """Raise ``ValueError`` for a fault whose (step, gate) is not a gate of
+    the circuit, named ``place`` in the message, or whose Pauli does not
+    have one letter per gate qubit; :func:`run_noisy` checks neither."""
+    for fault in injection.items:
+        if not (0 <= fault.step < len(circuit.steps)
+                and 0 <= fault.gate_idx < len(circuit.steps[fault.step])):
+            raise ValueError(f"fault does not address {place}: {fault}")
+        gate = circuit.steps[fault.step][fault.gate_idx]
+        if len(fault.pauli) != len(gate.locs):
+            kind = "CNOT" if gate.kind == "cnot" else "preparation or readout"
+            raise ValueError(f"{fault}: a {kind} fault takes {len(gate.locs)} Pauli letter(s)")
+
+
 def run_noisy(
     circuit: Circuit,
     injection: FaultInjection,

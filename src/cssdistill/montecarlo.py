@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,16 +56,15 @@ class PStats:
     def merge(self, other: "PStats") -> None:
         if self.p != other.p:
             raise ValueError(f"cannot merge counters of p={other.p} into p={self.p}")
-        self.trials += other.trials
-        self.aborted += other.aborted
-        self.cand1 += other.cand1
-        self.rej1 += other.rej1
-        self.cand2 += other.cand2
-        self.rej2 += other.rej2
-        self.accepted += other.accepted
-        for i in range(5):
-            self.hist_x[i] += other.hist_x[i]
-            self.hist_z[i] += other.hist_z[i]
+        self._add(vars(other))
+
+    def _add(self, counts: dict) -> None:
+        """Add every counter of a :meth:`to_dict` mapping; a value of another
+        shape raises ``TypeError`` or ``ValueError``."""
+        for f in fields(self)[1:]:
+            mine, theirs = getattr(self, f.name), counts[f.name]
+            setattr(self, f.name, [a + b for a, b in zip(mine, theirs, strict=True)]
+                    if isinstance(mine, list) else mine + theirs)
 
     @property
     def r1(self) -> float:
@@ -84,26 +83,13 @@ class PStats:
         return hist[idx] / self.accepted
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "trials": self.trials,
-            "aborted": self.aborted,
-            "cand1": self.cand1,
-            "rej1": self.rej1,
-            "cand2": self.cand2,
-            "rej2": self.rej2,
-            "accepted": self.accepted,
-            "hist_x": list(self.hist_x),
-            "hist_z": list(self.hist_z),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PStats":
-        return cls(
-            p=d["p"], trials=d["trials"], aborted=d["aborted"],
-            cand1=d["cand1"], rej1=d["rej1"], cand2=d["cand2"], rej2=d["rej2"],
-            accepted=d["accepted"], hist_x=list(d["hist_x"]), hist_z=list(d["hist_z"]),
-        )
+        stats = cls(p=float(d["p"]))
+        stats._add(d)
+        return stats
 
 
 @dataclass

@@ -211,6 +211,26 @@ class TestSimulate:
         assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1
         assert "error: CSSDISTILL_WORKERS: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_workers_below_one_names_option(self, tmp_path, capsys, workers):
+        cfg_path = write_config(tmp_path, combination="D", p_grid=[0.0], trials_per_p=1,
+                                out=str(tmp_path / "res.json"))
+        assert main(["simulate", "--config", str(cfg_path), "--workers", workers]) == 1
+        assert capsys.readouterr().err.startswith("error: --workers: ")
+        assert not (tmp_path / "res.json").exists()
+
+    @pytest.mark.parametrize("command,missing", [
+        ("simulate", "config"), ("inject", "config"), ("inject", "scenario"),
+    ])
+    def test_missing_input_file_names_it(self, tmp_path, capsys, command, missing):
+        files = {"config": write_config(tmp_path, combination="D"), "scenario": tmp_path / "s.txt"}
+        files["scenario"].write_text("")
+        files[missing] = tmp_path / "absent" / "file"
+        extra = ["--workers", "1"] if command == "simulate" else ["--scenario", str(files["scenario"])]
+        assert main([command, "--config", str(files["config"]), *extra]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {missing}: cannot read {files[missing]}: ")
+
 
     # Inputs that were silently ignored or misread: each must exit 1 naming
     # the field.  GOLAY is a path, so css.cx beside the file pair is the
@@ -409,6 +429,23 @@ class TestInject:
         out = capsys.readouterr().out
         assert "wX=4" in out or "wX=>4" in out
 
+    def test_round2_faults_checked_when_round1_aborts(self, tmp_path, capsys):
+        # Readout flips on both checks, at different qubits, reject a rep3
+        # group; three of the five groups leave too few units for round 2.
+        # The reference never reaches round 2, so its faults are checked
+        # first.
+        cfg_path = write_config(tmp_path, combination="D")
+        scen = tmp_path / "abort.txt"
+        lines = "".join(f"round1 {g} 2 0 X\nround1 {g} 2 24 X\n" for g in range(3))
+        scen.write_text(lines)
+        assert main(["inject", "--scenario", str(scen), "--config", str(cfg_path)]) == 0
+        assert "aborted: True" in capsys.readouterr().out
+        scen.write_text(lines + "round2 0 99 0 XI\n")
+        assert main(["inject", "--scenario", str(scen), "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: scenario: fault does not address a circuit location: ")
+
     def test_scenario_parse(self):
         staged = parse_scenario("prep 3 0 1 X\nround2 1 2 5 ZZ\n")
         assert 3 in staged["prep"] and len(staged["prep"][3]) == 1
@@ -463,6 +500,22 @@ class TestAnalyze:
         res = tmp_path / "r.json"
         res.write_text("{}")
         assert main(["analyze", "--results", str(res), "--out-dir", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [1, 2],
+        lambda d: {**d, "per_p": 5},
+        lambda d: {**d, "per_p": [{**d["per_p"][0], "hist_x": 5}]},
+        lambda d: {**d, "per_p": [{**d["per_p"][0], "hist_z": [1, 2]}]},
+        lambda d: {**d, "per_p": [{**d["per_p"][0], "rej1": "3"}]},
+        lambda d: {**d, "per_p": [{**d["per_p"][0], "p": None}]},
+    ], ids=["list", "per_p-number", "hist-number", "hist-short", "counter-string", "p-null"])
+    def test_results_not_shaped_like_runstats(self, tmp_path, capsys, edit):
+        stats = self._fake_stats([PStats(p=1e-3, trials=10, accepted=1, hist_x=[1, 0, 0, 0, 0],
+                                         hist_z=[1, 0, 0, 0, 0])])
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps(edit(stats.to_dict())))
+        assert main(["analyze", "--results", str(res), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: results: cannot read {res}: ")
 
 
 class TestCodesCommand:

@@ -371,7 +371,7 @@ class TestRoundEngineEquivalence:
         runner = ProtocolRunner(cfg)
         rng = np.random.default_rng(zlib.crc32(f"{c_name}:{p}:{d1}".encode()))
         for _ in range(trials):
-            self._check_injected(runner, *self._random_faults(runner, p, rng))
+            self._check_injected(runner, self._random_faults(runner, p, rng))
 
     def _check_sampled(self, runner, seed, p_index, trials):
         """Sampled trials of the runner against the reference, trial by
@@ -451,8 +451,7 @@ class TestRoundEngineEquivalence:
         assert any(any(any(e) or any(f) for e, f in o.outputs) for o in outcomes)
 
     def _random_faults(self, runner, p, rng):
-        noisy = runner.with_model(FailureModel.uniform(p))
-        return noisy._injections(noisy._sample(rng))
+        return runner.with_model(FailureModel.uniform(p))._sample(rng)
 
     def test_plus_spec_round2_logicals(self, golay_css):
         # The plus state moves the logical eigenvalue handling to round 2
@@ -468,11 +467,11 @@ class TestRoundEngineEquivalence:
         assert runner.batched
         rng = np.random.default_rng(404)
         for _ in range(8):
-            self._check_injected(runner, *self._random_faults(runner, 0.02, rng))
+            self._check_injected(runner, self._random_faults(runner, 0.02, rng))
 
-    def _check_injected(self, runner, prep, r1, r2):
-        got = runner.run_injected(prep_faults=prep, round1_faults=r1, round2_faults=r2)
-        assert got == runner.run_reference(prep, r1, r2)
+    def _check_injected(self, runner, sample):
+        got = runner._execute(*runner._fault_rows([sample])).outcome(0)
+        assert got == runner.run_reference(*runner._injections(sample))
 
     def test_bell_spec_two_block_units(self, golay_css):
         # Two-block ancilla units run on the batched kernel as 46-bit words.
@@ -489,7 +488,7 @@ class TestRoundEngineEquivalence:
         out0 = runner.run_injected()
         assert len(out0.outputs) == 1 and out0.outputs[0] == ((0, 0), (0, 0))
         for _ in range(4):
-            self._check_injected(runner, *self._random_faults(runner, 0.01, rng))
+            self._check_injected(runner, self._random_faults(runner, 0.01, rng))
 
 
 @pytest.fixture(scope="module")
@@ -1009,19 +1008,3 @@ class TestPostselectionLimit:
         assert res.accepted_slots == [2]  # ideal postselection passes
         wx = tab.x_weight(tuple(res.frames[2].e))
         assert wx is not None and wx > 3
-
-
-class TestScenarioRoundtrip:
-    def test_injected_faults_classify(self, zero_spec, round1_rep3):
-        rnd = round1_rep3
-        circ = rnd.circuit
-        s, g, gate = next(
-            (s, g, gate) for s, g, gate in circ.gates() if gate.kind == "cnot"
-        )
-        kind, layer, blk, q, code = rnd.classify_fault(Fault(s, g, "XZ"))
-        assert kind == "cnot" and code == (1 | 8)
-        ms, mg, _ = next(
-            (s, g, gate) for s, g, gate in circ.gates() if gate.kind == "meas_z"
-        )
-        kind, unit, blk, q, flip = rnd.classify_fault(Fault(ms, mg, "X"))
-        assert kind == "meas" and flip == 1
