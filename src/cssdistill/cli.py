@@ -359,6 +359,17 @@ def print_summary(stats: RunStats, file=None) -> None:
 
 # ---- commands --------------------------------------------------------------
 
+def _make_out_dir(directory: Path, field: str, path: Path) -> None:
+    """Create an output directory before any work, so that a bad output
+    path exits 1, naming ``field`` and ``path``, without losing a run."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        if path.is_dir() and path != directory:
+            raise IsADirectoryError(f"{path} is a directory")
+    except OSError as exc:
+        raise ConfigError(f"{field}: cannot write {path}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     workers = args.workers
@@ -371,9 +382,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--workers: expected an integer >= 1, got {workers}")
     dconfig = build_distillation_config(cfg)
     out_path = Path(args.out or cfg.out or "results.json")
+    _make_out_dir(out_path.parent, "out", out_path)
     stats = run_experiment(dconfig, cfg.p_grid, trials_per_p=cfg.trials_per_p, seed=cfg.seed,
                            workers=workers, w_cap=cfg.w_cap)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(stats.to_json(), encoding="utf-8")
     csv_path = out_path.with_suffix(".csv")
     write_csv(csv_path, metric_rows(stats), ["p", "metric", "value", "ci_lo", "ci_hi", "count"])
@@ -463,7 +474,7 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"results: cannot read {path}: {exc}") from exc
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir, "out-dir", out_dir)
     rows = metric_rows(stats)
     groups = {
         "weights_x.csv": [r for r in rows if r["metric"].startswith("px_")],

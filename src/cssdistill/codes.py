@@ -9,8 +9,12 @@ checks shipped in the package data directory.
 from __future__ import annotations
 
 import functools
+import operator
+import random
 from dataclasses import dataclass, field
 from importlib import resources
+
+import numpy as np
 
 from . import gf2
 from .gf2 import BitMatrix, BitVec
@@ -79,27 +83,39 @@ class LinearCode:
 
 
 def _verify_distance(g: BitMatrix, d: int, n: int) -> None:
-    k = g.rows
     if n <= _EXHAUSTIVE_DISTANCE_N:
-        for w in gf2.iter_row_space(g):
-            if w and w.bit_count() < d:
-                raise ValueError(
-                    f"claimed d={d} inconsistent: codeword of weight {w.bit_count()} found"
-                )
+        words = gf2.iter_row_space(g)
     else:
-        import random
-
         rng = random.Random(0xC0DE)
-        for _ in range(_DISTANCE_SAMPLES):
-            mask = rng.getrandbits(k)
-            w = 0
-            for i in range(k):
-                if (mask >> i) & 1:
-                    w ^= g.data[i]
-            if w and w.bit_count() < d:
-                raise ValueError(
-                    f"claimed d={d} inconsistent: codeword of weight {w.bit_count()} found"
-                )
+        masks = (rng.getrandbits(g.rows) for _ in range(_DISTANCE_SAMPLES))
+        words = (functools.reduce(operator.xor, (r for i, r in enumerate(g.data) if mask >> i & 1), 0)
+                 for mask in masks)
+    for w in words:
+        if w and w.bit_count() < d:
+            raise ValueError(f"claimed d={d} inconsistent: codeword of weight {w.bit_count()} found")
+
+
+def _leader_tables(mats: list[BitMatrix], n: int, d: int, t: int, w_max: int) -> list[dict[int, int]]:
+    """Per parity check, each syndrome of an error of weight <= w_max keyed
+    to its first such error in :func:`gf2.iter_weight_le`'s order, inserted
+    in that order.  One enumeration serves all: an error's syndromes and its
+    own bits are column blocks of one linear map's image."""
+    blocks = [gf2.split_words(m.transpose().data, m.rows) for m in mats]
+    blocks.append(gf2.split_words([1 << i for i in range(n)], n))
+    chunks = list(gf2.iter_weight_le_images(np.concatenate(blocks, axis=1), w_max))
+    images = np.concatenate([c for c, _ in chunks])
+    low = sum(len(c) for c, w in chunks if w <= t)  # errors that must not share a syndrome
+    bits = images[:, -blocks[-1].shape[1]:]
+    tables, lo = [], 0
+    for block in blocks[:-1]:
+        syn = images[:, lo:lo + block.shape[1]]
+        lo += block.shape[1]
+        _, first = np.unique(gf2.row_keys(syn), return_index=True)
+        if np.count_nonzero(first < low) < low:
+            raise ValueError(f"claimed d={d} inconsistent: weight<={t} errors share a syndrome")
+        first.sort()
+        tables.append(dict(zip(gf2.join_words(syn[first]), gf2.join_words(bits[first]))))
+    return tables
 
 
 def build_code(h: BitMatrix, d: int, name: str = "", w_max: int | None = None) -> LinearCode:
@@ -126,28 +142,11 @@ def build_code(h: BitMatrix, d: int, name: str = "", w_max: int | None = None) -
     a, col_perm = gf2.systematic_form(h)
     _verify_distance(g, d, n)
 
-    def leader_table(mat: BitMatrix) -> dict[int, int]:
-        table: dict[int, int] = {}
-        for bits, w in gf2.iter_weight_le(n, min(w_max, n)):
-            s = 0
-            for i, row in enumerate(mat.data):
-                if (row & bits).bit_count() & 1:
-                    s |= 1 << i
-            if w <= t:
-                if s in table:
-                    raise ValueError(
-                        f"claimed d={d} inconsistent: weight<={t} errors share a syndrome"
-                    )
-                table[s] = bits
-            else:
-                table.setdefault(s, bits)
-        return table
-
-    table = leader_table(h)
     # Check-slot coordinates: the distillation rounds measure syndromes of
     # the row-equivalent [I_r | A] matrix, with slot i the i-th check.
     h_sys = BitMatrix(r, n, tuple((1 << i) | (a.data[i] << r) for i in range(r)))
-    sys_table = table if h_sys == h else leader_table(h_sys)
+    tables = _leader_tables([h] if h_sys == h else [h, h_sys], n, d, t, w_max)
+    table, sys_table = tables[0], tables[-1]
     max_col = max((a.column(j).weight() for j in range(a.cols)), default=0)
     return LinearCode(
         name=name or f"[{n},{k},{d}]",

@@ -386,14 +386,6 @@ class WeightTable:
         self._x = self._build(spec, "z", w_cap)  # Z parts detect X errors
         self._z = self._build(spec, "x", w_cap)
 
-    @staticmethod
-    def _keys(syn: np.ndarray) -> np.ndarray:
-        """(count, words) syndromes as one sortable key per row."""
-        if syn.shape[1] == 1:
-            return syn[:, 0]
-        record = np.dtype([(f"w{i}", np.int64) for i in range(syn.shape[1])])
-        return np.ascontiguousarray(syn).view(record)[:, 0]
-
     @classmethod
     def _build(cls, spec: AncillaSpec, part: str, w_cap: int):
         """Per block, the per-key-word byte tables of its local syndrome and
@@ -415,36 +407,23 @@ class WeightTable:
             if len(touched) > 1:
                 flip = [1 << (bits[b] - 1) if b in touched else 0 for b in range(spec.m)]
                 flips += [tuple(v ^ f for v, f in zip(fl, flip)) for fl in flips]
-        words = [max(1, -(-nb // 63)) for nb in bits]
-
-        def split(v: int, b: int) -> list[int]:
-            return [(v >> (63 * i)) & ((1 << 63) - 1) for i in range(words[b])]
-
         tables, lookups = [], []
         for b in range(spec.m):
-            block = [split(c, b) for c in cols[b]]
-            tables.append([gf2.byte_tables([c[i] for c in block]) for i in range(words[b])])
+            block = gf2.split_words(cols[b], bits[b])
+            tables.append([gf2.byte_tables(word.tolist()) for word in block.T])
             lookups.append(cls._block_lookup(block, bits[b], w_cap))
-        return tables, lookups, [[split(v, b) for b, v in enumerate(fl)] for fl in flips]
+        return tables, lookups, [[gf2.split_words([v], bits[b])[0].tolist() for b, v in enumerate(fl)]
+                                 for fl in flips]
 
     @classmethod
-    def _block_lookup(cls, block: list[list[int]], bits: int, w_cap: int):
+    def _block_lookup(cls, block: np.ndarray, bits: int, w_cap: int):
         """The minimum weight of every local syndrome reached by a block
         error of weight <= w_cap: a dense table over all syndromes, or the
         sorted syndrome keys and their weights."""
-        # Weight-w errors extend weight-(w-1) ones by a qubit above their
-        # highest, so every subset is enumerated once, in weight order.
-        col_words = np.array(block, dtype=np.int64).reshape(len(block), -1)
-        syn, top = np.zeros((1, col_words.shape[1]), dtype=np.int64), np.full(1, -1)
-        syns, weights = [syn], [np.zeros(1, dtype=np.int8)]
-        for w in range(1, w_cap + 1):
-            grown = [syn[top < q] ^ col for q, col in enumerate(col_words)]
-            top = np.repeat(np.arange(len(col_words)), [len(g) for g in grown])
-            syn = np.concatenate(grown)
-            syns.append(syn)
-            weights.append(np.full(len(syn), w, dtype=np.int8))
-        keys, first = np.unique(cls._keys(np.concatenate(syns)), return_index=True)
-        values = np.concatenate(weights)[first]
+        chunks = list(gf2.iter_weight_le_images(block, w_cap))
+        weights = np.repeat([w for _, w in chunks], [len(c) for c, _ in chunks]).astype(np.int8)
+        keys, first = np.unique(gf2.row_keys(np.concatenate([c for c, _ in chunks])), return_index=True)
+        values = weights[first]
         if bits > cls._DENSE_BITS:
             return keys, values
         dense = np.full(1 << bits, w_cap + 1, dtype=np.int8)
@@ -473,7 +452,7 @@ class WeightTable:
         if isinstance(lookup, np.ndarray):
             return lookup.take(words[0])
         keys, values = lookup
-        syn = self._keys(np.stack(words, axis=1))
+        syn = gf2.row_keys(np.stack(words, axis=1))
         idx = np.minimum(np.searchsorted(keys, syn), len(keys) - 1)
         return np.where(keys[idx] == syn, values[idx], self.w_cap + 1)
 

@@ -636,18 +636,18 @@ class CompiledRound:
         # one backward sweep gives.
         slice_ = build_round_circuit(code_c.a, round_, 1, m)
         images = fault_images(slice_)
-        single = np.zeros((len(self.layers), m, 4, 3), dtype=np.int64)
-        for loc, (layer, blk, _) in self._locations(slice_)[0].items():
-            # The components XI, ZI, IX, IZ; a slot's qubit blk is bit
-            # slot * m + blk of an image, and a check's record is its final
-            # e (round 1) or f (round 2) bit, as nothing acts after readout.
-            for i, (e, f) in enumerate(img for pair in images[loc] for img in pair):
-                for slot in range(self.n_c):
-                    eb, fb = e >> (slot * m + blk) & 1, f >> (slot * m + blk) & 1
-                    if slot < self.r_c:
-                        single[layer, blk, i, 0] |= (eb if round_ == 1 else fb) << slot
-                    else:
-                        single[layer, blk, i, 1:] |= (eb << slot, fb << slot)
+        order = sorted((loc, key) for key, loc in self._locations(slice_)[0].items())
+        # The components XI, ZI, IX, IZ of each (layer, block), as (e, f)
+        # bits per (slot, block) of an image; (slot, blk) is bit slot * m +
+        # blk, and a check's record is its final e (round 1) or f (round 2)
+        # bit, as nothing acts after readout.
+        flat = [v for _, key in order for pair in images[key] for img in pair for v in img]
+        words = gf2.split_words(flat, self.n_c * m)
+        bits = (words[..., None] >> np.arange(63) & 1).reshape(len(flat), -1)[:, :self.n_c * m]
+        bits = bits.reshape(len(self.layers), m, 4, 2, self.n_c, m).diagonal(0, 1, 5)
+        own = np.moveaxis(bits, -1, 1) << np.arange(self.n_c)  # (layer, block, i, e/f, slot)
+        checks, data = own[..., :self.r_c].sum(-1), own[..., self.r_c:].sum(-1)
+        single = np.stack((checks[..., 0 if round_ == 1 else 1], data[..., 0], data[..., 1]), axis=-1)
         self.eff_masks = _by_code(single, range(16))
         # Per part, the masks as (layer, block, Pauli code) rows of slot
         # flags, and the unit word of each (block, qubit) bit, for the
@@ -659,12 +659,8 @@ class CompiledRound:
         self._bits = np.left_shift(1, np.arange(m * n), dtype=self.word)
         # Per (block, qubit) of a unit: the SE elements whose measured part
         # touches it.
-        se_cols = [0] * (m * n)
-        for c, el in enumerate(self.se):
-            for b, rep in enumerate(el.z if round_ == 1 else el.x):
-                for q in range(n):
-                    se_cols[b * n + q] |= (rep >> q & 1) << c
-        self.nu_to_sigma = gf2.byte_tables(se_cols)
+        se_rows = np.array([_pack(el.z if round_ == 1 else el.x, n) for el in self.se], dtype=np.int64)
+        self.nu_to_sigma = gf2.byte_tables(_bit_transpose(se_rows, m * n).tolist())
         self.hd_parity = gf2.byte_tables(self.hd_masks) if self.hd_masks else None
         self.leaders = _dense_table(code_c.systematic_table, self.r_c)
         # Per block: its correction table, shifted to the block's bits

@@ -339,31 +339,19 @@ def synth_encoding_circuit(spec: AncillaSpec) -> Circuit:
 
 
 def _verify_encoding(circuit: Circuit, spec: AncillaSpec) -> None:
-    m = spec.m
-    sizes = spec.block_sizes
-    total = spec.total_qubits
-    offs = [0]
-    for n in sizes[:-1]:
-        offs.append(offs[-1] + n)
-
     # Each prepared qubit's stabilizer (X after prep_x, Z after prep_z),
-    # pushed through the rest of the circuit.
-    x_rows, z_rows = [], []
+    # pushed through the rest of the circuit, is the image of that fault.
+    images = fault_images(circuit)
+    got: dict[str, list[int]] = {"prep_x": [], "prep_z": []}
     for s, g, gate in circuit.gates():
-        if gate.kind in ("prep_x", "prep_z"):
-            is_x = gate.kind == "prep_x"
-            frame, _ = run_noisy(circuit, FaultInjection((Fault(s, g, "X" if is_x else "Z"),)))
-            assert not any(frame.f if is_x else frame.e)
-            (x_rows if is_x else z_rows).append(
-                sum(part << offs[b] for b, part in enumerate(frame.e if is_x else frame.f)))
-
-    spec_x = [sum(el.x[b] << offs[b] for b in range(m)) for el in spec.s2]
-    spec_z = [sum(el.z[b] << offs[b] for b in range(m)) for el in spec.s1]
-    got_x = BitMatrix(len(x_rows), total, tuple(x_rows))
-    got_z = BitMatrix(len(z_rows), total, tuple(z_rows))
-    want_x = BitMatrix(len(spec_x), total, tuple(spec_x))
-    want_z = BitMatrix(len(spec_z), total, tuple(spec_z))
-    if not gf2.row_space_equal(got_x, want_x):
-        raise AssertionError("synthesized X stabilizer group differs from spec")
-    if not gf2.row_space_equal(got_z, want_z):
-        raise AssertionError("synthesized Z stabilizer group differs from spec")
+        if gate.kind in got:
+            e, f = images[(s, g)][0][gate.kind == "prep_z"]
+            assert not (f if gate.kind == "prep_x" else e)
+            got[gate.kind].append(e | f)
+    offs = [sum(spec.block_sizes[:b]) for b in range(spec.m)]
+    for kind, label, elements in (("prep_x", "X", spec.s2), ("prep_z", "Z", spec.s1)):
+        want = [sum(part << offs[b] for b, part in enumerate(el.x if label == "X" else el.z))
+                for el in elements]
+        if not gf2.row_space_equal(BitMatrix(len(got[kind]), spec.total_qubits, tuple(got[kind])),
+                                   BitMatrix(len(want), spec.total_qubits, tuple(want))):
+            raise AssertionError(f"synthesized {label} stabilizer group differs from spec")

@@ -10,6 +10,7 @@ lookup tables (:func:`byte_tables`, :func:`xor_lookup`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -321,17 +322,59 @@ def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
 
 
 def iter_weight_le(n: int, w_max: int) -> Iterator[tuple[int, int]]:
-    """Yield (bits, weight) for every n-bit value of weight <= w_max, in
-    nondecreasing weight order."""
-    from itertools import combinations
-
-    yield 0, 0
-    for w in range(1, w_max + 1):
-        for combo in combinations(range(n), w):
-            bits = 0
-            for i in combo:
-                bits |= 1 << i
+    """Yield (bits, weight) for every n-bit value of weight <= w_max, by
+    weight, then in the lexicographic order of the set bits."""
+    for images, w in iter_weight_le_images(split_words([1 << i for i in range(n)], n), w_max):
+        for bits in join_words(images):
             yield bits, w
+
+
+def iter_weight_le_images(cols: np.ndarray, w_max: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Images of every n-bit value of weight <= w_max under the GF(2)-linear
+    map sending bit i to row i of the (n, words) integer array ``cols``, in
+    :func:`iter_weight_le`'s order (by weight, then lexicographic by set
+    bits), as ``(images, weight)`` chunks of (count, words) arrays.
+
+    The values of weight w whose lowest bit is a are a joined to the last
+    C(n - a - 1, w - 1) values of weight w - 1, so each (w, a) chunk is one
+    XOR of a slice of the weight below, at most C(n - 1, w - 1) rows.
+    """
+    n = len(cols)
+    top = min(w_max, n)
+    prev = np.zeros((1, cols.shape[1]), dtype=cols.dtype)
+    yield prev, 0
+    for w in range(1, top + 1):
+        chunks = []
+        for a in range(n - w + 1):
+            chunks.append(prev[len(prev) - math.comb(n - a - 1, w - 1):] ^ cols[a])
+            yield chunks[-1], w
+        prev = np.concatenate(chunks) if w < top else None
+
+
+def split_words(values: Sequence[int], width: int) -> np.ndarray:
+    """Integers of up to ``width`` bits as a (len(values), words) int64
+    array of 63-bit words, word 0 lowest, so every word is non-negative."""
+    count = max(1, -(-width // 63))
+    mask = (1 << 63) - 1
+    rows = [[(v >> (63 * i)) & mask for i in range(count)] for v in values]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), count)
+
+
+def join_words(words: np.ndarray) -> list[int]:
+    """The rows of a :func:`split_words` array as Python ints."""
+    out = words[:, 0].tolist()
+    for i in range(1, words.shape[1]):
+        out = [v | hi << (63 * i) for v, hi in zip(out, words[:, i].tolist())]
+    return out
+
+
+def row_keys(words: np.ndarray) -> np.ndarray:
+    """(count, words) rows as one sortable key per row; keys of several
+    words sort as records, word 0 first."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    record = np.dtype([(f"w{i}", np.int64) for i in range(words.shape[1])])
+    return np.ascontiguousarray(words).view(record)[:, 0]
 
 
 def iter_row_space(m: BitMatrix) -> Iterator[int]:

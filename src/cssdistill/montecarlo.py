@@ -111,7 +111,11 @@ class RunStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunStats":
-        return cls(meta=dict(d["meta"]), per_p=[PStats.from_dict(x) for x in d["per_p"]])
+        meta = dict(d["meta"])
+        for key in ("n", "k_c1", "n_c1", "k_c2", "n_c2"):  # what metric_rows and yields read
+            if type(meta.get(key)) is not int or meta[key] < 1:
+                raise ValueError(f"meta.{key}: expected an integer >= 1, got {meta.get(key)!r}")
+        return cls(meta=meta, per_p=[PStats.from_dict(x) for x in d["per_p"]])
 
     @classmethod
     def from_json(cls, text: str) -> "RunStats":

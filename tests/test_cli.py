@@ -231,6 +231,17 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(
             f"error: {missing}: cannot read {files[missing]}: ")
 
+    @pytest.mark.parametrize("where", ["parent-is-a-file", "out-is-a-directory"])
+    def test_bad_out_path_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, where):
+        # A finished run used to be lost to a bad output path: the
+        # directory was made only after every trial ran.
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / "afile" / "out.json" if where == "parent-is-a-file" else tmp_path / "adir"
+        cfg_path = write_config(tmp_path, combination="D", p_grid=[0.0], trials_per_p=1)
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("trials ran"))
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: out: cannot write {out}: ")
 
     # Inputs that were silently ignored or misread: each must exit 1 naming
     # the field.  GOLAY is a path, so css.cx beside the file pair is the
@@ -508,7 +519,10 @@ class TestAnalyze:
         lambda d: {**d, "per_p": [{**d["per_p"][0], "hist_z": [1, 2]}]},
         lambda d: {**d, "per_p": [{**d["per_p"][0], "rej1": "3"}]},
         lambda d: {**d, "per_p": [{**d["per_p"][0], "p": None}]},
-    ], ids=["list", "per_p-number", "hist-number", "hist-short", "counter-string", "p-null"])
+        lambda d: {**d, "meta": {}},
+        lambda d: {**d, "meta": {**d["meta"], "k_c1": "7"}},
+    ], ids=["list", "per_p-number", "hist-number", "hist-short", "counter-string", "p-null",
+            "meta-empty", "meta-string"])
     def test_results_not_shaped_like_runstats(self, tmp_path, capsys, edit):
         stats = self._fake_stats([PStats(p=1e-3, trials=10, accepted=1, hist_x=[1, 0, 0, 0, 0],
                                          hist_z=[1, 0, 0, 0, 0])])
@@ -516,6 +530,14 @@ class TestAnalyze:
         res.write_text(json.dumps(edit(stats.to_dict())))
         assert main(["analyze", "--results", str(res), "--out-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: results: cannot read {res}: ")
+
+    def test_out_dir_under_a_file_exits_1(self, tmp_path, capsys):
+        res = tmp_path / "r.json"
+        res.write_text(self._fake_stats([PStats(p=1e-3, trials=10)]).to_json())
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "o"
+        assert main(["analyze", "--results", str(res), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: out-dir: cannot write {out}: ")
 
 
 class TestCodesCommand:

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cssdistill import codes, gf2
 from cssdistill.codes import build_code, parse_code_text, registry
@@ -61,6 +63,71 @@ class TestBuildCode:
         h = BitMatrix.from_strings(["110", "011"])
         with pytest.raises(ValueError, match="inconsistent"):
             build_code(h, 4)
+
+
+def leader_table_oracle(h: BitMatrix, t: int, w_max: int) -> dict[int, int]:
+    """The per-error leader loop: errors by weight, then lexicographically;
+    each syndrome keeps its first error, and errors of weight <= t must not
+    share one."""
+    table: dict[int, int] = {}
+    for w in range(min(w_max, h.cols) + 1):
+        for combo in itertools.combinations(range(h.cols), w):
+            bits = sum(1 << i for i in combo)
+            s = syndrome_oracle(h, bits)
+            if w <= t and s in table:
+                raise ValueError(f"weight<={t} errors share a syndrome")
+            table.setdefault(s, bits)
+    return table
+
+
+def check_tables_match_oracle(code):
+    r = code.r
+    h_sys = BitMatrix(r, code.n, tuple((1 << i) | (code.a.data[i] << r) for i in range(r)))
+    for table, h in ((code.syndrome_table, code.h), (code.systematic_table, h_sys)):
+        # Same keys, values and insertion order.
+        assert list(table.items()) == list(leader_table_oracle(h, code.t, code.w_max).items())
+    assert (code.systematic_table is code.syndrome_table) == (h_sys == code.h)
+
+
+@st.composite
+def full_rank_checks(draw):
+    """[I_r | A] with permuted columns, so h is full rank and often not
+    systematic; the claimed distance is the true one, capped at 5."""
+    n = draw(st.integers(2, 24))
+    r = draw(st.integers(max(1, n - 12), n - 1))
+    a_rows = draw(st.lists(st.integers(0, (1 << (n - r)) - 1), min_size=r, max_size=r))
+    perm = draw(st.permutations(range(n)))
+    h = BitMatrix(r, n, tuple((1 << i) | (row << r) for i, row in enumerate(a_rows)))
+    h = h.permute_columns(perm)
+    d = min([5] + [w.bit_count() for w in gf2.iter_row_space(gf2.null_space_basis(h)) if w])
+    return h, d, draw(st.integers(0, (d - 1) // 2 + 2))
+
+
+class TestLeaderTableOracle:
+    @pytest.mark.parametrize("name", codes.REGISTRY_NAMES)
+    def test_registry_codes(self, name):
+        check_tables_match_oracle(registry(name))
+
+    @given(full_rank_checks())
+    @settings(max_examples=60, deadline=None)
+    def test_random_codes(self, case):
+        # Random codes are rarely perfect, so ties among errors of weight
+        # t + 1 and above decide many leaders.
+        h, d, w_max = case
+        check_tables_match_oracle(build_code(h, d, w_max=w_max))
+
+    def test_wide_code(self):
+        # Leaders of more than 63 bits, as in the wide-block engine tests.
+        check_tables_match_oracle(build_code(BitMatrix(3, 67, registry("hamming7").h.data), d=1))
+
+    def test_shared_syndrome_past_the_sampled_distance_check(self):
+        # Past 24 bits the distance check samples codewords; here it misses
+        # the weight-1 codewords of the zero columns, and the table raises.
+        h = BitMatrix(3, 30, registry("hamming7").h.data)
+        with pytest.raises(ValueError, match=r"^claimed d=3 inconsistent: weight<=1 errors share"):
+            build_code(h, d=3)
+        with pytest.raises(ValueError, match="share a syndrome"):
+            leader_table_oracle(h, 1, 2)
 
 
 class TestSyndrome:

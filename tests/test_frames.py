@@ -15,6 +15,7 @@ from cssdistill.frames import (
     FaultInjection,
     Gate,
     PauliFrame,
+    _verify_encoding,
     apply_gate,
     effective_support,
     fault_images,
@@ -134,6 +135,30 @@ class TestSynthEncoding:
         bell = build_ancilla_spec([golay_css, golay_css], "bell")
         circ = synth_encoding_circuit(bell)  # symbolic check runs inside
         assert circ.count("prep_x") + circ.count("prep_z") == 46
+
+    @staticmethod
+    def _mutated(circuit, s, g, gate):
+        """The circuit with gate (s, g) replaced by ``gate``, or dropped."""
+        steps = [list(step) for step in circuit.steps]
+        steps[s][g:g + 1] = [gate] if gate else []
+        return Circuit(circuit.ns, tuple(tuple(step) for step in steps))
+
+    def test_check_catches_every_dropped_cnot(self, enc_circuit, zero_spec):
+        _verify_encoding(enc_circuit, zero_spec)
+        cnots = [(s, g) for s, g, gate in enc_circuit.gates() if gate.kind == "cnot"]
+        assert len(cnots) == 77
+        for s, g in cnots:
+            with pytest.raises(AssertionError, match="stabilizer group differs from spec"):
+                _verify_encoding(self._mutated(enc_circuit, s, g, None), zero_spec)
+
+    def test_check_catches_every_swapped_preparation_basis(self, enc_circuit, zero_spec):
+        swap = {"prep_x": "prep_z", "prep_z": "prep_x"}
+        preps = [(s, g, gate) for s, g, gate in enc_circuit.gates() if gate.kind in swap]
+        assert len(preps) == 23
+        for s, g, gate in preps:
+            mutant = self._mutated(enc_circuit, s, g, Gate(swap[gate.kind], gate.locs))
+            with pytest.raises(AssertionError, match="stabilizer group differs from spec"):
+                _verify_encoding(mutant, zero_spec)
 
     def test_noiseless_run_keeps_zero_frame(self, enc_circuit):
         frame, records = run_noisy(enc_circuit, FaultInjection(()))

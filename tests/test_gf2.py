@@ -1,5 +1,8 @@
+import functools
 import itertools
+import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,3 +205,23 @@ class TestRowSpace:
         elems = list(gf2.iter_row_space(m))
         assert len(elems) == 1 << gf2.rank(m)
         assert len(set(elems)) == len(elems)
+
+
+class TestWeightEnumeration:
+    @pytest.mark.parametrize("n,w_max", [(0, 2), (1, 3), (6, 6), (23, 3), (67, 2)])
+    def test_order_is_by_weight_then_lexicographic(self, n, w_max):
+        want = [(sum(1 << i for i in combo), w) for w in range(min(w_max, n) + 1)
+                for combo in itertools.combinations(range(n), w)]
+        assert list(gf2.iter_weight_le(n, w_max)) == want
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, (1 << 70) - 1), min_size=n, max_size=n), st.integers(0, 4))))
+    @settings(max_examples=40)
+    def test_images_are_xors_of_columns(self, case):
+        cols, w_max = case
+        chunks = list(gf2.iter_weight_le_images(gf2.split_words(cols, 70), w_max))
+        got = gf2.join_words(np.concatenate([c for c, _ in chunks]))
+        weights = [w for c, w in chunks for _ in range(len(c))]
+        want = [(functools.reduce(operator.xor, (cols[i] for i in range(len(cols)) if bits >> i & 1), 0), w)
+                for bits, w in gf2.iter_weight_le(len(cols), w_max)]
+        assert list(zip(got, weights)) == want
