@@ -382,6 +382,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--workers: expected an integer >= 1, got {workers}")
     dconfig = build_distillation_config(cfg)
     out_path = Path(args.out or cfg.out or "results.json")
+    if out_path.suffix == ".csv":
+        raise ConfigError(f"out: {out_path} is where the CSV table of the results goes; "
+                          "name the JSON results file with another suffix")
     _make_out_dir(out_path.parent, "out", out_path)
     stats = run_experiment(dconfig, cfg.p_grid, trials_per_p=cfg.trials_per_p, seed=cfg.seed,
                            workers=workers, w_cap=cfg.w_cap)

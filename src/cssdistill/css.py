@@ -232,35 +232,21 @@ def _round_sets_for_kind(css_blocks, kind, i, j, basis):
     def xbar(b, idx):
         return _x_elem(m, b, css_blocks[b].d_mat.data[idx])
 
-    if kind == "zero":
+    if kind != "bell":
+        # One block: round 1 fixes some logicals in Z, round 2 the rest in
+        # X.  |0>_L fixes all in Z, |+>_L none; the mixed state fixes the
+        # others in ``basis`` and logical j in the opposite one.
         k = css_blocks[0].k
-        return (
-            (zrows(0), (css_blocks[0].r_z,), [zbar(0, u) for u in range(k)],
-             [xbar(0, u) for u in range(k)]),
-            (xrows(0), (css_blocks[0].r_x,), [], []),
-        )
-    if kind == "plus":
-        k = css_blocks[0].k
-        return (
-            (zrows(0), (css_blocks[0].r_z,), [], []),
-            (xrows(0), (css_blocks[0].r_x,), [xbar(0, u) for u in range(k)],
-             [zbar(0, u) for u in range(k)]),
-        )
-    if kind == "mixed":
-        k = css_blocks[0].k
-        if basis == "Z":
-            others = [u for u in range(k) if u != j]
-            log1, cor1 = [zbar(0, u) for u in others], [xbar(0, u) for u in others]
-            log2, cor2 = [xbar(0, j)], [zbar(0, j)]
-        elif basis == "X":
-            log1, cor1 = [zbar(0, j)], [xbar(0, j)]
-            others = [u for u in range(k) if u != j]
-            log2, cor2 = [xbar(0, u) for u in others], [zbar(0, u) for u in others]
-        else:
+        if kind == "mixed" and basis not in ("Z", "X"):
             raise ValueError("mixed basis must be 'Z' or 'X'")
+        if kind == "mixed" and not 0 <= j < k:
+            raise ValueError(f"mixed logical j must be in 0..{k - 1}, got {j}")
+        in_z = [u for u in range(k)
+                if kind == "zero" or (kind == "mixed" and (u == j) == (basis == "X"))]
+        in_x = [u for u in range(k) if u not in in_z]
         return (
-            (zrows(0), (css_blocks[0].r_z,), log1, cor1),
-            (xrows(0), (css_blocks[0].r_x,), log2, cor2),
+            (zrows(0), (css_blocks[0].r_z,), [zbar(0, u) for u in in_z], [xbar(0, u) for u in in_z]),
+            (xrows(0), (css_blocks[0].r_x,), [xbar(0, u) for u in in_x], [zbar(0, u) for u in in_x]),
         )
     # bell
     ka, kb = css_blocks[0].k, css_blocks[1].k

@@ -242,6 +242,26 @@ def _draws_match_numpy() -> bool:
     return True
 
 
+def _decode(pos: np.ndarray, layout) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """Positions of a space laid out as consecutive row-major segments of
+    the shapes in ``layout``: per segment, the indices of its positions in
+    ``pos`` and their coordinates along its axes.  A chain of divmods in
+    ``pos``' dtype; ``np.unravel_index`` returns intp and was about twice
+    as slow on the kernel's int32 positions."""
+    out = []
+    start = 0
+    for shape in layout:
+        end = start + math.prod(shape)
+        sel = np.flatnonzero((pos >= start) & (pos < end))
+        rest, coords = pos[sel] - start, []
+        for size in shape[:0:-1]:
+            rest, c = np.divmod(rest, size)
+            coords.append(c)
+        out.append((sel, (rest, *coords[::-1])))
+        start = end
+    return out
+
+
 @dataclass(frozen=True)
 class DistillationConfig:
     """Inputs of a full two-round distillation cycle."""
@@ -339,6 +359,29 @@ class BatchOutcome:
         )
 
 
+def round_schedule(a_c: BitMatrix) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The CNOT layers of a round and where they run.
+
+    A 1 at (i, j) of the systematic part is layer (i, j), taken row by
+    row.  Each layer goes, greedily over whole units, to the first time
+    step in which neither check unit i nor data unit r_c + j is busy; its
+    rank is the number of layers placed in that step before it.  Returns
+    the layers and their (step, rank) pairs.
+    """
+    r_c = a_c.rows
+    layers = [(i, j) for i in range(r_c) for j in range(a_c.cols) if a_c.get(i, j)]
+    busy: list[set[int]] = []
+    placed = []
+    for i, j in layers:
+        units = {i, r_c + j}
+        step = next((s for s, used in enumerate(busy) if not used & units), len(busy))
+        if step == len(busy):
+            busy.append(set())
+        placed.append((step, sum(s == step for s, _ in placed)))
+        busy[step] |= units
+    return layers, placed
+
+
 def build_round_circuit(a_c: BitMatrix, round_: int, n: int, m: int = 1) -> Circuit:
     """Transversal distillation circuit for one round on units of ``m``
     blocks of ``n`` qubits; unit u is blocks u*m .. u*m + m - 1.
@@ -348,30 +391,15 @@ def build_round_circuit(a_c: BitMatrix, round_: int, n: int, m: int = 1) -> Circ
     transversal CNOT layer on every block.  Round 1 measures Z: the data
     side is the control (X errors do not flow back into the data).  Round
     2 measures X and the directions reverse.  Layers sharing a unit land
-    in distinct time steps.
+    in distinct time steps (:func:`round_schedule`); a step runs its
+    layers in rank order, each block by block and qubit by qubit, and the
+    last step reads out the check units.
     """
     r_c, k_c = a_c.rows, a_c.cols
-    n_c = r_c + k_c
-    ns = tuple(n for _ in range(n_c * m))
-
-    layers = [(i, j) for i in range(r_c) for j in range(k_c) if a_c.get(i, j)]
-    # Greedy step assignment over whole ancilla units.
-    step_units: list[set[int]] = []
-    layer_step = []
-    for (i, j) in layers:
-        placed = None
-        for s_idx, used in enumerate(step_units):
-            if i not in used and (r_c + j) not in used:
-                placed = s_idx
-                break
-        if placed is None:
-            step_units.append(set())
-            placed = len(step_units) - 1
-        step_units[placed].update((i, r_c + j))
-        layer_step.append(placed)
-
-    steps: list[list[Gate]] = [[] for _ in step_units]
-    for (i, j), s_idx in zip(layers, layer_step):
+    ns = tuple(n for _ in range((r_c + k_c) * m))
+    layers, placed = round_schedule(a_c)
+    steps: list[list[Gate]] = [[] for _ in range(len({s for s, _ in placed}))]
+    for (i, j), (s_idx, _) in zip(layers, placed):
         for b in range(m):
             data = (r_c + j) * m + b
             check = i * m + b
@@ -609,9 +637,10 @@ class CompiledRound:
         self.n_se = len(self.se)
         self.hd_masks = hd_column_masks(real_d, self.n_s) if real_d else None
 
-        self.layers = [
-            (i, j) for i in range(self.r_c) for j in range(self.k_c) if code_c.a.get(i, j)
-        ]
+        # Layer (i, j) of the round circuit runs at (step, rank) =
+        # self.schedule[layer], and its readouts in the step after the last.
+        self.layers, self.schedule = round_schedule(code_c.a)
+        self.read_step = max((s for s, _ in self.schedule), default=-1) + 1
 
         # Dense tables of the trial-batched kernel: a unit's m blocks are
         # packed into one int64 word, block b in bits [b*n, (b+1)*n), and so
@@ -636,12 +665,12 @@ class CompiledRound:
         # one backward sweep gives.
         slice_ = build_round_circuit(code_c.a, round_, 1, m)
         images = fault_images(slice_)
-        order = sorted((loc, key) for key, loc in self._locations(slice_)[0].items())
         # The components XI, ZI, IX, IZ of each (layer, block), as (e, f)
         # bits per (slot, block) of an image; (slot, blk) is bit slot * m +
         # blk, and a check's record is its final e (round 1) or f (round 2)
         # bit, as nothing acts after readout.
-        flat = [v for _, key in order for pair in images[key] for img in pair for v in img]
+        flat = [v for layer in range(len(self.layers)) for blk in range(m)
+                for pair in images[self.cnot_location(layer, blk, 1)] for img in pair for v in img]
         words = gf2.split_words(flat, self.n_c * m)
         bits = (words[..., None] >> np.arange(63) & 1).reshape(len(flat), -1)[:, :self.n_c * m]
         bits = bits.reshape(len(self.layers), m, 4, 2, self.n_c, m).diagonal(0, 1, 5)
@@ -698,50 +727,23 @@ class CompiledRound:
             [i for i in range(self.r_c) if code_c.a.get(i, j)] for j in range(self.k_c)
         ]
 
-    # The full round circuit and its locations are built on first use: only
-    # the reference path and tests read them, and the kernel compiles from
-    # the one-qubit slice.
+    # The full round circuit is built on first use: only the reference path
+    # and tests read it, and the kernel compiles from the one-qubit slice.
     @functools.cached_property
     def circuit(self) -> Circuit:
         return build_round_circuit(self.code_c.a, self.round, self.n, self.m)
 
-    @functools.cached_property
-    def _gate_index(self) -> dict[tuple[int, int], tuple[int, int, int]]:
-        return self._locations(self.circuit)[0]
+    def cnot_location(self, layer: int, qubit: int, n: int | None = None) -> tuple[int, int]:
+        """The (step, gate) of the CNOT that ``layer`` applies to qubit
+        ``qubit`` = blk * n + q of its units, in the round circuit on
+        blocks of ``n`` qubits (this round's n by default)."""
+        step, rank = self.schedule[layer]
+        return step, rank * self.m * (self.n if n is None else n) + qubit
 
-    @functools.cached_property
-    def _meas_index(self) -> dict[tuple[int, int], tuple[int, int, int]]:
-        return self._locations(self.circuit)[1]
-
-    @functools.cached_property
-    def _gate_at(self) -> dict[tuple[int, int, int], tuple[int, int]]:
-        """The circuit location of each (layer, block, qubit) CNOT."""
-        return {loc: key for key, loc in self._gate_index.items()}
-
-    @functools.cached_property
-    def _meas_at(self) -> dict[tuple[int, int, int], tuple[int, int]]:
-        """The circuit location of each (check slot, block, qubit) readout."""
-        return {loc: key for key, loc in self._meas_index.items()}
-
-    def _locations(self, circuit: Circuit):
-        """Engine coordinates of a circuit of this round's layout, keyed by
-        (step, gate): (layer, block, qubit) per CNOT and (check slot, block,
-        qubit) per readout."""
-        layer_of = {pair: idx for idx, pair in enumerate(self.layers)}
-        gates: dict[tuple[int, int], tuple[int, int, int]] = {}
-        reads: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for s_idx, g_idx, gate in circuit.gates():
-            if gate.kind == "cnot":
-                (b1, q), (b2, _) = gate.locs
-                unit_a, blk = divmod(b1, self.m)
-                unit_b, _ = divmod(b2, self.m)
-                check_slot, data_slot = sorted((unit_a, unit_b))
-                gates[(s_idx, g_idx)] = (layer_of[(check_slot, data_slot - self.r_c)], blk, q)
-            elif gate.kind in ("meas_z", "meas_x"):
-                (bq, q) = gate.locs[0]
-                unit, blk = divmod(bq, self.m)
-                reads[(s_idx, g_idx)] = (unit, blk, q)
-        return gates, reads
+    def readout_location(self, slot: int, qubit: int) -> tuple[int, int]:
+        """The (step, gate) of the readout of qubit ``qubit`` = blk * n + q
+        of check slot ``slot`` in the round circuit."""
+        return self.read_step, slot * self.m * self.n + qubit
 
     def batch_records(self, meas, flow, hits) -> np.ndarray:
         """Check records of (n_c, groups * trials) slot planes, column
@@ -917,16 +919,17 @@ class ProtocolRunner:
         self.n_enc_cnots = len(self.enc_cnot_locs)
         self.n_enc_locs = self.n_enc_cnots + len(self.enc_prep_locs)
 
-        m, n = self.m, self.n
-        self._gate_space = (
-            self.n_units * self.n_enc_locs
-            + self.groups1 * len(self.round1.layers) * m * n
-            + self.groups2 * len(self.round2.layers) * m * n
-        )
-        self._enc_end = self.n_units * self.n_enc_locs
-        self._r1_end = self._enc_end + self.groups1 * len(self.round1.layers) * m * n
-        self._meas_space = self.groups1 * self.r_c1 * m * n + self.groups2 * self.r_c2 * m * n
-        self._meas1_end = self.groups1 * self.r_c1 * m * n
+        # The fault spaces, each a run of row-major segments: the gate space
+        # holds every unit's encoder locations, CNOTs then preparations, and
+        # then each round's (group, layer, unit qubit) CNOTs; the readout
+        # space each round's (group, check slot, unit qubit) readouts.
+        width = self.m * self.n
+        self._gate_layout = ((self.n_units, self.n_enc_locs),
+                             (self.groups1, len(self.round1.layers), width),
+                             (self.groups2, len(self.round2.layers), width))
+        self._meas_layout = ((self.groups1, self.r_c1, width), (self.groups2, self.r_c2, width))
+        self._gate_space, self._meas_space = (
+            sum(map(math.prod, layout)) for layout in (self._gate_layout, self._meas_layout))
         # Fault rows hold trial indices, positions and draws.
         self._rows = np.int32 if max(self._gate_space, self._meas_space) < 2**31 else np.int64
         # Protocols whose rounds fit the batched kernel run trial-batched;
@@ -1151,30 +1154,21 @@ class ProtocolRunner:
         e = np.zeros((self.n_units, n_trials), dtype=self._word)
         f = np.zeros_like(e)
         trial, pos, draw15, draw3 = gate_faults.T
-        prep = pos < self._enc_end
-        unit, loc = np.divmod(pos[prep], self.n_enc_locs)
+        m_trial, m_pos = meas_faults.T
+        (prep, (unit, loc)), *rounds = _decode(pos, self._gate_layout)
         draw = np.where(loc < self.n_enc_cnots, draw15[prep], draw3[prep])
         eff = self._enc_eff.reshape(-1, 2).take(loc * 15 + draw, axis=0)
         index = self._unit_pos.take(unit) * n_trials + trial[prep]
         np.bitwise_xor.at(_flat(e), index, eff[:, 0])
         np.bitwise_xor.at(_flat(f), index, eff[:, 1])
-        code = _PAULI15_CODES.take(draw15)
-        m_trial, m_pos = meas_faults.T
-        # Round locations run over (group, layer or check slot, unit qubit).
-        width = self.m * self.n
         hits = []
-        for rnd, groups, in_round, offset, m_in_round, m_offset in (
-            (self.round1, self.groups1, ~prep & (pos < self._r1_end), self._enc_end,
-             m_pos < self._meas1_end, 0),
-            (self.round2, self.groups2, pos >= self._r1_end, self._r1_end,
-             m_pos >= self._meas1_end, self._meas1_end),
+        for rnd, groups, (sel, (group, layer, qubit)), (m_sel, (m_group, m_slot, m_qubit)) in zip(
+            (self.round1, self.round2), (self.groups1, self.groups2),
+            rounds, _decode(m_pos, self._meas_layout),
         ):
-            group, rel = np.divmod(pos[in_round] - offset, len(rnd.layers) * width)
-            layer, qubit = np.divmod(rel, width)
-            m_group, m_rel = np.divmod(m_pos[m_in_round] - m_offset, rnd.r_c * width)
-            m_slot, m_qubit = np.divmod(m_rel, width)
-            hits.append(rnd.fault_hits(group * n_trials + trial[in_round], layer, qubit,
-                                       code[in_round], m_group * n_trials + m_trial[m_in_round],
+            hits.append(rnd.fault_hits(group * n_trials + trial[sel], layer, qubit,
+                                       _PAULI15_CODES.take(draw15[sel]),
+                                       m_group * n_trials + m_trial[m_sel],
                                        m_slot, m_qubit, groups * n_trials))
         return e, f, *hits
 
@@ -1332,35 +1326,23 @@ class ProtocolRunner:
         return [ids[slot] for slot in res.accepted_slots]
 
     def _injections(self, sample):
-        """A sample as fault injections for :meth:`run_reference`.
-
-        The gate space runs unit by unit over the encoder's CNOT then
-        preparation locations, then group by group over each round's
-        (layer, block, qubit) CNOTs; the readout space group by group over
-        each round's (check slot, block, qubit) readouts.
-        """
-        gate_pos, draw15, draw3, meas_pos = (a.tolist() for a in sample)
-        n, width = self.n, self.m * self.n
+        """A sample as fault injections for :meth:`run_reference`, its
+        positions decoded against the gate and readout layouts (see
+        :meth:`__init__`)."""
+        gate_pos, draw15, draw3, meas_pos = sample
         enc_locs = self.enc_cnot_locs + self.enc_prep_locs
         staged: tuple[dict[int, list[Fault]], ...] = ({}, {}, {})
-        for pos, d15, d3 in zip(gate_pos, draw15, draw3):
-            if pos < self._enc_end:
-                unit, loc = divmod(pos, self.n_enc_locs)
-                pauli = PAULI_2Q[d15] if loc < self.n_enc_cnots else PAULI_1Q[d3]
-                staged[0].setdefault(unit, []).append(Fault(*enc_locs[loc], pauli))
-                continue
-            stage, rnd, start = (1, self.round1, self._enc_end) if pos < self._r1_end \
-                else (2, self.round2, self._r1_end)
-            group, rel = divmod(pos - start, len(rnd.layers) * width)
-            layer, rel = divmod(rel, width)
-            loc = rnd._gate_at[(layer, *divmod(rel, n))]
-            staged[stage].setdefault(group, []).append(Fault(*loc, PAULI_2Q[d15]))
-        for pos in meas_pos:
-            stage, rnd, start = (1, self.round1, 0) if pos < self._meas1_end \
-                else (2, self.round2, self._meas1_end)
-            group, rel = divmod(pos - start, rnd.r_c * width)
-            slot, rel = divmod(rel, width)
-            blk, q = divmod(rel, n)
+        (prep, (unit, loc)), *rounds = _decode(gate_pos, self._gate_layout)
+        for u, at, d15, d3 in zip(*(a.tolist() for a in (unit, loc, draw15[prep], draw3[prep]))):
+            pauli = PAULI_2Q[d15] if at < self.n_enc_cnots else PAULI_1Q[d3]
+            staged[0].setdefault(u, []).append(Fault(*enc_locs[at], pauli))
+        for faults, rnd, (sel, cnots), (_, reads) in zip(
+            staged[1:], (self.round1, self.round2), rounds, _decode(meas_pos, self._meas_layout)
+        ):
             flip = "X" if rnd.round == 1 else "Z"
-            staged[stage].setdefault(group, []).append(Fault(*rnd._meas_at[(slot, blk, q)], flip))
+            for group, layer, qubit, d15 in zip(*(c.tolist() for c in (*cnots, draw15[sel]))):
+                faults.setdefault(group, []).append(
+                    Fault(*rnd.cnot_location(layer, qubit), PAULI_2Q[d15]))
+            for group, slot, qubit in zip(*(c.tolist() for c in reads)):
+                faults.setdefault(group, []).append(Fault(*rnd.readout_location(slot, qubit), flip))
         return tuple({k: FaultInjection(tuple(v)) for k, v in faults.items()} for faults in staged)

@@ -25,12 +25,15 @@ _ENV_WORKERS = "CSSDISTILL_WORKERS"
 
 def default_workers() -> int:
     env = os.environ.get(_ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{_ENV_WORKERS}: expected an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0  # reported below, with the integers below 1
+    if workers < 1:
+        raise ValueError(f"{_ENV_WORKERS}: expected an integer >= 1, got {env!r}")
+    return workers
 
 
 @dataclass
@@ -324,7 +327,7 @@ def slope_fit(points: list[tuple[float, float]]) -> FitResult:
     return FitResult(slope=slope, intercept=intercept, stderr=stderr)
 
 
-def yields(stats: PStats, meta: dict, t: int, r_naive: float = 0.0) -> tuple[float, float]:
+def yields(stats: PStats, meta: dict, t: int) -> tuple[float, float]:
     """(Yield_FT, Yield_naive).
 
     Yield_FT applies the counted per-round rejection rates to the ideal
@@ -333,5 +336,5 @@ def yields(stats: PStats, meta: dict, t: int, r_naive: float = 0.0) -> tuple[flo
     """
     base = (meta["k_c1"] * meta["k_c2"]) / (meta["n_c1"] * meta["n_c2"])
     yield_ft = base * (1.0 - stats.r1) * (1.0 - stats.r2)
-    yield_naive = (1.0 - r_naive) / (t * t + t)
+    yield_naive = 1.0 / (t * t + t)
     return yield_ft, yield_naive

@@ -195,11 +195,7 @@ def test_criterion_4_two_fault_no_go(zero_spec):
         inputs = [PauliFrame.zeros((23,)) for _ in range(7)]
         inputs[4].e[0] = 1 << q2  # preparation fault outside the affected blocks
         first_layer = min(layer for layer, (i, j) in enumerate(rnd.layers) if j == 0)
-        gate_loc = next(
-            (key for key, (layer, blk, q) in rnd._gate_index.items()
-             if layer == first_layer and q == q1),
-            None,
-        )
+        gate_loc = rnd.cnot_location(first_layer, q1)
         inj = FaultInjection((Fault(gate_loc[0], gate_loc[1], "XI"),))
         res = rnd.run(inputs, inj)
         for slot in res.accepted_slots:

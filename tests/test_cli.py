@@ -207,9 +207,15 @@ class TestSimulate:
             in capsys.readouterr().err
 
     def test_bad_workers_variable_names_it(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CSSDISTILL_WORKERS", "abc")
-        assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1
-        assert "error: CSSDISTILL_WORKERS: " in capsys.readouterr().err
+        # 0 and -2 used to run one worker and exit 0.
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("trials ran"))
+        cfg_path = write_config(tmp_path, out=str(tmp_path / "res.json"))
+        for value in ("abc", "0", "-2"):
+            monkeypatch.setenv("CSSDISTILL_WORKERS", value)
+            assert main(["simulate", "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: CSSDISTILL_WORKERS: expected an integer >= 1, got {value!r}")
+        assert not (tmp_path / "res.json").exists()
 
     @pytest.mark.parametrize("workers", ["-3", "0"])
     def test_workers_below_one_names_option(self, tmp_path, capsys, workers):
@@ -242,6 +248,19 @@ class TestSimulate:
         monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("trials ran"))
         assert main(["simulate", "--config", str(cfg_path), "--workers", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: out: cannot write {out}: ")
+
+    @pytest.mark.parametrize("source", ["option", "config"])
+    def test_csv_out_path_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, source):
+        # The CSV table is written next to the results with suffix .csv:
+        # it used to overwrite results named *.csv, after the whole run.
+        out = tmp_path / "res.csv"
+        cfg = {"out": str(out)} if source == "config" else {}
+        cfg_path = write_config(tmp_path, combination="D", p_grid=[0.0], trials_per_p=1, **cfg)
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("trials ran"))
+        flags = ["--out", str(out)] if source == "option" else []
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "1", *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: out: {out} is where the CSV table ")
+        assert not out.exists()
 
     # Inputs that were silently ignored or misread: each must exit 1 naming
     # the field.  GOLAY is a path, so css.cx beside the file pair is the
@@ -425,11 +444,7 @@ class TestInject:
         # transversal layer at qubit 11 (round-1 circuit of group 0)
         rnd = runner.round1
         first_layer = min(layer for layer, (i, j) in enumerate(rnd.layers) if j == 0)
-        dist_loc = next(
-            key
-            for key, (layer, blk, q) in rnd._gate_index.items()
-            if layer == first_layer and q == 11
-        )
+        dist_loc = rnd.cnot_location(first_layer, 11)
         scen = tmp_path / "thm1.txt"
         scen.write_text(
             f"prep 4 {prep_loc[0]} {prep_loc[1]} X\n"

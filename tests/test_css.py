@@ -9,7 +9,10 @@ import pytest
 from cssdistill import gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import (
+    _round_sets_for_kind,
     _validate_spec,
+    _x_elem,
+    _z_elem,
     build_ancilla_spec,
     build_css,
     generalized_syndrome,
@@ -159,6 +162,54 @@ class TestAncillaSpecs:
     def test_wrong_block_count(self, golay_css):
         with pytest.raises(ValueError, match="block"):
             build_ancilla_spec([golay_css, golay_css], "zero")
+
+    @staticmethod
+    def _single_block_sets(css, kind, j, basis):
+        """The one-block kinds spelled out case by case, as they were
+        written before one rule built them."""
+        zrows = [_z_elem(1, 0, r) for r in css.h_z.data]
+        xrows = [_x_elem(1, 0, r) for r in css.h_x.data]
+        zbar = [_z_elem(1, 0, r) for r in css.l_z.data]
+        xbar = [_x_elem(1, 0, r) for r in css.d_mat.data]
+        k = css.k
+        others = [u for u in range(k) if u != j]
+        if kind == "zero":
+            log1, cor1, log2, cor2 = zbar, xbar, [], []
+        elif kind == "plus":
+            log1, cor1, log2, cor2 = [], [], xbar, zbar
+        elif basis == "Z":
+            log1, cor1 = [zbar[u] for u in others], [xbar[u] for u in others]
+            log2, cor2 = [xbar[j]], [zbar[j]]
+        else:
+            log1, cor1 = [zbar[j]], [xbar[j]]
+            log2, cor2 = [xbar[u] for u in others], [zbar[u] for u in others]
+        return ((zrows, (css.r_z,), log1, cor1), (xrows, (css.r_x,), log2, cor2))
+
+    @pytest.mark.parametrize("code", ["golay", "steane", "padded-steane"])
+    def test_single_block_kinds_follow_one_rule(self, golay_css, steane_css, code):
+        # The padded Steane code (12 qubits, 6 of them unencoded) has k = 6,
+        # so every mixed (j, basis) splits the logicals between the rounds.
+        if code == "padded-steane":
+            padded = build_code(BitMatrix(3, 12, registry("hamming7").h.data), d=1)
+            css = build_css(padded, padded)
+            assert css.k == 6
+        else:
+            css = golay_css if code == "golay" else steane_css
+        cases = [("zero", 0, "Z"), ("plus", 0, "Z")]
+        cases += [("mixed", j, basis) for j in range(css.k) for basis in "ZX"]
+        for kind, j, basis in cases:
+            want = self._single_block_sets(css, kind, j, basis)
+            assert _round_sets_for_kind((css,), kind, 0, j, basis) == want, (kind, j, basis)
+            build_ancilla_spec(css, kind, j=j, basis=basis)
+
+    @pytest.mark.parametrize("j,basis,message", [
+        (1, "Z", "mixed logical j must be in 0..0"),
+        (-1, "X", "mixed logical j must be in 0..0"),
+        (0, "Y", "mixed basis must be 'Z' or 'X'"),
+    ])
+    def test_mixed_rejects_bad_logical_or_basis(self, golay_css, j, basis, message):
+        with pytest.raises(ValueError, match=message):
+            build_ancilla_spec(golay_css, "mixed", j=j, basis=basis)
 
 
 class TestGeneralizedSyndrome:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 import zlib
@@ -631,9 +632,9 @@ def _single_fault_batches(runner, size=2048):
     """Every single fault of the protocol as one-fault trials, in batches
     of ``size``: 15 Paulis per CNOT, 3 per preparation and a flip per
     readout.  Yields the arguments of ``_execute``."""
-    enc = np.arange(runner._enc_end)
+    enc = np.arange(math.prod(runner._gate_layout[0]))
     is_cnot = enc % runner.n_enc_locs < runner.n_enc_cnots
-    cnots = np.concatenate((enc[is_cnot], np.arange(runner._enc_end, runner._gate_space)))
+    cnots = np.concatenate((enc[is_cnot], np.arange(len(enc), runner._gate_space)))
     preps = enc[~is_cnot]
     gate = np.concatenate((
         np.column_stack((np.repeat(cnots, 15), np.tile(np.arange(15), len(cnots)),
@@ -752,7 +753,7 @@ def test_slice_effects_match_full_circuit(golay_css, kind, c_name, round_):
     m, n = rnd.m, rnd.n
     for layer, blk, q in itertools.product(range(len(rnd.layers)), range(m), (0, n - 1)):
         for code, pauli in ((1, "XI"), (2, "ZI"), (4, "IX"), (8, "IZ")):
-            fault = Fault(*rnd._gate_at[(layer, blk, q)], pauli)
+            fault = Fault(*rnd.cnot_location(layer, blk * n + q), pauli)
             frame, _ = run_noisy(rnd.circuit, FaultInjection((fault,)))
             want = [0, 0, 0]
             for slot in range(rnd.n_c):
@@ -767,6 +768,66 @@ def test_slice_effects_match_full_circuit(golay_css, kind, c_name, round_):
                     want[1] |= eb << slot
                     want[2] |= fb << slot
             assert rnd.eff_masks[layer, blk, code].tolist() == want
+
+
+@pytest.mark.parametrize("round_", [1, 2])
+@pytest.mark.parametrize("c_name", ["rep3", "bch15_7_5"])
+@pytest.mark.parametrize("kind", ["zero", "bell"])
+def test_round_locations_name_every_gate(golay_css, kind, c_name, round_):
+    # Parse the built circuit back into engine coordinates: every CNOT and
+    # readout must be named by exactly one (layer, qubit) or (slot, qubit)
+    # of cnot_location / readout_location, and act on the qubits those
+    # coordinates imply.
+    spec = build_ancilla_spec([golay_css] * 2 if kind == "bell" else golay_css, kind)
+    rnd = CompiledRound(spec, round_, registry(c_name), None)
+    m, n, r_c, circuit = rnd.m, rnd.n, rnd.r_c, rnd.circuit
+    layer_of = {pair: idx for idx, pair in enumerate(rnd.layers)}
+    gates, reads = {}, {}
+    for s, g, gate in circuit.gates():
+        if gate.kind == "cnot":
+            (b1, q), (b2, _) = gate.locs
+            check_slot, data_slot = sorted((b1 // m, b2 // m))
+            gates[(s, g)] = (layer_of[(check_slot, data_slot - r_c)], b1 % m * n + q)
+        else:
+            assert gate.kind == ("meas_z" if round_ == 1 else "meas_x")
+            (b, q), = gate.locs
+            reads[(s, g)] = (b // m, b % m * n + q)
+    named = {rnd.cnot_location(layer, qubit): (layer, qubit)
+             for layer in range(len(rnd.layers)) for qubit in range(m * n)}
+    assert len(named) == len(rnd.layers) * m * n and named == gates
+    named = {rnd.readout_location(slot, qubit): (slot, qubit)
+             for slot in range(r_c) for qubit in range(m * n)}
+    assert len(named) == r_c * m * n and named == reads
+    for layer, (i, j) in enumerate(rnd.layers):
+        for qubit in range(m * n):
+            blk, q = divmod(qubit, n)
+            s, g = rnd.cnot_location(layer, qubit)
+            data, check = ((r_c + j) * m + blk, q), (i * m + blk, q)
+            assert circuit.steps[s][g].locs == ((data, check) if round_ == 1 else (check, data))
+    for slot, qubit in itertools.product(range(r_c), range(m * n)):
+        s, g = rnd.readout_location(slot, qubit)
+        assert circuit.steps[s][g].locs == ((slot * m + qubit // n, qubit % n),)
+
+
+@pytest.mark.parametrize("kind", ["zero", "bell"])
+def test_fault_positions_round_trip(golay_css, kind):
+    # Every position of both fault spaces decodes into exactly one segment,
+    # inside its shape, and its coordinates encode back to the position.
+    runner = _benchmark_runner(golay_css, kind)
+    for layout, space in ((runner._gate_layout, runner._gate_space),
+                          (runner._meas_layout, runner._meas_space)):
+        pos = np.arange(space, dtype=np.int32)
+        parts = distill._decode(pos, layout)
+        assert len(parts) == len(layout)
+        start = 0
+        for shape, (sel, coords) in zip(layout, parts):
+            assert np.array_equal(sel, np.arange(start, start + math.prod(shape)))
+            assert len(coords) == len(shape)
+            for c, size in zip(coords, shape):
+                assert c.dtype == np.int32 and c.min() >= 0 and c.max() < size
+            assert np.array_equal(np.ravel_multi_index(coords, shape) + start, pos[sel])
+            start += math.prod(shape)
+        assert start == space
 
 
 @pytest.mark.parametrize("round_", [1, 2])
@@ -924,7 +985,6 @@ class TestTwoFaultNoGo:
         block keeps an X error of weight above t = 3."""
         ham = registry("hamming7")
         rnd = CompiledRound(zero_spec, 1, ham, None)
-        circ = rnd.circuit
         tab = zero_spec.weight_table(4)
         supp_l = [q for q in range(23) if (GOLAY_LOGICAL.bits >> q) & 1]
         # Both single errors must flip the logical syndrome row; the shared
@@ -937,17 +997,7 @@ class TestTwoFaultNoGo:
             first_layer = min(
                 layer for layer, (i, j) in enumerate(rnd.layers) if j == 0
             )
-            gate_loc = None
-            for s, g, gate in circ.gates():
-                if gate.kind != "cnot":
-                    continue
-                key = (s, g)
-                if key in rnd._gate_index:
-                    layer, blk, q = rnd._gate_index[key]
-                    if layer == first_layer and q == q1:
-                        gate_loc = key
-                        break
-            assert gate_loc is not None
+            gate_loc = rnd.cnot_location(first_layer, q1)
             inj = FaultInjection((Fault(gate_loc[0], gate_loc[1], "XI"),))
             res = rnd.run(inputs, inj)
             for slot in range(rnd.r_c, rnd.n_c):
