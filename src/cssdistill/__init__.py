@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`cssdistill.gf2` -- bit-packed GF(2) vectors/matrices.
+* :mod:`cssdistill.gf2` -- GF(2) linear algebra: int vectors, `BitMatrix` matrices.
 * :mod:`cssdistill.codes` -- classical codes and syndrome decoders.
 * :mod:`cssdistill.css` -- CSS codes, ancilla specifications, residual weights.
 * :mod:`cssdistill.frames` -- Pauli-frame circuits, noise, fault injection.

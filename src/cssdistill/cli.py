@@ -299,30 +299,22 @@ def metric_rows(stats: RunStats) -> list[dict]:
     return rows
 
 
-def slope_rows(stats: RunStats) -> list[dict]:
-    rows = []
-    metrics = [m for m, _ in _X_BINS] + [m for m, _ in _Z_BINS] + ["r1", "r2"]
-    table = {m: [] for m in metrics}
-    for s in stats.per_p:
-        for name, w in _X_BINS:
-            v = s.weight_fraction("x", w)
-            if v:
-                table[name].append((s.p, v))
-        for name, w in _Z_BINS:
-            v = s.weight_fraction("z", w)
-            if v:
-                table[name].append((s.p, v))
-        if s.r1 > 0:
-            table["r1"].append((s.p, s.r1))
-        if s.r2 > 0:
-            table["r2"].append((s.p, s.r2))
+def slope_rows(rows: list[dict]) -> list[dict]:
+    """Log-log fit of each weight bin and rejection rate of
+    :func:`metric_rows` ``rows`` over the p where it is > 0."""
+    metrics = [m for m, _ in _X_BINS + _Z_BINS] + ["r1", "r2"]
+    table: dict[str, list] = {m: [] for m in metrics}
+    for row in rows:
+        if row["metric"] in table and row["value"] > 0:
+            table[row["metric"]].append((row["p"], row["value"]))
+    out = []
     for metric, pts in table.items():
         if len(pts) >= 2:
             fit = slope_fit(pts)
-            rows.append(dict(metric=metric, slope=fit.slope,
-                             intercept=fit.intercept, stderr=fit.stderr,
-                             points=len(pts)))
-    return rows
+            out.append(dict(metric=metric, slope=fit.slope,
+                            intercept=fit.intercept, stderr=fit.stderr,
+                            points=len(pts)))
+    return out
 
 
 def write_csv(path: Path, rows: list[dict], fields: list[str]) -> None:
@@ -349,7 +341,7 @@ def print_summary(stats: RunStats, file=None) -> None:
             v = vals.get(c)
             cells.append(f"{v:9.3g}" if v is not None else f"{'-':>9}")
         print(f"{p:<9.3g}" + " ".join(cells), file=file)
-    srows = slope_rows(stats)
+    srows = slope_rows(rows)
     if srows:
         print("\nlog-log slopes:", file=file)
         for row in srows:
@@ -488,7 +480,7 @@ def cmd_analyze(args) -> int:
     }
     for fname, grp in groups.items():
         write_csv(out_dir / fname, grp, ["p", "metric", "value", "ci_lo", "ci_hi", "count"])
-    srows = slope_rows(stats)
+    srows = slope_rows(rows)
     if len(stats.per_p) >= 2 and srows:
         write_csv(out_dir / "slopes.csv", srows,
                   ["metric", "slope", "intercept", "stderr", "points"])

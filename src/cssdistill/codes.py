@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import gf2
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 REGISTRY_NAMES = ("rep3", "rep5", "hamming7", "bch15_7_5", "golay23", "golay23_dual")
 
@@ -55,27 +55,22 @@ class LinearCode:
     def r(self) -> int:
         return self.n - self.k
 
-    def syndrome(self, v: BitVec | int) -> BitVec:
-        if isinstance(v, int):
-            v = BitVec(self.n, v)
-        if v.n != self.n:
+    def syndrome(self, v: int) -> int:
+        if v < 0 or v >> self.n:
             raise ValueError("length mismatch")
         return gf2.mat_vec(self.h, v)
 
-    def decode(self, s: BitVec | int) -> tuple[BitVec, bool]:
+    def decode(self, s: int) -> tuple[int, bool]:
         """Coset leader for syndrome ``s``.
 
         Returns ``(e_hat, in_table)``.  When the syndrome is not reachable by
         any error of weight <= w_max the estimate is zero and ``in_table`` is
         False.
         """
-        bits = s.bits if isinstance(s, BitVec) else s
-        if isinstance(s, BitVec) and s.n != self.r:
+        if s < 0 or s >> self.r:
             raise ValueError("length mismatch")
-        leader = self.syndrome_table.get(bits)
-        if leader is None:
-            return BitVec.zeros(self.n), False
-        return BitVec(self.n, leader), True
+        leader = self.syndrome_table.get(s)
+        return (0, False) if leader is None else (leader, True)
 
     def codewords(self):
         """All 2^k codewords (packed ints); only sensible for small k."""
@@ -147,7 +142,7 @@ def build_code(h: BitMatrix, d: int, name: str = "", w_max: int | None = None) -
     h_sys = BitMatrix(r, n, tuple((1 << i) | (a.data[i] << r) for i in range(r)))
     tables = _leader_tables([h] if h_sys == h else [h, h_sys], n, d, t, w_max)
     table, sys_table = tables[0], tables[-1]
-    max_col = max((a.column(j).weight() for j in range(a.cols)), default=0)
+    max_col = max((a.column(j).bit_count() for j in range(a.cols)), default=0)
     return LinearCode(
         name=name or f"[{n},{k},{d}]",
         n=n,

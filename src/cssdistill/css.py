@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gf2
 from .codes import LinearCode
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ def _validate_spec(spec: AncillaSpec) -> None:
             raise ValueError(f"round-{round_} correctors must be pure {corrected.upper()}")
 
 
-def generalized_syndrome(spec: AncillaSpec, e: tuple[int, ...], f: tuple[int, ...]) -> BitVec:
+def generalized_syndrome(spec: AncillaSpec, e: tuple[int, ...], f: tuple[int, ...]) -> int:
     """Eigenvalue-flip pattern of all spec stabilizers under X^e Z^f.
 
     ``e``/``f`` are per-block bitmasks (a Pauli frame snapshot)."""
@@ -341,7 +341,7 @@ def generalized_syndrome(spec: AncillaSpec, e: tuple[int, ...], f: tuple[int, ..
     for idx, el in enumerate(spec.all_elements()):
         if el.syndrome_bit(e, f):
             bits |= 1 << idx
-    return BitVec(spec.total_qubits, bits)
+    return bits
 
 
 class WeightTable:

@@ -43,6 +43,7 @@ from .frames import (
     PauliFrame,
     check_injection,
     fault_images,
+    first_fit,
     run_noisy,
     synth_encoding_circuit,
 )
@@ -365,21 +366,13 @@ def round_schedule(a_c: BitMatrix) -> tuple[list[tuple[int, int]], list[tuple[in
     A 1 at (i, j) of the systematic part is layer (i, j), taken row by
     row.  Each layer goes, greedily over whole units, to the first time
     step in which neither check unit i nor data unit r_c + j is busy; its
-    rank is the number of layers placed in that step before it.  Returns
-    the layers and their (step, rank) pairs.
+    rank is the number of layers placed in that step before it
+    (:func:`frames.first_fit`).  Returns the layers and their (step, rank)
+    pairs.
     """
     r_c = a_c.rows
     layers = [(i, j) for i in range(r_c) for j in range(a_c.cols) if a_c.get(i, j)]
-    busy: list[set[int]] = []
-    placed = []
-    for i, j in layers:
-        units = {i, r_c + j}
-        step = next((s for s, used in enumerate(busy) if not used & units), len(busy))
-        if step == len(busy):
-            busy.append(set())
-        placed.append((step, sum(s == step for s, _ in placed)))
-        busy[step] |= units
-    return layers, placed
+    return layers, first_fit([(i, r_c + j) for i, j in layers])
 
 
 def build_round_circuit(a_c: BitMatrix, round_: int, n: int, m: int = 1) -> Circuit:
@@ -502,7 +495,7 @@ def hd_column_masks(code_d: LinearCode, n_s: int) -> list[int]:
     """
     masks = []
     for c in range(n_s):
-        masks.append(code_d.a.column(c).bits)
+        masks.append(code_d.a.column(c))
     for i in range(code_d.r):
         masks.append(1 << i)
     return masks
@@ -587,7 +580,7 @@ def correct_block(
         err, ok = code.decode(syn)
         if not ok:
             return e, f, True
-        est[b] = err.bits
+        est[b] = err
     logicals = spec.logicals(round_)
     for t, logical in enumerate(logicals):
         ell = (s_hat_row >> (off + t)) & 1
@@ -1066,15 +1059,20 @@ class ProtocolRunner:
         exponentials numpy's geometric would consume for the gate chunk and
         the readout chunk, then the raw words of its Pauli draws.  The
         transforms run on the whole batch (:func:`_batch_positions`,
-        :func:`_pauli_draws`).  A trial they cannot reproduce is sampled by
-        :meth:`_sample`; so is the whole batch when numpy's geometric
-        searches (1/3 <= p < 1) or this numpy fails :func:`_draws_match_numpy`.
+        :func:`_pauli_draws`).  The batch is sampled trial by trial by
+        :meth:`_sample` instead when a trial's draws fall outside what the
+        transforms reproduce, when numpy's geometric searches (1/3 <= p < 1)
+        or when this numpy fails :func:`_draws_match_numpy`.
         """
         model = self.config.model
         trials = range(first, first + count)
         families = ((self._gate_space, model.p_gate), (self._meas_space, model.p_meas))
-        if any(total and 1 / 3 <= p < 1 for total, p in families) or not _draws_match_numpy():
+
+        def per_trial():
             return self._fault_rows([self._sample(self._trial_rng(seed, p_index, t)) for t in trials])
+
+        if any(total and 1 / 3 <= p < 1 for total, p in families) or not _draws_match_numpy():
+            return per_trial()
         c_g, c_m = (_chunk(total, p) if total and 0 < p < 1 else 0 for total, p in families)
         # The Pauli draws take one raw word per gate fault, at most one per
         # draw of the chunk, or one per location at p = 1.
@@ -1090,21 +1088,11 @@ class ProtocolRunner:
         g_pos, k, bad = _batch_positions(exps[:, :c_g], *families[0])
         m_pos, m_k, m_bad = _batch_positions(exps[:, c_g:], *families[1])
         draw15, draw3, rejected = _pauli_draws(raw, k)
-        bad |= m_bad | rejected
+        if (bad | m_bad | rejected).any():
+            return per_trial()
         trial = np.arange(count)
         gate = np.stack((np.repeat(trial, k), g_pos, draw15, draw3), axis=1, dtype=self._rows)
         meas = np.stack((np.repeat(trial, m_k), m_pos), axis=1, dtype=self._rows)
-        redo = np.flatnonzero(bad)
-        if len(redo):
-            r_gate, r_meas, _ = self._fault_rows(
-                [self._sample(self._trial_rng(seed, p_index, first + i)) for i in redo]
-            )
-            rows = []
-            for ok, again in ((gate, r_gate), (meas, r_meas)):
-                again[:, 0] = redo[again[:, 0]]
-                both = np.concatenate((ok[~bad[ok[:, 0]]], again))
-                rows.append(both[np.argsort(both[:, 0], kind="stable")])
-            gate, meas = rows
         return gate, meas, count
 
     def run_injected(

@@ -12,7 +12,7 @@ Phases are dropped throughout; syndromes and weights are phase-blind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from . import gf2
 from .css import AncillaSpec
@@ -275,23 +275,34 @@ def effective_support(
     return x_sup, z_sup
 
 
+def first_fit(uses: Sequence[Collection]) -> list[tuple[int, int]]:
+    """Greedy time steps for items given by the resources each one uses.
+
+    In order, each item goes to the first step in which none of its
+    resources is busy.  Returns each item's (step, rank), its rank being the
+    number of items placed in that step before it.
+    """
+    busy: list[set] = []
+    filled: list[int] = []
+    placed = []
+    for resources in uses:
+        step = next((s for s, used in enumerate(busy) if used.isdisjoint(resources)), len(busy))
+        if step == len(busy):
+            busy.append(set())
+            filled.append(0)
+        placed.append((step, filled[step]))
+        busy[step].update(resources)
+        filled[step] += 1
+    return placed
+
+
 def _greedy_schedule(prep_gates: list[Gate], cnots: list[Gate], ns) -> Circuit:
-    steps: list[list[Gate]] = [prep_gates] if prep_gates else []
-    occupied: list[set[tuple[int, int]]] = [set()] if prep_gates else []
+    placed = first_fit([gate.locs for gate in cnots])
+    steps: list[list[Gate]] = [[] for _ in range(max((s for s, _ in placed), default=-1) + 1)]
+    for gate, (step, _) in zip(cnots, placed):
+        steps[step].append(gate)
     if prep_gates:
-        occupied[0] = {loc for g in prep_gates for loc in g.locs}
-    start = len(steps)
-    for gate in cnots:
-        placed = False
-        for idx in range(start, len(steps)):
-            if not any(loc in occupied[idx] for loc in gate.locs):
-                steps[idx].append(gate)
-                occupied[idx].update(gate.locs)
-                placed = True
-                break
-        if not placed:
-            steps.append([gate])
-            occupied.append(set(gate.locs))
+        steps.insert(0, prep_gates)
     return Circuit(tuple(ns), tuple(tuple(s) for s in steps))
 
 

@@ -1,8 +1,8 @@
-"""Bit-packed GF(2) vectors, matrices and the linear algebra built on them.
+"""GF(2) linear algebra on int vectors and :class:`BitMatrix` matrices.
 
-Vectors are stored as Python integers (bit i of ``bits`` is coordinate i),
-matrices as a tuple of row integers.  XOR/AND on machine-word-backed ints is
-the whole arithmetic, which is what the Monte Carlo hot loop needs.  All
+A vector is a plain Python int, bit i being coordinate i; a matrix holds its
+rows as a tuple of such ints.  XOR/AND on machine-word-backed ints is the
+whole arithmetic, which is what the Monte Carlo hot loop needs.  All
 values are immutable after construction and safe to share between workers.
 Linear maps applied to whole arrays of packed words go through byte-indexed
 lookup tables (:func:`byte_tables`, :func:`xor_lookup`).
@@ -12,84 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """A length-``n`` binary vector packed into a single int.
-
-    Bits above position ``n - 1`` are always zero.
-    """
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("negative length")
-        if self.bits >> self.n:
-            raise ValueError("bits set beyond vector length")
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitVec":
-        return cls(n, 0)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "BitVec":
-        return cls(n, 1 << i)
-
-    @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "BitVec":
-        bits = 0
-        n = 0
-        for v in values:
-            if v & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> "BitVec":
-        return cls.from_bits(int(c) for c in s.replace(" ", ""))
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
-
-    def dot(self, other: "BitVec") -> int:
-        """Inner product mod 2."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return BitVec(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return BitVec(self.n, self.bits & other.bits)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def to01(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
-
-    def __iter__(self) -> Iterator[int]:
-        return (((self.bits >> i) & 1) for i in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -108,27 +33,11 @@ class BitMatrix:
                 raise ValueError("row wider than cols")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[int | BitVec], cols: int | None = None) -> "BitMatrix":
-        ints = []
-        for r in rows:
-            if isinstance(r, BitVec):
-                if cols is None:
-                    cols = r.n
-                elif cols != r.n:
-                    raise ValueError("row length mismatch")
-                ints.append(r.bits)
-            else:
-                ints.append(int(r))
-        if cols is None:
-            raise ValueError("cols required for integer rows")
-        return cls(len(ints), cols, tuple(ints))
-
-    @classmethod
     def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":
-        vecs = [BitVec.from_string(s) for s in rows]
-        if not vecs:
+        if not rows:
             raise ValueError("empty matrix needs explicit dimensions")
-        return cls.from_rows(vecs)
+        cols = len(rows[0].replace(" ", ""))
+        return cls(len(rows), cols, tuple(_parse_row(s, cols) for s in rows))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -138,23 +47,20 @@ class BitMatrix:
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(rows, cols, (0,) * rows)
 
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.data[i])
-
-    def column(self, j: int) -> BitVec:
+    def column(self, j: int) -> int:
         if not 0 <= j < self.cols:
             raise IndexError(j)
         bits = 0
         for i, r in enumerate(self.data):
             if (r >> j) & 1:
                 bits |= 1 << i
-        return BitVec(self.rows, bits)
+        return bits
 
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, tuple(self.column(j).bits for j in range(self.cols)))
+        return BitMatrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
@@ -178,7 +84,7 @@ class BitMatrix:
         return all(r == 0 for r in self.data)
 
     def to_strings(self) -> list[str]:
-        return [self.row(i).to01() for i in range(self.rows)]
+        return ["".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.data]
 
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...], int]:
@@ -241,15 +147,15 @@ def systematic_form(h: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     return BitMatrix(h.rows, h.cols - h.rows, tuple(a_rows)), perm
 
 
-def mat_vec(m: BitMatrix, v: BitVec) -> BitVec:
+def mat_vec(m: BitMatrix, v: int) -> int:
     """M v^T over GF(2); bit i of the result is <row_i, v>."""
-    if m.cols != v.n:
+    if v < 0 or v >> m.cols:
         raise ValueError("dimension mismatch")
     bits = 0
     for i, r in enumerate(m.data):
-        if (r & v.bits).bit_count() & 1:
+        if (r & v).bit_count() & 1:
             bits |= 1 << i
-    return BitVec(m.rows, bits)
+    return bits
 
 
 def mat_mul_t(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -459,13 +365,16 @@ def parse_matrix(text: str) -> BitMatrix:
     rows, cols = int(head[0]), int(head[1])
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, got {len(lines) - 1}")
-    data = []
-    for ln in lines[1:]:
-        compact = ln.replace(" ", "")
-        if len(compact) != cols or set(compact) - {"0", "1"}:
-            raise ValueError(f"bad row: {ln!r}")
-        data.append(BitVec.from_string(compact).bits)
-    return BitMatrix(rows, cols, tuple(data))
+    return BitMatrix(rows, cols, tuple(_parse_row(ln, cols) for ln in lines[1:]))
+
+
+def _parse_row(text: str, cols: int) -> int:
+    """One matrix row: ``cols`` characters in {0,1}, column 0 first, single
+    spaces between characters allowed."""
+    compact = text.replace(" ", "")
+    if len(compact) != cols or set(compact) - {"0", "1"}:
+        raise ValueError(f"bad row: {text!r}")
+    return sum(1 << j for j, c in enumerate(compact) if c == "1")
 
 
 def format_matrix(m: BitMatrix) -> str:

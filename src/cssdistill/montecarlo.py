@@ -195,10 +195,14 @@ def run_experiment(
 
     The per-trial stream depends only on (seed, p index, trial index), so
     the aggregate is independent of worker count and chunking.
+    ``workers`` defaults to :func:`default_workers` and must be >= 1.
     """
     if trials_per_p < 1:
         raise ValueError("trials_per_p must be >= 1")
-    workers = workers or default_workers()
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"workers: expected an integer >= 1, got {workers!r}")
     per_p = [PStats(p=p) for p in p_grid]
     tasks = []
     for p_index in range(len(p_grid)):

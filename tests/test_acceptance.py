@@ -22,7 +22,6 @@ from cssdistill.codes import registry
 from cssdistill.css import build_ancilla_spec, build_css, generalized_syndrome
 from cssdistill.distill import CompiledRound, DistillationConfig, ProtocolRunner
 from cssdistill.frames import PAULI_2Q, FailureModel, Fault, FaultInjection, PauliFrame, effective_support
-from cssdistill.gf2 import BitVec
 from cssdistill.montecarlo import (
     RunStats,
     _binom_point,
@@ -40,7 +39,7 @@ SEED = 230923
 N_EXTRA = 6  # sized to the measured round-1 rejection at the top grid point
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".acceptance_cache"
 
-GOLAY_LOGICAL = BitVec.from_string("00000000000101011100011")
+GOLAY_LOGICAL = int("00000000000101011100011"[::-1], 2)  # qubit 0 first
 
 
 def criterion(num: int, ok: bool, desc: str, detail: str = "") -> None:
@@ -116,8 +115,8 @@ def test_criterion_1_decoder_exhaustiveness():
             e = 0
             for q in combo:
                 e |= 1 << q
-            got, ok = golay.decode(golay.syndrome(BitVec(23, e)))
-            assert ok and got.bits == e
+            got, ok = golay.decode(golay.syndrome(e))
+            assert ok and got == e
             count += 1
     assert count == 2048
     bch = registry("bch15_7_5")
@@ -127,8 +126,8 @@ def test_criterion_1_decoder_exhaustiveness():
             e = 0
             for q in combo:
                 e |= 1 << q
-            got, ok = bch.decode(bch.syndrome(BitVec(15, e)))
-            assert ok and got.bits == e
+            got, ok = bch.decode(bch.syndrome(e))
+            assert ok and got == e
             count += 1
     assert count == 121
     for name in ("rep3", "rep5", "hamming7"):
@@ -138,8 +137,8 @@ def test_criterion_1_decoder_exhaustiveness():
                 e = 0
                 for q in combo:
                     e |= 1 << q
-                got, ok = code.decode(code.syndrome(BitVec(code.n, e)))
-                assert ok and got.bits == e
+                got, ok = code.decode(code.syndrome(e))
+                assert ok and got == e
     dt = time.time() - t0
     criterion(1, dt < 1.0, "all registry decoders exhaustive on coset leaders",
               f"2048 Golay + 121 BCH + smaller codes in {dt:.2f}s")
@@ -149,11 +148,11 @@ def test_criterion_2_css_invariants(golay_css):
     t0 = time.time()
     ok = gf2.mat_mul_t(golay_css.h_x, golay_css.h_z).is_zero()
     ok &= gf2.mat_mul_t(golay_css.l_z, golay_css.d_mat) == gf2.BitMatrix.identity(1)
-    xbar = golay_css.d_mat.row(0)
-    ok &= gf2.mat_vec(golay_css.h_z, xbar).is_zero()  # same H_Z syndrome as l (both zero)
-    ok &= xbar.dot(GOLAY_LOGICAL) == 1  # same coset: odd overlap
-    zbar = golay_css.l_z.row(0)
-    ok &= xbar.dot(zbar) == 1  # anticommute
+    xbar = golay_css.d_mat.data[0]
+    ok &= gf2.mat_vec(golay_css.h_z, xbar) == 0  # same H_Z syndrome as l (both zero)
+    ok &= (xbar & GOLAY_LOGICAL).bit_count() % 2 == 1  # same coset: odd overlap
+    zbar = golay_css.l_z.data[0]
+    ok &= (xbar & zbar).bit_count() % 2 == 1  # anticommute
     dt = time.time() - t0
     criterion(2, ok and dt < 1.0, "[[23,1,7]] construction invariants hold exactly",
               f"{dt:.3f}s")
@@ -189,7 +188,7 @@ def test_criterion_4_two_fault_no_go(zero_spec):
     ham = registry("hamming7")
     rnd = CompiledRound(zero_spec, 1, ham, None)
     tab = zero_spec.weight_table(4)
-    supp_l = GOLAY_LOGICAL.support()
+    supp_l = [q for q in range(23) if (GOLAY_LOGICAL >> q) & 1]
     hit = None
     for q1, q2 in itertools.permutations(supp_l, 2):
         inputs = [PauliFrame.zeros((23,)) for _ in range(7)]
@@ -310,9 +309,9 @@ def test_criterion_10_degeneracy_oracle(golay_css):
         oracle_z: dict[int, int] = {}
         for bits, w in gf2.iter_weight_le(total, cap):
             eb = split(bits)
-            sx = generalized_syndrome(spec, eb, zeros).bits
+            sx = generalized_syndrome(spec, eb, zeros)
             oracle_x.setdefault(sx, w)
-            sz = generalized_syndrome(spec, zeros, eb).bits
+            sz = generalized_syndrome(spec, zeros, eb)
             oracle_z.setdefault(sz, w)
         for _ in range(1000):
             if rng.random() < 0.5:
@@ -322,8 +321,8 @@ def test_criterion_10_degeneracy_oracle(golay_css):
                 for q in rng.sample(range(total), rng.randint(0, cap + 2)):
                     bits |= 1 << q
             eb = split(bits)
-            want_x = oracle_x.get(generalized_syndrome(spec, eb, zeros).bits)
-            want_z = oracle_z.get(generalized_syndrome(spec, zeros, eb).bits)
+            want_x = oracle_x.get(generalized_syndrome(spec, eb, zeros))
+            want_z = oracle_z.get(generalized_syndrome(spec, zeros, eb))
             assert tab.x_weight(eb) == want_x
             assert tab.z_weight(eb) == want_z
             checked += 1

@@ -35,9 +35,9 @@ from cssdistill.frames import (
     effective_support,
     run_noisy,
 )
-from cssdistill.gf2 import BitMatrix, BitVec
+from cssdistill.gf2 import BitMatrix
 
-GOLAY_LOGICAL = BitVec.from_string("00000000000101011100011")
+GOLAY_LOGICAL = int("00000000000101011100011"[::-1], 2)  # qubit 0 first
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +329,7 @@ class TestCorrectBlock:
         s_hat = 1 << 11
         new_e, _, bad = correct_block(zero_spec, 1, s_hat, (0,), (0,))
         assert not bad
-        assert new_e == (GOLAY_LOGICAL.bits,)
+        assert new_e == (GOLAY_LOGICAL,)
         tab = zero_spec.weight_table(4)
         assert tab.x_weight(new_e) is None  # weight-7 class
 
@@ -573,10 +573,10 @@ class TestBatchSampling:
         assert rejected.tolist() == [True, True, False]
         assert draw15[2] == 14 and draw3[2] == 0
 
-    def test_fallback_trials_merge_in_order(self, steane_runner, monkeypatch):
-        # Trials the transforms reject are sampled one by one and merged
-        # back in trial order; their transformed draws, garbage here, must
-        # not reach the rows.
+    def test_rejected_trial_samples_batch_per_trial(self, steane_runner, monkeypatch):
+        # A trial the transforms reject sends the whole batch through the
+        # per-trial sampler; the transformed draws, garbage here for the
+        # rejected trials, must not reach the rows.
         real = distill._pauli_draws
 
         def reject_some(raw, k):
@@ -986,7 +986,7 @@ class TestTwoFaultNoGo:
         ham = registry("hamming7")
         rnd = CompiledRound(zero_spec, 1, ham, None)
         tab = zero_spec.weight_table(4)
-        supp_l = [q for q in range(23) if (GOLAY_LOGICAL.bits >> q) & 1]
+        supp_l = [q for q in range(23) if (GOLAY_LOGICAL >> q) & 1]
         # Both single errors must flip the logical syndrome row; the shared
         # misdecoded columns then hand a wrong logical eigenvalue to the
         # predicted block, whose correction installs a logical-class error.

@@ -62,6 +62,11 @@ class TestRunExperiment:
             )
             assert got.to_dict() == base.to_dict()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, comb_a_config, workers):
+        with pytest.raises(ValueError, match=rf"^workers: expected an integer >= 1, got {workers}$"):
+            run_experiment(comb_a_config, [1e-3], 10, seed=1, workers=workers)
+
     def test_histogram_conservation(self, comb_a_config):
         stats = run_experiment(comb_a_config, [2e-3], 150, seed=3, workers=2)
         s = stats.per_p[0]
