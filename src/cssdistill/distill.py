@@ -63,19 +63,31 @@ PAULI3_CODE = tuple(_CHAR_CODE[p] for p in PAULI_1Q)
 _PAULI15_CODES = np.array(PAULI15_CODE, dtype=np.int8)
 
 # Trials per batch of the trial-batched engine.  Larger batches spread the
-# fixed numpy call cost of a batch over more trials, but the temporaries
-# grow with BATCH.  On the reference workload (2-vCPU Xeon VM, 20 s
-# benchmark runs of this kernel), 128 read 19.5-24.8k trials/s at 44.8 MiB
-# peak resident memory, 64 read 16.6-17.2k at 43.3-43.4 MiB, and 256 read
-# 21.8-23.7k at 46.4-46.7 MiB: no faster than 128, and more than 5% over
-# the 44.1 MiB of the earlier 64-trial kernel.
-BATCH = 128
+# fixed numpy call cost of a batch (about 0.5 ms) over more trials, but the
+# temporaries grow with BATCH.  Four alternating pairs of fresh processes
+# running six benchmark-shaped calls each (2-vCPU Xeon VM) read, for this
+# kernel:
+#
+#   workload       BATCH  trials/s       peak RSS    minor faults/trial
+#   golay0-A-ref   128    33.1k-38.5k    42.2-42.4   0.46
+#                  256    36.6k-48.6k    42.6        0.003
+#   bell-A-nops    128    29.8k-33.4k    41.3-41.5   0.37
+#                  256    34.1k-36.2k    42.1-42.3   0.001
+#
+# (bell-A-nops three pairs).  The kernel before this one read 3.08 MiB of
+# traced batch peak at 256 against 1.59 MiB here (1.9 MiB bound in
+# test_batch_temporaries_stay_lean).
+BATCH = 256
 
 # Largest unit width (m blocks of n qubits), |SE| and round-code length the
 # batched kernel packs into int64 words, and the most syndrome bits of its
-# dense decoder tables.
+# dense decoder tables (the column decoder reads 16-bit keys).
 _WORD_BITS = 62
-_DENSE_BITS = 20
+_DENSE_BITS = 16
+# A round decodes and corrects its dirty (group, trial) columns in slices
+# of at most this many, which bounds its temporaries whatever the batch
+# size; take, for one, copies its index to intp first.
+_ROUND_SLICE = 2048
 
 
 def _dense_table(table: dict[int, int], bits: int) -> np.ndarray:
@@ -118,7 +130,8 @@ def _by_code(single: np.ndarray, codes) -> np.ndarray:
 def _bit_transpose(words: np.ndarray, width: int) -> np.ndarray:
     """Transpose the bit matrix held in the last axis: (..., rows) integer
     words of ``width`` bits become (..., width) words of ``rows`` bits, in
-    the narrowest signed dtype that holds them, int64 at most.
+    the narrowest unsigned dtype that holds them, uint64 at most (a view of
+    the transposed bytes when ``rows`` <= 8).
 
     Works on 8x8 bit blocks, each transposed inside one uint64 by three
     delta swaps (Hacker's Delight, section 7-3).
@@ -139,9 +152,8 @@ def _bit_transpose(words: np.ndarray, width: int) -> np.ndarray:
     t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
     x ^= t ^ (t << 28)
     cols = x.view(np.uint8).reshape(*lead, r8, 8 * w8)[..., :width]
-    # The smallest signed type holding -2^rows holds every rows-bit word.
-    dtype = np.min_scalar_type(-(1 << min(rows, 63)))
-    out = cols[..., 0, :].astype(dtype)
+    dtype = np.min_scalar_type((1 << min(rows, 64)) - 1)
+    out = cols[..., 0, :].astype(dtype, copy=False)
     for k in range(1, r8):
         out |= cols[..., k, :].astype(dtype) << (8 * k)
     return out
@@ -169,11 +181,14 @@ def _batch_positions(exps: np.ndarray, total: int, p: float):
     trial's chunk of standard exponentials, as numpy's geometric inversion
     makes them: skip = ceil(E / -log1p(-p)), position = running sum - 1.
 
+    The running sums are taken in float64: they are exact below 2^53 and
+    never decrease above it, so they are exact wherever a position is kept.
     Returns the kept positions of every trial in trial order, the count per
     trial, and the trials the transform cannot reproduce: a chunk that does
-    not reach ``total`` (numpy would draw another) or a skip so large that
-    the running sums could overflow.  p >= 1 takes every position and
-    p <= 0 none, without exponentials.
+    not reach ``total`` (numpy would draw another), or a final running sum
+    of 2^62 or more, where numpy may have clamped a skip or wrapped its
+    int64 running sums.  p >= 1 takes every position and p <= 0 none,
+    without exponentials.
     """
     count = len(exps)
     none = np.zeros(count, dtype=bool)
@@ -182,14 +197,14 @@ def _batch_positions(exps: np.ndarray, total: int, p: float):
     if p >= 1.0:
         return np.tile(np.arange(total), count), np.full(count, total), none
     # math.log1p is the libm function numpy's C code calls.
-    skips = np.ceil(exps / -math.log1p(-p))
-    bad = (skips >= 2.0**63 / exps.shape[1]).any(axis=1)
-    skips[bad] = 1.0
-    ends = skips.astype(np.int64).cumsum(axis=1) - 1
-    keep = ends < total
+    sums = np.ceil(exps / -math.log1p(-p))
+    sums.cumsum(axis=1, out=sums)
+    keep = sums <= total
     k = keep.sum(axis=1)
-    bad |= k == exps.shape[1]
-    return ends[keep], k, bad
+    bad = (k == exps.shape[1]) | (sums[:, -1] >= 2.0**62)
+    pos = sums[keep].astype(np.int64)
+    pos -= 1
+    return pos, k, bad
 
 
 def _pauli_draws(raw: np.ndarray, k: np.ndarray):
@@ -197,18 +212,26 @@ def _pauli_draws(raw: np.ndarray, k: np.ndarray):
     of raw words, as ``integers(0, 15, k)`` then ``integers(0, 3, k)`` take
     them: the row's uint32 stream, low half of each word first, gives the
     15-way draws from its first k values and the 3-way draws from the next
-    k, each ``(u * range) >> 32``.  A zero uint32 is numpy's only rejection
-    for these ranges; the trials that meet one are returned with the
-    draws."""
+    k, each ``(u * range) >> 32``.  Only those values are gathered, by flat
+    index.  A zero uint32 is numpy's only rejection for these ranges; the
+    trials that meet one are returned with the draws."""
     u32 = raw.view(np.uint32)
-    col = np.arange(u32.shape[1])
-    k = k[:, None]
-    first = col < k
-    used = col < 2 * k
-    rejected = ((u32 == 0) & used).any(axis=1)
-    u15 = u32[first].astype(np.uint64)
-    u3 = u32[used & ~first].astype(np.uint64)
-    return ((u15 * 15) >> 32).astype(np.int64), ((u3 * 3) >> 32).astype(np.int64), rejected
+    ends = np.cumsum(k)
+    # Fault i (counted over the batch) of trial t reads value i - (faults
+    # before t) of row t, and its 3-way draw the value k[t] further on.
+    at = np.arange(ends[-1] if len(k) else 0)
+    at += np.repeat(np.arange(len(k)) * u32.shape[1] - (ends - k), k)
+    u32 = u32.reshape(-1)
+    u15 = u32.take(at)
+    at += np.repeat(k, k)
+    u3 = u32.take(at)
+    rejected = np.zeros(len(k), dtype=bool)
+    rejected[np.searchsorted(ends, np.flatnonzero((u15 == 0) | (u3 == 0)), side="right")] = True
+    draw15 = np.multiply(u15, 15, dtype=np.int64)
+    draw3 = np.multiply(u3, 3, dtype=np.int64)
+    draw15 >>= 32
+    draw3 >>= 32
+    return draw15, draw3, rejected
 
 
 @functools.cache
@@ -644,8 +667,8 @@ class CompiledRound:
         corr_codes = [blk.code_z if round_ == 1 else blk.code_x for blk in spec.blocks]
         self.batched = (
             max(m * n, self.n_se, self.n_c) <= _WORD_BITS
-            and max(self.r_c, *(max(c.r, k) for c, k in zip(corr_codes, self.gen_counts)))
-            <= _DENSE_BITS
+            and max(self.r_c, self.k_c + 1,
+                    *(max(c.r, k) for c, k in zip(corr_codes, self.gen_counts))) <= _DENSE_BITS
         )
         if not self.batched:
             return
@@ -685,6 +708,17 @@ class CompiledRound:
         self.nu_to_sigma = gf2.byte_tables(_bit_transpose(se_rows, m * n).tolist())
         self.hd_parity = gf2.byte_tables(self.hd_masks) if self.hd_masks else None
         self.leaders = _dense_table(code_c.systematic_table, self.r_c)
+        # The column decoder's table: per 16-bit key, the leaders shifted
+        # right by r_c (their data bits, and bit k_c set on a miss, as -1
+        # sets every bit).  When syndromes and shifted leaders fit a byte, a
+        # key holds the syndromes of two columns and its value their two
+        # shifted leaders, byte for byte.
+        self._pair_keys = max(self.r_c, self.k_c + 1) <= 8
+        shifted = np.zeros(1 << (8 if self._pair_keys else self.r_c), dtype=np.uint16)
+        shifted[:len(self.leaders)] = self.leaders >> self.r_c & ((2 << self.k_c) - 1)
+        if self._pair_keys:  # key = low | high << 8 at [high, low]
+            shifted = (shifted[None, :] | shifted[:, None] << 8).reshape(-1)
+        self._column_table = shifted
         # Per block: its correction table, shifted to the block's bits
         # (-1 still marks a miss), and the offset and mask of its
         # generator syndrome in the estimated SE rows.
@@ -743,12 +777,13 @@ class CompiledRound:
         group * trials + trial.
 
         Transversal propagation: measured parts flow data -> check, the
-        opposite parts check -> data (``flow`` is updated in place),
-        identically in both rounds, one row XOR per coupling; then the
-        round's fault hits (see :meth:`fault_hits`) land on records, e parts
-        and f parts.
+        opposite parts check -> data, identically in both rounds, one row
+        XOR per coupling; then the round's fault hits (see
+        :meth:`fault_hits`) land on records, e parts and f parts.  Both
+        planes are updated in place, and the records are the check rows of
+        ``meas``: no later stage reads a check unit's frame.
         """
-        nu = meas[:self.r_c].copy()
+        nu = meas[:self.r_c]
         for i, cols in enumerate(self.row_data_idx):
             for c in cols:
                 nu[i] ^= meas[c]
@@ -768,11 +803,15 @@ class CompiledRound:
         every column's syndrome is in the table, and the estimated SE rows
         of the data slots.
         """
-        leader = self.leaders.take(_bit_transpose(sigma, -(-self.n_se // 8) * 8))
-        # A leader has n_c bits and a miss (-1) every bit, so bit k_c of a
-        # shifted leader flags a miss: row k_c of the transpose collects
-        # the missed columns.
-        rows = _bit_transpose(leader >> self.r_c, self.k_c + 1)
+        keys = _bit_transpose(sigma, -(-self.n_se // 8) * 8)
+        if self._pair_keys:
+            keys = keys.view(np.uint16)
+        shifted = self._column_table.take(keys)
+        if self._pair_keys:
+            shifted = shifted.view(np.uint8)
+        # Bit k_c of a shifted leader flags a miss: row k_c of the
+        # transpose collects the missed columns.
+        rows = _bit_transpose(shifted, self.k_c + 1)
         return rows[:, self.k_c] == 0, rows[:, :self.k_c]
 
     def batch_correct(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -818,13 +857,16 @@ class CompiledRound:
         """
         bit = self._bits.take(qubit)
         combo = (layer * self.m + qubit // self.n) * 16 + code
+        index_type = np.int32 if self.n_c * plane < 2**31 else np.int64
         hits = []
         for width, table in zip((self.r_c, self.n_c, self.n_c), self._hit_slots):
             # flatnonzero and divmod: a 2-D nonzero costs ten times more.
             k, slot = np.divmod(np.flatnonzero(table.take(combo, axis=0)), width)
-            hits.append((slot * plane + row[k], bit[k]))
+            slot *= plane
+            slot += row[k]
+            hits.append((slot.astype(index_type), bit[k]))
         index, bits = hits[0]
-        hits[0] = (np.concatenate((index, m_slot * plane + m_row)),
+        hits[0] = (np.concatenate((index, m_slot.astype(index_type) * plane + m_row)),
                    np.concatenate((bits, self._bits.take(m_qubit))))
         return hits
 
@@ -932,7 +974,7 @@ class ProtocolRunner:
             # Frames of a batch hold one unit, all m blocks, per word.
             self._word = self.round1.word
             self._compile_encoding()
-            ids = np.arange(self.n_units, dtype=np.intp).reshape(self.groups1, self.n_c1)
+            ids = np.arange(self.n_units, dtype=np.int32).reshape(self.groups1, self.n_c1)
             self._g1_data_ids = ids[:, self.r_c1:].copy()
             # Unit group * n_c1 + slot is row slot * groups1 + group of the
             # batch frames, so round 1 reads each slot as one plane.
@@ -1049,7 +1091,9 @@ class ProtocolRunner:
             return BatchOutcome.of(
                 [self.run_trial(self._trial_rng(seed, p_index, t)) for t in trials], self.m
             )
-        return self._execute(*self._sample_batch(seed, p_index, first, count))
+        # Each stage returns before the next starts, so the fault rows are
+        # freed before the rounds run (see _run_protocol_core).
+        return self._run_protocol_core(self._execute(*self._sample_batch(seed, p_index, first, count)))
 
     def _sample_batch(self, seed: int, p_index: int, first: int, count: int):
         """:meth:`_fault_rows` of :meth:`_sample` for trials ``first ..
@@ -1087,12 +1131,16 @@ class ProtocolRunner:
                 raw[i] = rng.bit_generator.random_raw(n_raw)
         g_pos, k, bad = _batch_positions(exps[:, :c_g], *families[0])
         m_pos, m_k, m_bad = _batch_positions(exps[:, c_g:], *families[1])
-        draw15, draw3, rejected = _pauli_draws(raw, k)
+        del exps
+        trial = np.arange(count, dtype=self._rows)
+        meas = np.stack((np.repeat(trial, m_k), m_pos), axis=1, dtype=self._rows)
+        gate = np.empty((len(g_pos), 4), dtype=self._rows)
+        gate[:, 0] = np.repeat(trial, k)
+        gate[:, 1] = g_pos
+        del g_pos
+        gate[:, 2], gate[:, 3], rejected = _pauli_draws(raw, k)
         if (bad | m_bad | rejected).any():
             return per_trial()
-        trial = np.arange(count)
-        gate = np.stack((np.repeat(trial, k), g_pos, draw15, draw3), axis=1, dtype=self._rows)
-        meas = np.stack((np.repeat(trial, m_k), m_pos), axis=1, dtype=self._rows)
         return gate, meas, count
 
     def run_injected(
@@ -1122,25 +1170,20 @@ class ProtocolRunner:
 
     # ---- trial-batched engine ----------------------------------------------
 
-    def _execute(self, gate_faults, meas_faults, n_trials: int) -> BatchOutcome:
-        """Scatter a batch's sampled faults and run the protocol on it.
+    def _execute(self, gate_faults, meas_faults, n_trials: int) -> list:
+        """Scatter a batch's sampled faults: ``gate_faults`` rows are
+        (trial, position, draw15, draw3) and ``meas_faults`` rows (trial,
+        position), positions as laid out by the gate and readout spaces.
 
-        ``gate_faults`` rows are (trial, position, draw15, draw3) and
-        ``meas_faults`` rows (trial, position), positions as laid out by
-        the gate and readout spaces.
-        """
-        return self._run_protocol_core(*self._scatter(gate_faults, meas_faults, n_trials))
-
-    def _scatter(self, gate_faults, meas_faults, n_trials: int):
-        """Encoding faults applied to the batch frames, which start clean,
-        and round faults as each round's hits (see
-        :meth:`CompiledRound.fault_hits`): the arguments of
-        :meth:`_run_protocol_core`.  The frames are (units, trials) words,
-        unit u in row ``_unit_pos[u]``, so that round 1 sees (n_c1, groups1,
-        trials) slot planes.  Its per-fault arrays end with it, before the
-        rounds run."""
-        e = np.zeros((self.n_units, n_trials), dtype=self._word)
-        f = np.zeros_like(e)
+        Returns ``[e, f, hits1, hits2]`` for :meth:`_run_protocol_core`:
+        the frames with the encoding faults applied (they start clean) and
+        the round faults as each round's hits (see
+        :meth:`CompiledRound.fault_hits`).  The frames are (units, trials)
+        words, unit u in row ``_unit_pos[u]``, so that round 1 sees (n_c1,
+        groups1, trials) slot planes.  The per-fault arrays end here,
+        before the rounds run."""
+        # One allocation for both frames: a batch's largest, and freed whole.
+        e, f = np.zeros((2, self.n_units, n_trials), dtype=self._word)
         trial, pos, draw15, draw3 = gate_faults.T
         m_trial, m_pos = meas_faults.T
         (prep, (unit, loc)), *rounds = _decode(pos, self._gate_layout)
@@ -1149,6 +1192,7 @@ class ProtocolRunner:
         index = self._unit_pos.take(unit) * n_trials + trial[prep]
         np.bitwise_xor.at(_flat(e), index, eff[:, 0])
         np.bitwise_xor.at(_flat(f), index, eff[:, 1])
+        del prep, unit, loc, draw, eff, index  # before the round hits are built
         hits = []
         for rnd, groups, (sel, (group, layer, qubit)), (m_sel, (m_group, m_slot, m_qubit)) in zip(
             (self.round1, self.round2), (self.groups1, self.groups2),
@@ -1158,16 +1202,19 @@ class ProtocolRunner:
                                        _PAULI15_CODES.take(draw15[sel]),
                                        m_group * n_trials + m_trial[m_sel],
                                        m_slot, m_qubit, groups * n_trials))
-        return e, f, *hits
+        return [e, f, *hits]
 
-    def _run_protocol_core(self, e, f, hits1, hits2) -> BatchOutcome:
-        """Both rounds, refill and regrouping on a batch of (units, trials)
-        frames (see :meth:`_scatter`); ``hits1``/``hits2`` are the rounds'
-        fault hits."""
+    def _run_protocol_core(self, batch: list) -> BatchOutcome:
+        """Both rounds, refill and regrouping on a scattered batch, the list
+        ``[e, f, hits1, hits2]`` of :meth:`_execute`.  The list is emptied,
+        so that each array is freed once no later stage needs it."""
+        e, f, hits1, hits2 = batch
+        batch.clear()
         n_trials = e.shape[1]
         g1, k1 = self.groups1, self.k_c1
         shape1 = (self.n_c1, g1, n_trials)
         acc1 = self._process_group_m1(self.round1, e.reshape(shape1), f.reshape(shape1), hits1)
+        del hits1
 
         # A trial without a round-1 rejection keeps every primary group as
         # it is; only the others are refilled.
@@ -1185,7 +1232,9 @@ class ProtocolRunner:
         rows *= n_trials
         rows += np.arange(n_trials, dtype=rows.dtype)
         e2, f2 = e.take(rows), f.take(rows)
+        del e, f, rows
         acc2 = self._process_group_m1(self.round2, f2, e2, hits2)
+        del hits2
         acc2[:, :, aborted] = False
 
         # Outputs in (trial, group, slot) order.
@@ -1218,21 +1267,22 @@ class ProtocolRunner:
         Returns the per-trial abort flags and the (trials, n_c2, k_c1) ids
         (meaningless on aborted trials).
         """
-        n_trials, k1, n_c2 = len(acc1), self.k_c1, self.n_c2
+        n_c2, ids = self.n_c2, self._g1_data_ids
         own = acc1[:, :n_c2]
-        count = own.sum(axis=2)
-        short = k1 - count
-        before = np.cumsum(short, axis=1) - short
-        spare = acc1[:, n_c2:].reshape(n_trials, -1)
-        aborted = before[:, -1] + short[:, -1] > spare.sum(axis=1)
-        ids = self._g1_data_ids
-        own_ids = ids[:n_c2][np.arange(n_c2)[:, None], np.argsort(~own, axis=2, kind="stable")]
-        pool = ids[n_c2:].ravel()[np.argsort(~spare, axis=1, kind="stable")]
-        pool = np.concatenate((pool, np.zeros((n_trials, 1), np.intp)), axis=1)
-        slot = np.arange(k1)
-        take = np.clip(before[:, :, None] + slot - count[:, :, None], 0, pool.shape[1] - 1)
-        refill = np.take_along_axis(pool, take.reshape(n_trials, -1), axis=1).reshape(take.shape)
-        return aborted, np.where(slot < count[:, :, None], own_ids, refill)
+        spare = acc1[:, n_c2:].reshape(len(acc1), -1)
+        # Slot j of a primary group keeps an own unit while j is below the
+        # group's accepted count; the q-th empty slot of a trial, in group
+        # then slot order, takes the trial's q-th accepted spare unit.
+        empty = np.arange(self.k_c1) >= own.sum(axis=2)[:, :, None]
+        short = empty.sum(axis=(1, 2))
+        aborted = short > spare.sum(axis=1)
+        primary = np.zeros(own.shape, ids.dtype)
+        primary[~empty] = np.broadcast_to(ids[:n_c2], own.shape)[own]
+        empty[aborted] = False
+        used = spare & (spare.cumsum(axis=1, dtype=np.int32) <= short[:, None])
+        used[aborted] = False
+        primary[empty] = np.broadcast_to(ids[n_c2:].ravel(), spare.shape)[used]
+        return aborted, primary
 
     def _process_group_m1(self, rnd: CompiledRound, meas, flow, hits) -> np.ndarray:
         """One round on every group of a batch at once.
@@ -1241,26 +1291,34 @@ class ProtocolRunner:
         groups, trials) slot planes of unit words (all m blocks packed) of
         the measured part (e in round 1, f in round 2) and of the opposite
         part; both are updated in place: the flowing part picks up the check
-        blocks' errors and accepted data slots are corrected.  Returns the
-        (k_c, groups, trials) accept mask.  A group whose column syndromes
-        include one outside the decoding table is rejected whole, a data
-        unit with any block's syndrome outside its correction table alone.
+        blocks' errors, accepted data slots are corrected, and the check
+        slots of ``meas`` hold the records.  Returns the (k_c, groups,
+        trials) accept mask.  A group whose column syndromes include one
+        outside the decoding table is rejected whole, a data unit with any
+        block's syndrome outside its correction table alone.  Columns are
+        decoded and corrected ``_ROUND_SLICE`` at a time.
         """
         r_c, n_c, k_c = rnd.r_c, rnd.n_c, rnd.k_c
         planes = _flat(meas).reshape(n_c, -1)
         nu = rnd.batch_records(planes, _flat(flow).reshape(n_c, -1), hits)
         accept = np.ones((k_c, planes.shape[1]), dtype=bool)
+        data = planes[r_c:]
         # sigma is linear in the records: only the (group, trial) columns
         # with some record, found by an OR over the record rows, can have a
         # syndrome.  Columns are group * trials + trial.
-        cols = gf2.nonzero_rows(nu.T)
-        sigma = gf2.xor_lookup(rnd.nu_to_sigma, nu.T[cols])
-        dirty = gf2.nonzero_rows(sigma)
-        cols, sigma = cols[dirty], sigma[dirty]
-        if len(cols):
-            acc, est = rnd.batch_correct(sigma)
-            accept[:, cols] = acc.T
-            planes[r_c:, cols] ^= est.T
+        records = nu.T
+        live = gf2.nonzero_rows(records)
+        for lo in range(0, len(live), _ROUND_SLICE):
+            cols = live[lo:lo + _ROUND_SLICE]
+            sigma = gf2.xor_lookup(rnd.nu_to_sigma, records[cols])
+            dirty = gf2.nonzero_rows(sigma)
+            cols, sigma = cols[dirty], sigma[dirty]
+            if len(cols):
+                acc, est = rnd.batch_correct(sigma)
+                accept[:, cols] = acc.T
+                fixed = data.take(cols, axis=1)
+                fixed ^= est.T
+                data[:, cols] = fixed
         return accept.reshape((k_c,) + meas.shape[1:])
 
     # ---- reference protocol ------------------------------------------------

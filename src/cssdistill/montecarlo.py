@@ -177,8 +177,10 @@ def _run_chunk(task: tuple[int, int, int]) -> tuple[int, dict]:
     table = _WORKER["table"]
     seed = _WORKER["seed"]
     for first in range(start, start + count, BATCH):
-        batch = runner.run_batch(seed, p_index, first, min(BATCH, start + count - first))
-        classify_outcome(batch, table, stats)
+        # No name holds a batch's outcome, so it is freed before the next
+        # batch runs.
+        classify_outcome(runner.run_batch(seed, p_index, first, min(BATCH, start + count - first)),
+                         table, stats)
     return p_index, stats.to_dict()
 
 
@@ -195,10 +197,13 @@ def run_experiment(
 
     The per-trial stream depends only on (seed, p index, trial index), so
     the aggregate is independent of worker count and chunking.
-    ``workers`` defaults to :func:`default_workers` and must be >= 1.
+    ``workers`` defaults to :func:`default_workers` and must be >= 1, and
+    so must ``chunk_size``.
     """
     if trials_per_p < 1:
         raise ValueError("trials_per_p must be >= 1")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size: expected an integer >= 1, got {chunk_size!r}")
     if workers is None:
         workers = default_workers()
     elif workers < 1:

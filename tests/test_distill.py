@@ -471,7 +471,7 @@ class TestRoundEngineEquivalence:
             self._check_injected(runner, self._random_faults(runner, 0.02, rng))
 
     def _check_injected(self, runner, sample):
-        got = runner._execute(*runner._fault_rows([sample])).outcome(0)
+        got = runner._run_protocol_core(runner._execute(*runner._fault_rows([sample]))).outcome(0)
         assert got == runner.run_reference(*runner._injections(sample))
 
     def test_bell_spec_two_block_units(self, golay_css):
@@ -555,6 +555,32 @@ class TestBatchSampling:
         assert bad.tolist() == [True, False]
         assert k.tolist() == [16, 3]
         assert pos[16:].tolist() == [0, 1, 2]
+
+    def test_positions_match_integer_running_sums(self):
+        # Crafted rows against plain-int skips and running sums.  Row 0
+        # holds a skip of about 2^60 in a chunk of 16, which the float64
+        # running sums keep exact (an int64 guard of 2^63 / 16 per skip
+        # used to send it back to numpy); row 1 a skip of 2^63 or more,
+        # which numpy clamps; row 2 fifteen short skips that end inside
+        # the total, and row 3 sixteen that use up the chunk.
+        p, total = 1e-12, 100
+        rate = -math.log1p(-p)
+        exps = np.full((4, 16), 3.0 * rate)
+        exps[0, 5] = 2.0**60 * rate
+        exps[1, 2] = 2.0**64 * rate
+        exps[2, 15] = 200.0 * rate
+        exps[3] = 2.0 * rate
+        pos, k, bad = distill._batch_positions(exps, total, p)
+        assert bad.tolist() == [False, True, False, True]
+        want = []
+        for row in exps.tolist():
+            sums = itertools.accumulate(math.ceil(e / rate) for e in row)
+            want.append([s - 1 for s in sums if s - 1 < total])
+        assert want[0] == [2, 5, 8, 11, 14] and len(want[2]) == 15
+        assert k.tolist() == [len(w) for w in want]
+        ends = np.cumsum(k)
+        for row in (0, 2):
+            assert pos[ends[row] - k[row]:ends[row]].tolist() == want[row]
 
     def test_huge_skip_falls_back(self):
         # A skip of 2^63 or more, which numpy clamps and whose running sum
@@ -730,7 +756,7 @@ def test_every_single_fault_is_benign(golay_css, kind, configurations):
     table = runner.spec.weight_table(4)
     seen = 0
     for gate, meas, count in _single_fault_batches(runner):
-        batch = runner._execute(gate, meas, count)
+        batch = runner._run_protocol_core(runner._execute(gate, meas, count))
         seen += count
         assert not batch.aborted.any()
         assert not batch.rej1.any() and not batch.rej2.any()
@@ -831,11 +857,13 @@ def test_fault_positions_round_trip(golay_css, kind):
 
 
 @pytest.mark.parametrize("round_", [1, 2])
-def test_batch_decode_matches_decode_columns(zero_spec, round_):
-    # A [15,7,5] table cut at weight 2 misses syndromes, so groups are
-    # rejected whole (a miss flags its column through bit k_c) as well as
-    # decoded; sparse rows make both common.
-    shallow = build_code(registry("bch15_7_5").h, d=5, w_max=2)
+@pytest.mark.parametrize("c_name,d", [("bch15_7_5", 5), ("golay23", 7)])
+def test_batch_decode_matches_decode_columns(zero_spec, round_, c_name, d):
+    # A table cut at weight 2 misses syndromes, so groups are rejected
+    # whole (a miss flags its column through bit k_c) as well as decoded;
+    # sparse rows make both common.  The [15,7,5] decoder reads the
+    # syndromes of two columns per key, the [23,12,7] one column per key.
+    shallow = build_code(registry(c_name).h, d=d, w_max=2)
     rnd = CompiledRound(zero_spec, round_, shallow, None)
     assert rnd.batched
     rng = np.random.default_rng(round_)
@@ -851,11 +879,12 @@ def test_batch_decode_matches_decode_columns(zero_spec, round_):
 
 
 def test_batch_temporaries_stay_lean(golay_css):
-    # After a warm-up batch, one batch of BATCH = 128 trials of the Golay
-    # |0>_L benchmark config at p = 1.6e-3 peaked at 1.55 MiB of traced
-    # allocations (numpy 2.4; 1.54-1.55 over eight seeds); 1.9 MiB leaves
-    # 23% headroom.  The kernel with int64 fault rows, hit bits and decoder
-    # temporaries peaked at 2.66 MiB at this batch size.
+    # After a warm-up batch, one batch of BATCH = 256 trials of the Golay
+    # |0>_L benchmark config at p = 1.6e-3 peaked at 1.59-1.61 MiB of
+    # traced allocations over eight seeds (numpy 2.4); 1.9 MiB leaves 18%
+    # headroom.  The 128-trial kernel before it peaked at 1.55 MiB at 128
+    # trials and 3.08 MiB at 256: its fault rows lived through both rounds,
+    # and its decoder took whole-batch intp copies of its indices.
     bch = registry("bch15_7_5")
     runner = ProtocolRunner(DistillationConfig(
         spec=build_ancilla_spec(golay_css, "zero"), code_c1=bch, code_c2=bch,
@@ -870,6 +899,23 @@ def test_batch_temporaries_stay_lean(golay_css):
     finally:
         tracemalloc.stop()
     assert peak < 1.9 * 2**20, peak / 2**20
+
+
+def test_bell_batch_temporaries_stay_lean(golay_css):
+    # One BATCH-size batch of the Golay Bell benchmark config at p = 4e-4,
+    # after a warm-up batch: 2.36 MiB of traced allocations over eight
+    # seeds (numpy 2.4), 1.29 MiB of it the two frames of 46-bit unit
+    # words; 2.85 MiB leaves 20% headroom.  The 128-trial kernel before it
+    # peaked at 3.37-3.41 MiB when run on 256 trials.
+    runner = _benchmark_runner(golay_css, "bell").with_model(FailureModel.uniform(4e-4))
+    runner.run_batch(5, 0, 0, BATCH)
+    tracemalloc.start()
+    try:
+        runner.run_batch(5, 0, BATCH, BATCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.85 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("count", [7, BATCH])

@@ -67,6 +67,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=rf"^workers: expected an integer >= 1, got {workers}$"):
             run_experiment(comb_a_config, [1e-3], 10, seed=1, workers=workers)
 
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_chunk_size_below_one_rejected(self, comb_a_config, chunk_size):
+        # A chunk of no trials would be queued forever.
+        with pytest.raises(ValueError, match=rf"^chunk_size: expected an integer >= 1, got {chunk_size}$"):
+            run_experiment(comb_a_config, [1e-3], 10, seed=1, workers=1, chunk_size=chunk_size)
+
     def test_histogram_conservation(self, comb_a_config):
         stats = run_experiment(comb_a_config, [2e-3], 150, seed=3, workers=2)
         s = stats.per_p[0]
