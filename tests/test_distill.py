@@ -856,8 +856,9 @@ def test_fault_positions_round_trip(golay_css, kind):
         assert start == space
 
 
-@pytest.mark.parametrize("round_", [1, 2])
-@pytest.mark.parametrize("c_name,d", [("bch15_7_5", 5), ("golay23", 7)])
+@pytest.mark.parametrize("round_,c_name,d", [
+    (1, "bch15_7_5", 5), (2, "bch15_7_5", 5), (1, "golay23", 7), (2, "golay23", 7),
+], ids=["1", "2", "golay23-1", "golay23-2"])
 def test_batch_decode_matches_decode_columns(zero_spec, round_, c_name, d):
     # A table cut at weight 2 misses syndromes, so groups are rejected
     # whole (a miss flags its column through bit k_c) as well as decoded;
