@@ -134,7 +134,8 @@ FIELDS = {
                     lambda v: [float(p) for p in v]),
     "trials_per_p": _integer(1),
     "n_extra": _integer(0),
-    "seed": _integer(),
+    # The key word of every trial's Philox stream (distill._trial_rng).
+    "seed": _integer(0, 2**64 - 1),
     # Weights 0..3 are histogram bins of their own; the weight table grows
     # about threefold per step of the cap, and beyond 5 it costs seconds
     # and hundreds of MiB on a two-block ancilla.
@@ -236,7 +237,16 @@ def build_spec(cfg: ExperimentConfig) -> AncillaSpec:
         raise ConfigError(f"ancilla: {exc}") from exc
 
 
+# The DistillationConfig field a ValueError names, as the config field that
+# sets it: a block code is css's, the width of a unit of blocks ancilla's.
+_CONFIG_FIELDS = {"spec.blocks": "css", "spec": "ancilla", "code_c1": "c1", "code_c2": "c2",
+                  "code_d1": "d1", "code_d2": "d2"}
+
+
 def build_distillation_config(cfg: ExperimentConfig, p: float = 0.0) -> DistillationConfig:
+    """The protocol of a config; a config that DistillationConfig refuses,
+    such as one beyond the batched kernel, raises ConfigError naming its
+    field."""
     spec = build_spec(cfg)
     c1, c2 = cfg.c1, cfg.c2
     if cfg.combination:
@@ -246,13 +256,14 @@ def build_distillation_config(cfg: ExperimentConfig, p: float = 0.0) -> Distilla
         else None if value in (None, "none") else _load_classical(value, name)
         for value, name in ((cfg.d1, "d1"), (cfg.d2, "d2"))
     )
-    for dval, s, name in ((d1, spec.s1, "d1"), (d2, spec.s2, "d2")):
-        if isinstance(dval, LinearCode) and dval.k != len(s):
-            raise ConfigError(f"{name}: error-detecting code must encode k={len(s)} bits, "
-                              f"got k={dval.k}")
-    return DistillationConfig(spec=spec, code_c1=_load_classical(c1, "c1"),
-                              code_c2=_load_classical(c2, "c2"), code_d1=d1, code_d2=d2,
-                              model=FailureModel.uniform(p), n_extra=cfg.n_extra)
+    code_c1, code_c2 = _load_classical(c1, "c1"), _load_classical(c2, "c2")
+    try:
+        return DistillationConfig(spec=spec, code_c1=code_c1, code_c2=code_c2, code_d1=d1,
+                                  code_d2=d2, model=FailureModel.uniform(p), n_extra=cfg.n_extra)
+    except ValueError as exc:
+        name, _, why = str(exc).partition(": ")
+        raise ConfigError(f"{_CONFIG_FIELDS[name]}: {why}" if name in _CONFIG_FIELDS
+                          else str(exc)) from None
 
 
 # ---- metric emission -------------------------------------------------------

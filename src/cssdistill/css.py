@@ -358,10 +358,10 @@ class WeightTable:
     local bits, so an equivalent error may flip that bit on both blocks;
     the weight of a frame is the least, over those flips, of its block
     weights' sum, which is the true minimum weight of its class whenever
-    that is <= ``w_cap``.  Local syndromes of up to ``_DENSE_BITS`` bits
-    index a dense int8 table; wider ones are packed 63 to an int64 key word
-    and searched in the sorted syndromes of the block's errors (keys of
-    more than one word sort as records, word 0 first).
+    that is <= ``w_cap``.  A local syndrome is one int64 key word, as every
+    spec of at most 63 qubits gives: of up to ``_DENSE_BITS`` bits it
+    indexes a dense int8 table, wider ones are searched in the sorted
+    syndromes of the block's errors.
     """
 
     _DENSE_BITS = 20
@@ -374,9 +374,9 @@ class WeightTable:
 
     @classmethod
     def _build(cls, spec: AncillaSpec, part: str, w_cap: int):
-        """Per block, the per-key-word byte tables of its local syndrome and
-        its weight lookup; then every combination of cross-block element
-        flips, as per-block key words to XOR into the local syndromes."""
+        """Per block, the byte tables of its local syndrome and its weight
+        lookup; then every combination of cross-block element flips, as
+        per-block words to XOR into the local syndromes."""
         cols = [[0] * n for n in spec.block_sizes]
         bits = [0] * spec.m
         flips = [(0,) * spec.m]
@@ -393,22 +393,19 @@ class WeightTable:
             if len(touched) > 1:
                 flip = [1 << (bits[b] - 1) if b in touched else 0 for b in range(spec.m)]
                 flips += [tuple(v ^ f for v, f in zip(fl, flip)) for fl in flips]
-        tables, lookups = [], []
-        for b in range(spec.m):
-            block = gf2.split_words(cols[b], bits[b])
-            tables.append([gf2.byte_tables(word.tolist()) for word in block.T])
-            lookups.append(cls._block_lookup(block, bits[b], w_cap))
-        return tables, lookups, [[gf2.split_words([v], bits[b])[0].tolist() for b, v in enumerate(fl)]
-                                 for fl in flips]
+        tables = [gf2.byte_tables(block) for block in cols]
+        lookups = [cls._block_lookup(np.array(block, dtype=np.int64)[:, None], width, w_cap)
+                   for block, width in zip(cols, bits)]
+        return tables, lookups, flips
 
     @classmethod
     def _block_lookup(cls, block: np.ndarray, bits: int, w_cap: int):
         """The minimum weight of every local syndrome reached by a block
         error of weight <= w_cap: a dense table over all syndromes, or the
-        sorted syndrome keys and their weights."""
+        sorted syndromes and their weights."""
         chunks = list(gf2.iter_weight_le_images(block, w_cap))
         weights = np.repeat([w for _, w in chunks], [len(c) for c, _ in chunks]).astype(np.int8)
-        keys, first = np.unique(gf2.row_keys(np.concatenate([c for c, _ in chunks])), return_index=True)
+        keys, first = np.unique(np.concatenate([c for c, _ in chunks])[:, 0], return_index=True)
         values = weights[first]
         if bits > cls._DENSE_BITS:
             return keys, values
@@ -418,32 +415,27 @@ class WeightTable:
 
     def weights(self, side: str, frames: np.ndarray) -> np.ndarray:
         """Minimum weights of the X errors (side ``"x"``, e frames) or Z
-        errors (side ``"z"``, f frames) in the rows of an (count, m) array
-        of per-block words (:func:`gf2.word_array`); -1 where the class is
-        beyond the table."""
+        errors (side ``"z"``, f frames) in the rows of an (count, m) integer
+        array of per-block words; -1 where the class is beyond the table."""
         tables, lookups, flips = self._x if side == "x" else self._z
-        local = [[gf2.xor_lookup(tab, frames[:, b]) for tab in per_word]
-                 for b, per_word in enumerate(tables)]
+        local = [gf2.xor_lookup(tab, frames[:, b]) for b, tab in enumerate(tables)]
         best = None
         for flip in flips:
             # int8 sums: each term is at most w_cap + 1.
-            total = sum(
-                self._block_weights(lookup, [w ^ f if f else w for w, f in zip(loc, fl)])
-                for loc, lookup, fl in zip(local, lookups, flip)
-            )
+            total = sum(self._block_weights(lookup, syn ^ f if f else syn)
+                        for syn, lookup, f in zip(local, lookups, flip))
             best = total if best is None else np.minimum(best, total)
         return np.where(best > self.w_cap, -1, best)
 
-    def _block_weights(self, lookup, words: list[np.ndarray]) -> np.ndarray:
+    def _block_weights(self, lookup, syn: np.ndarray) -> np.ndarray:
         if isinstance(lookup, np.ndarray):
-            return lookup.take(words[0])
+            return lookup.take(syn)
         keys, values = lookup
-        syn = gf2.row_keys(np.stack(words, axis=1))
         idx = np.minimum(np.searchsorted(keys, syn), len(keys) - 1)
         return np.where(keys[idx] == syn, values[idx], self.w_cap + 1)
 
     def _weight(self, side: str, frame: tuple[int, ...]) -> int | None:
-        w = int(self.weights(side, gf2.word_array([frame]))[0])
+        w = int(self.weights(side, np.array([frame], dtype=np.int64))[0])
         return None if w < 0 else w
 
     def x_weight(self, e: tuple[int, ...]) -> int | None:

@@ -79,9 +79,10 @@ _PAULI15_CODES = np.array(PAULI15_CODE, dtype=np.int8)
 # test_batch_temporaries_stay_lean).
 BATCH = 256
 
-# Largest unit width (m blocks of n qubits), |SE| and round-code length the
-# batched kernel packs into int64 words, and the most syndrome bits of its
-# dense decoder tables (the column decoder reads 16-bit keys).
+# Largest unit width (m blocks of n qubits) and |SE| the batched kernel
+# packs into int64 words, and the most syndrome bits of its dense decoder
+# tables (the column decoder reads 16-bit keys); DistillationConfig refuses
+# a protocol beyond them.
 _WORD_BITS = 62
 _DENSE_BITS = 16
 # A round decodes and corrects its dirty (group, trial) columns in slices
@@ -309,6 +310,35 @@ class DistillationConfig:
                 )
         if self.n_extra < 0:
             raise ValueError("n_extra must be >= 0")
+        self._check_envelope()
+
+    def _check_envelope(self) -> None:
+        """Raise ``ValueError`` naming the field that puts a round beyond the
+        batched kernel: it holds a unit of m blocks of n qubits and |SE| in
+        one int64 word, and its dense decoder tables take at most
+        ``_DENSE_BITS`` key bits (the round code's r_c and k_c + 1, and per
+        block the larger of the block decoder's checks and the block's
+        generator count), so n_c = r_c + k_c fits a word too.  A limit that
+        one block breaks is the block code's (``spec.blocks``), one that only
+        the m-block unit breaks the ancilla kind's (``spec``)."""
+        spec = self.spec
+        n = spec.blocks[0].n
+        block_bits = max(max((blk.code_z if rnd == 1 else blk.code_x).r, count)
+                         for rnd, counts in ((1, spec.gen_counts1), (2, spec.gen_counts2))
+                         for blk, count in zip(spec.blocks, counts))
+        limits = [("spec.blocks", "a block has {} qubits", n, _WORD_BITS),
+                  ("spec.blocks", "a block decoder reads {} syndrome bits", block_bits, _DENSE_BITS),
+                  ("spec", f"a unit of {spec.m} blocks has {{}} qubits", spec.m * n, _WORD_BITS)]
+        for i, code_c, code_d, s in ((1, self.code_c1, self.code_d1, spec.s1),
+                                     (2, self.code_c2, self.code_d2, spec.s2)):
+            limits += [(f"code_c{i}", "the round code has r={} checks", code_c.r, _DENSE_BITS),
+                       (f"code_c{i}", "the round code encodes k={} bits", code_c.k, _DENSE_BITS - 1)]
+            if isinstance(code_d, LinearCode):
+                limits.append((f"code_d{i}", f"|SE| = {len(s)} + {code_d.r} = {{}}",
+                               len(s) + code_d.r, _WORD_BITS))
+        for name, what, value, limit in limits:
+            if value > limit:
+                raise ValueError(f"{name}: {what.format(value)}; the batched kernel takes at most {limit}")
 
 
 @dataclass
@@ -344,9 +374,8 @@ class BatchOutcome:
     """Results of consecutive protocol cycles, one array entry per trial.
 
     The accepted output frames of every trial are stacked in trial order:
-    ``out_e``/``out_f`` are (outputs, m) arrays of per-block words (see
-    :func:`gf2.word_array`) and ``out_trial`` holds the trial each output
-    belongs to.
+    ``out_e``/``out_f`` are (outputs, m) integer arrays of per-block words
+    and ``out_trial`` holds the trial each output belongs to.
     """
 
     aborted: np.ndarray
@@ -357,21 +386,6 @@ class BatchOutcome:
     out_trial: np.ndarray
     out_e: np.ndarray
     out_f: np.ndarray
-
-    @classmethod
-    def of(cls, outcomes: Sequence[TrialOutcome], m: int) -> "BatchOutcome":
-        def column(name: str) -> np.ndarray:
-            return np.array([getattr(o, name) for o in outcomes], dtype=np.int64)
-
-        frames = [fr for o in outcomes for fr in o.outputs]
-        return cls(
-            aborted=np.array([o.aborted for o in outcomes], dtype=bool),
-            cand1=column("cand1"), rej1=column("rej1"),
-            cand2=column("cand2"), rej2=column("rej2"),
-            out_trial=np.repeat(np.arange(len(outcomes)), [len(o.outputs) for o in outcomes]),
-            out_e=gf2.word_array([e for e, _ in frames]).reshape(-1, m),
-            out_f=gf2.word_array([f for _, f in frames]).reshape(-1, m),
-        )
 
     def outcome(self, i: int) -> TrialOutcome:
         """Trial ``i`` of the batch as a :class:`TrialOutcome`."""
@@ -662,16 +676,9 @@ class CompiledRound:
         # packed into one int64 word, block b in bits [b*n, (b+1)*n), and so
         # are sigma rows, estimated SE rows and check-slot masks; every
         # decoder becomes an array over all its syndromes.  Round 1 measures
-        # Z and corrects e on every block, round 2 X and f; rounds too wide
-        # or with tables too large run on the reference.
+        # Z and corrects e on every block, round 2 X and f.  Every round of
+        # a DistillationConfig fits these words and tables.
         corr_codes = [blk.code_z if round_ == 1 else blk.code_x for blk in spec.blocks]
-        self.batched = (
-            max(m * n, self.n_se, self.n_c) <= _WORD_BITS
-            and max(self.r_c, self.k_c + 1,
-                    *(max(c.r, k) for c, k in zip(corr_codes, self.gen_counts))) <= _DENSE_BITS
-        )
-        if not self.batched:
-            return
         self.word = np.int32 if m * n < 32 else np.int64
         # Per layer, block and Pauli code: bitmasks of the check slots whose
         # records flip and of the slots whose e / f parts flip.  A
@@ -967,22 +974,18 @@ class ProtocolRunner:
             sum(map(math.prod, layout)) for layout in (self._gate_layout, self._meas_layout))
         # Fault rows hold trial indices, positions and draws.
         self._rows = np.int32 if max(self._gate_space, self._meas_space) < 2**31 else np.int64
-        # Protocols whose rounds fit the batched kernel run trial-batched;
-        # the rest run trial by trial on the reference.
-        self.batched = self.round1.batched and self.round2.batched
-        if self.batched:
-            # Frames of a batch hold one unit, all m blocks, per word.
-            self._word = self.round1.word
-            self._compile_encoding()
-            ids = np.arange(self.n_units, dtype=np.int32).reshape(self.groups1, self.n_c1)
-            self._g1_data_ids = ids[:, self.r_c1:].copy()
-            # Unit group * n_c1 + slot is row slot * groups1 + group of the
-            # batch frames, so round 1 reads each slot as one plane.
-            self._unit_pos = np.arange(self.n_units, dtype=np.int32).reshape(
-                self.n_c1, self.groups1).T.ravel()
-            # Frame rows of round 2's (slot, group) units after a round 1
-            # without rejections.
-            self._identity_rows = self._unit_pos.take(self._g1_data_ids[:self.n_c2])
+        # Frames of a batch hold one unit, all m blocks, per word.
+        self._word = self.round1.word
+        self._compile_encoding()
+        ids = np.arange(self.n_units, dtype=np.int32).reshape(self.groups1, self.n_c1)
+        self._g1_data_ids = ids[:, self.r_c1:].copy()
+        # Unit group * n_c1 + slot is row slot * groups1 + group of the
+        # batch frames, so round 1 reads each slot as one plane.
+        self._unit_pos = np.arange(self.n_units, dtype=np.int32).reshape(
+            self.n_c1, self.groups1).T.ravel()
+        # Frame rows of round 2's (slot, group) units after a round 1
+        # without rejections.
+        self._identity_rows = self._unit_pos.take(self._g1_data_ids[:self.n_c2])
         self._rng = None
 
     def with_model(self, model: FailureModel) -> "ProtocolRunner":
@@ -1084,13 +1087,7 @@ class ProtocolRunner:
 
     def run_batch(self, seed: int, p_index: int, first: int, count: int) -> BatchOutcome:
         """Trials ``first .. first + count - 1`` of the (seed, p index)
-        streams, as one batch on the batched engine, else trial by trial
-        on the reference."""
-        trials = range(first, first + count)
-        if not self.batched:
-            return BatchOutcome.of(
-                [self.run_trial(self._trial_rng(seed, p_index, t)) for t in trials], self.m
-            )
+        streams, as one batch."""
         # Each stage returns before the next starts, so the fault rows are
         # freed before the rounds run (see _run_protocol_core).
         return self._run_protocol_core(self._execute(*self._sample_batch(seed, p_index, first, count)))
@@ -1330,10 +1327,9 @@ class ProtocolRunner:
 
         Walks each unit's encoder with :func:`run_noisy` and each group with
         :meth:`CompiledRound.run`; refill and regrouping are plain Python.
-        It defines the semantics the batched engine is tested against, runs
-        the one-off cycles (:meth:`run_trial`, :meth:`run_injected` and so
-        the ``inject`` command) and runs the protocols whose rounds do not
-        fit that engine.
+        It defines the semantics the batched engine is tested against and
+        runs the one-off cycles (:meth:`run_trial`, :meth:`run_injected` and
+        so the ``inject`` command).
         """
         empty = FaultInjection(())
         frames = [run_noisy(self.enc_circuit, prep.get(u, empty))[0] for u in range(self.n_units)]

@@ -312,32 +312,14 @@ def byte_tables(cols: Sequence[int]) -> np.ndarray:
 
 
 def xor_lookup(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Elementwise image of integer ``words`` under a :func:`byte_tables` map.
-
-    ``words`` may also be an object array of Python ints (see
-    :func:`word_array`).
-    """
-    wide = words.dtype == object
-
-    def octet(k: int) -> np.ndarray:
-        byte = (words >> (8 * k)) & 0xFF if k else words & 0xFF
-        return byte.astype(np.intp) if wide else byte
-
+    """Elementwise image of a numpy integer array ``words`` under a
+    :func:`byte_tables` map, one byte of each word per table."""
     # take, not fancy indexing: it gathers by a narrow index several
     # times faster.
-    out = tables[0].take(octet(0))
+    out = tables[0].take(words & 0xFF)
     for k in range(1, len(tables)):
-        out ^= tables[k].take(octet(k))
+        out ^= tables[k].take((words >> (8 * k)) & 0xFF)
     return out
-
-
-def word_array(rows) -> np.ndarray:
-    """Packed words as an int64 array, or as an object array of Python ints
-    when some word needs more than 63 bits."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
 
 
 def nonzero_rows(words: np.ndarray) -> np.ndarray:

@@ -198,10 +198,12 @@ def run_experiment(
     The per-trial stream depends only on (seed, p index, trial index), so
     the aggregate is independent of worker count and chunking.
     ``workers`` defaults to :func:`default_workers` and must be >= 1, and
-    so must ``chunk_size``.
+    so must ``chunk_size``; ``seed``, a Philox key word, is in 0..2**64-1.
     """
     if trials_per_p < 1:
         raise ValueError("trials_per_p must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed: expected an integer in 0..2**64-1, got {seed!r}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size: expected an integer >= 1, got {chunk_size!r}")
     if workers is None:

@@ -315,6 +315,9 @@ MORE_BAD_VALUES = {
     # unchecked and unused.
     "ideal-with-d2": ({"ideal_postselection": True, "d2": "rep3"}, "d2"),
     "ideal-with-d1-none": ({"ideal_postselection": True, "d1": "none"}, "d1"),
+    # The seed is a Philox key word: 2**64 would give seed 0's samples.
+    "seed-2**64": ({"seed": 2**64}, "seed"),
+    "seed-negative": ({"seed": -1}, "seed"),
 }
 
 
@@ -337,6 +340,47 @@ def test_schema_rejects_before_any_build(tmp_path, capsys, monkeypatch, command,
     extra = ["--workers", "1"] if command == "simulate" else ["--scenario", str(scen)]
     assert main([command, "--config", str(cfg_path), *extra]) == 1
     assert capsys.readouterr().err.startswith(f"error: {named}: ")
+
+
+def _padded_steane(tmp_path, n):
+    """A code file of the Steane checks on n qubits, n - 7 of them unencoded."""
+    rows = [row + "0" * (n - 7) for row in ("0001111", "0110011", "1010101")]
+    path = tmp_path / f"steane{n}.txt"
+    path.write_text(f"d=1\n3 {n}\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "inject"])
+@pytest.mark.parametrize("case,named,message", [
+    ("zero-63", "css", "a block has 63 qubits; the batched kernel takes at most 62"),
+    ("bell-32", "ancilla", "a unit of 2 blocks has 64 qubits; the batched kernel takes at most 62"),
+    ("c1-r17", "c1", "the round code has r=17 checks; the batched kernel takes at most 16"),
+], ids=["zero-63", "bell-32", "c1-r17"])
+def test_config_beyond_the_kernel_exits_1(tmp_path, capsys, monkeypatch, command, case, named,
+                                          message):
+    # A protocol the batched kernel cannot run is refused before any trial
+    # runs, naming the config field that puts it out of reach.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "ProtocolRunner", no_run)
+    overrides = {"combination": "D", "d1": "none", "d2": "none"}
+    if case == "c1-r17":
+        rep18 = tmp_path / "rep18.txt"
+        rep18.write_text("d=1\n17 18\n" + "".join("0" * i + "11" + "0" * (16 - i) + "\n"
+                                                   for i in range(17)))
+        overrides.update(combination=None, c1={"file": str(rep18)}, c2="rep3")
+    else:
+        n = int(case.split("-")[1])
+        code = _padded_steane(tmp_path, n)
+        overrides.update(css={"cx_file": code, "cz_file": code},
+                         ancilla={"kind": case.split("-")[0]})
+    cfg_path = write_config(tmp_path, **overrides)
+    scen = tmp_path / "empty.txt"
+    scen.write_text("")
+    extra = ["--workers", "1"] if command == "simulate" else ["--scenario", str(scen)]
+    assert main([command, "--config", str(cfg_path), *extra]) == 1
+    assert capsys.readouterr().err == f"error: {named}: {message}\n"
 
 
 class TestInject:

@@ -345,7 +345,7 @@ class TestResidualWeight:
         frames = [bits for bits, _ in gf2.iter_weight_le(2 * n, 2)]
         frames += [sum(1 << q for q in rng.sample(range(2 * n), rng.randint(3, 6)))
                    for _ in range(2000)]
-        words = gf2.word_array([split(bits) for bits in frames])
+        words = np.array([split(bits) for bits in frames], dtype=np.int64)
         # The same tables, read at the frame's own split only.
         own = copy.copy(tab)
         own._x, own._z = ((tables, lookups, flips[:1]) for tables, lookups, flips in (tab._x, tab._z))
@@ -370,32 +370,23 @@ class TestResidualWeight:
         assert nbytes((tab._x, tab._z)) <= 64 * 1024
 
     def test_wide_spec_oracle(self):
-        # The Steane code plus 60 unencoded qubits: its zero state has 64
-        # elements with a Z part, so X-side syndromes take two key words,
-        # and frames that touch qubits 63..66 are Python ints.
-        n, w_cap = 67, 2
+        # The Steane code plus 55 unencoded qubits, the widest block the
+        # batched kernel takes: its zero state has 59 elements with a Z
+        # part, too many local bits for a dense table, so X-side syndromes
+        # are searched in the sorted syndromes of the light errors.
+        n, w_cap = 62, 2
         code = build_code(BitMatrix(3, n, registry("hamming7").h.data), d=1)
         spec = build_ancilla_spec(build_css(code, code), "zero")
         tab = spec.weight_table(w_cap)
-        assert len(tab._x[0][0]) == 2
-
-        def oracle_x(e):
-            target = generalized_syndrome(spec, (e,), (0,))
-            for w in range(w_cap + 1):
-                for combo in itertools.combinations(range(n), w):
-                    if generalized_syndrome(spec, (sum(1 << q for q in combo),), (0,)) == target:
-                        return w
-            return None
-
-        rng = random.Random(67)
-        frames, want = [], []
-        for i in range(12):
-            e = sum(1 << q for q in rng.sample(range(n), rng.randint(0, 3)))
-            e |= (i % 2) << rng.randrange(63, n)
-            frames.append((e,))
-            want.append(oracle_x(e))
-            assert tab.x_weight((e,)) == want[-1]
-        words = gf2.word_array(frames)
-        assert words.dtype == object
-        got = tab.weights("x", words)
+        assert isinstance(tab._x[1][0], tuple)
+        oracle = {}
+        for bits, w in gf2.iter_weight_le(n, w_cap):
+            oracle.setdefault(generalized_syndrome(spec, (bits,), (0,)), w)
+        rng = random.Random(62)
+        frames = [sum(1 << q for q in rng.sample(range(n), rng.randint(0, 4))) for _ in range(60)]
+        frames += [1 << (n - 1), 3 << (n - 2)]
+        want = [oracle.get(generalized_syndrome(spec, (e,), (0,))) for e in frames]
+        assert None in want and {1, 2} <= set(want)
+        assert [tab.x_weight((e,)) for e in frames] == want
+        got = tab.weights("x", np.array([(e,) for e in frames], dtype=np.int64))
         assert got.tolist() == [-1 if w is None else w for w in want]

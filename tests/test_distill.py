@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cssdistill import distill, frames, gf2
+from cssdistill import codes, distill, frames, gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import PauliElement, build_ancilla_spec, build_css, residual_weight
 from cssdistill.distill import (
@@ -395,7 +395,6 @@ class TestRoundEngineEquivalence:
             model=FailureModel.uniform(p), n_extra=n_extra,
         )
         runner = ProtocolRunner(cfg)
-        assert runner.batched
         outcomes = self._check_sampled(runner, 23, 1, 50)
         assert sum(o.rej1 + o.rej2 for o in outcomes) or d1 is None
 
@@ -428,27 +427,33 @@ class TestRoundEngineEquivalence:
         self._check_sampled_config(build_ancilla_spec([css, css], "bell"), c_name, d1, d2, p, 2)
 
     @pytest.mark.parametrize(
-        "n,kind", [(62, "zero"), (63, "zero"), (67, "zero"), (31, "bell"), (32, "bell")],
+        "n,kind,refused", [(62, "zero", None), (63, "zero", "spec.blocks: a block has 63"),
+                           (67, "zero", "spec.blocks: a block has 67"), (31, "bell", None),
+                           (32, "bell", "spec: a unit of 2 blocks has 64")],
         ids=["62", "63", "67", "bell-31", "bell-32"],
     )
-    def test_wide_blocks_match_reference(self, n, kind):
+    def test_wide_blocks_match_reference(self, n, kind, refused):
         # The Steane code plus n - 7 unencoded qubits is an [[n, n - 6]]
         # code whose zero state has |SE| = n - 3.  Units of up to 62 bits
-        # (one block of n = 62, two of n = 31) fit the batched kernel's
-        # int64 words; wider units run on the reference (so this compares it
-        # with itself; test_pinned_counters checks them against fixed
-        # counters), and past 63 qubits their output words are Python ints.
+        # (one block of n = 62, two of n = 31) fill the batched kernel's
+        # int64 words and match the reference there; a config of wider
+        # units is refused, naming the block code or the unit (test_cli
+        # checks the exit code of simulate and inject on them).
         code = build_code(BitMatrix(3, n, registry("hamming7").h.data), d=1)
         css = build_css(code, code)
         spec = build_ancilla_spec([css] * (2 if kind == "bell" else 1), kind)
         rep3 = registry("rep3")
-        cfg = DistillationConfig(
-            spec=spec, code_c1=rep3, code_c2=rep3, code_d1=None, code_d2=None,
-            model=FailureModel.uniform(0.01), n_extra=2,
-        )
-        runner = ProtocolRunner(cfg)
-        assert runner.batched == (spec.m * n <= 62)
-        outcomes = self._check_sampled(runner, 7, 0, 20)
+
+        def config():
+            return DistillationConfig(
+                spec=spec, code_c1=rep3, code_c2=rep3, code_d1=None, code_d2=None,
+                model=FailureModel.uniform(0.01), n_extra=2,
+            )
+        if refused:
+            with pytest.raises(ValueError, match=rf"^{refused} qubits; the batched kernel takes at most 62$"):
+                config()
+            return
+        outcomes = self._check_sampled(ProtocolRunner(config()), 7, 0, 20)
         assert any(any(any(e) or any(f) for e, f in o.outputs) for o in outcomes)
 
     def _random_faults(self, runner, p, rng):
@@ -465,7 +470,6 @@ class TestRoundEngineEquivalence:
             model=FailureModel.uniform(0.0), n_extra=2,
         )
         runner = ProtocolRunner(cfg)
-        assert runner.batched
         rng = np.random.default_rng(404)
         for _ in range(8):
             self._check_injected(runner, self._random_faults(runner, 0.02, rng))
@@ -484,7 +488,6 @@ class TestRoundEngineEquivalence:
             model=FailureModel.uniform(0.0), n_extra=1,
         )
         runner = ProtocolRunner(cfg)
-        assert runner.batched
         rng = np.random.default_rng(505)
         out0 = runner.run_injected()
         assert len(out0.outputs) == 1 and out0.outputs[0] == ((0, 0), (0, 0))
@@ -766,6 +769,41 @@ def test_every_single_fault_is_benign(golay_css, kind, configurations):
     assert seen == configurations
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_sampled_multi_fault_audit(golay_css, k):
+    # The benchmark's Golay |0>_L config with exactly k faults: 10^5 trials,
+    # each a uniform k-subset of the 50,820 gate and 5,152 readout
+    # locations with uniform 15-way and 3-way draws.  No accepted block
+    # may keep residual weight above k (or beyond the table), and 30 of
+    # the trials replayed on the reference give the batched outcome.
+    runner = _benchmark_runner(golay_css, "zero")
+    assert (runner._gate_space, runner._meas_space) == (50_820, 5_152)
+    table = runner.spec.weight_table(4)
+    rng = np.random.default_rng(1000 + k)
+    trials, size = 100_000, 2048
+    pos = rng.integers(0, runner._gate_space + runner._meas_space, (trials, k))
+    while len(repeat := np.flatnonzero((np.diff(np.sort(pos), axis=1) == 0).any(axis=1))):
+        pos[repeat] = rng.integers(0, runner._gate_space + runner._meas_space, (len(repeat), k))
+    draw15, draw3 = rng.integers(0, 15, (trials, k)), rng.integers(0, 3, (trials, k))
+    replay = np.sort(rng.choice(trials, 30, replace=False))
+    for start in range(0, trials, size):
+        rows = slice(start, start + size)
+        count = len(pos[rows])
+        trial, at = np.repeat(np.arange(count), k), pos[rows].ravel()
+        gate = at < runner._gate_space
+        gate_rows = np.column_stack((trial[gate], at[gate], draw15[rows].ravel()[gate],
+                                     draw3[rows].ravel()[gate]))
+        meas_rows = np.column_stack((trial[~gate], at[~gate] - runner._gate_space))
+        batch = runner._run_protocol_core(runner._execute(gate_rows, meas_rows, count))
+        for side, frames in (("x", batch.out_e), ("z", batch.out_f)):
+            weights = table.weights(side, frames)
+            assert ((weights >= 0) & (weights <= k)).all(), side
+        for t in replay[(replay >= start) & (replay < start + count)] - start:
+            g, m = gate_rows[gate_rows[:, 0] == t], meas_rows[meas_rows[:, 0] == t]
+            sample = (g[:, 1], g[:, 2], g[:, 3], m[:, 1])
+            assert batch.outcome(t) == runner.run_reference(*runner._injections(sample)), start + t
+
+
 @pytest.mark.parametrize("round_", [1, 2])
 @pytest.mark.parametrize("c_name", ["rep3", "bch15_7_5"])
 @pytest.mark.parametrize("kind", ["zero", "bell"])
@@ -775,7 +813,6 @@ def test_slice_effects_match_full_circuit(golay_css, kind, c_name, round_):
     # the full circuit; such a fault hits no other qubit of any slot.
     spec = build_ancilla_spec([golay_css] * 2 if kind == "bell" else golay_css, kind)
     rnd = CompiledRound(spec, round_, registry(c_name), None)
-    assert rnd.batched
     m, n = rnd.m, rnd.n
     for layer, blk, q in itertools.product(range(len(rnd.layers)), range(m), (0, n - 1)):
         for code, pauli in ((1, "XI"), (2, "ZI"), (4, "IX"), (8, "IZ")):
@@ -866,7 +903,6 @@ def test_batch_decode_matches_decode_columns(zero_spec, round_, c_name, d):
     # syndromes of two columns per key, the [23,12,7] one column per key.
     shallow = build_code(registry(c_name).h, d=d, w_max=2)
     rnd = CompiledRound(zero_spec, round_, shallow, None)
-    assert rnd.batched
     rng = np.random.default_rng(round_)
     bits = rng.random((400, rnd.r_c, rnd.n_se)) < 0.04
     sigma = (bits << np.arange(rnd.n_se)).sum(axis=2).astype(rnd.nu_to_sigma.dtype)
@@ -975,6 +1011,53 @@ class TestRunProtocol:
                 code_d1=registry("golay23_dual"), code_d2=registry("golay23_dual"),
                 model=FailureModel.uniform(0.0),
             )
+
+    @pytest.mark.parametrize("field,message", [
+        ("spec", r"spec\.blocks: a block decoder reads 17 syndrome bits; [^;]* at most 16"),
+        ("code_c1", r"code_c1: the round code has r=17 checks; [^;]* at most 16"),
+        ("code_c2", r"code_c2: the round code encodes k=16 bits; [^;]* at most 15"),
+        ("code_d1", r"code_d1: \|SE\| = 12 \+ 51 = 63; [^;]* at most 62"),
+    ], ids=["spec", "code_c1", "code_c2", "code_d1"])
+    def test_config_beyond_the_kernel_names_field(self, zero_spec, field, message):
+        # One limit of the batched kernel broken at a time.  Seventeen
+        # disjoint pairs of qubits make a self-orthogonal parity check, so a
+        # CSS code whose block decoder reads 17 bits; a 17-check repetition
+        # code, a 16-bit parity code and a [63, 12] detecting code break the
+        # round and detecting codes' limits.
+        pairs = build_code(BitMatrix(17, 34, tuple(3 << 2 * i for i in range(17))), d=1)
+        wide = {
+            "spec": build_ancilla_spec(build_css(pairs, pairs), "zero"),
+            "code_c1": build_code(BitMatrix(17, 18, tuple(3 << i for i in range(17))), d=1),
+            "code_c2": build_code(BitMatrix(1, 17, ((1 << 17) - 1,)), d=2),
+            "code_d1": build_code(BitMatrix(51, 63, tuple(1 << i for i in range(51))), d=1),
+        }
+        rep3 = registry("rep3")
+        cfg = dict(spec=zero_spec, code_c1=rep3, code_c2=rep3, code_d1=None, code_d2=None,
+                   model=FailureModel.uniform(0.0))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DistillationConfig(**{**cfg, field: wide[field]})
+
+    def test_every_registry_config_fits_the_kernel(self):
+        # Every CSS code of two registry codes, each ancilla kind it has,
+        # each pair of round codes and each detecting code of the round's
+        # |S| (or none, or ideal) makes a DistillationConfig, the kernel's
+        # limits included.  No runner is built.
+        names = codes.REGISTRY_NAMES
+        made = 0
+        for cx, cz in itertools.product(names, repeat=2):
+            try:
+                css = build_css(registry(cx), registry(cz))
+            except ValueError:
+                continue
+            for kind in ("zero", "plus", "mixed", "bell") if css.k else ("zero", "plus"):
+                spec = build_ancilla_spec([css, css] if kind == "bell" else css, kind)
+                detecting = [[None, "ideal", *(registry(d) for d in names if registry(d).k == len(s))]
+                             for s in (spec.s1, spec.s2)]
+                for c1, c2, d1, d2 in itertools.product(names, names, *detecting):
+                    DistillationConfig(spec=spec, code_c1=registry(c1), code_c2=registry(c2),
+                                       code_d1=d1, code_d2=d2, model=FailureModel.uniform(0.0))
+                    made += 1
+        assert made == 3384
 
     def test_refill_consumes_spares_in_block_order(self, zero_spec):
         # Reject data slot 2 of primary group 0 and the first data unit of
