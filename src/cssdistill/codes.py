@@ -23,6 +23,8 @@ REGISTRY_NAMES = ("rep3", "rep5", "hamming7", "bch15_7_5", "golay23", "golay23_d
 
 _EXHAUSTIVE_DISTANCE_N = 24
 _DISTANCE_SAMPLES = 2000
+# Codeword span rows held as one array by the exhaustive distance check.
+_SPAN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,39 @@ class LinearCode:
 
 def _verify_distance(g: BitMatrix, d: int, n: int) -> None:
     if n <= _EXHAUSTIVE_DISTANCE_N:
-        words = gf2.iter_row_space(g)
+        found = _min_weight(g, d)
     else:
         rng = random.Random(0xC0DE)
         masks = (rng.getrandbits(g.rows) for _ in range(_DISTANCE_SAMPLES))
         words = (functools.reduce(operator.xor, (r for i, r in enumerate(g.data) if mask >> i & 1), 0)
                  for mask in masks)
-    for w in words:
-        if w and w.bit_count() < d:
-            raise ValueError(f"claimed d={d} inconsistent: codeword of weight {w.bit_count()} found")
+        found = next((w.bit_count() for w in words if w and w.bit_count() < d), d)
+    if found < d:
+        raise ValueError(f"claimed d={d} inconsistent: codeword of weight {found} found")
+
+
+def _min_weight(g: BitMatrix, d: int) -> int:
+    """The least weight of a nonzero codeword of g's row space, or d if none
+    is lighter.  The span of the first ``_SPAN_ROWS`` rows of the rref is
+    one int64 array, doubled by XOR with each row; each element of the
+    span of the others shifts it, and a byte table counts the bits."""
+    red, _, rnk = gf2.rref(g)
+    basis = red.data[:rnk]
+    span = np.zeros(1, dtype=np.int64)
+    for row in basis[:_SPAN_ROWS]:
+        span = np.concatenate([span, span ^ row])
+    shifts = [0]
+    for row in basis[_SPAN_ROWS:]:
+        shifts += [s ^ row for s in shifts]
+    counts = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.int64)
+    best = d
+    for shift in shifts:
+        words = span ^ shift
+        weights = counts.take(words & 0xFF)
+        for k in range(1, -(-g.cols // 8)):
+            weights += counts.take((words >> (8 * k)) & 0xFF)
+        best = int(weights[weights > 0].min(initial=best))
+    return best
 
 
 def _leader_tables(mats: list[BitMatrix], n: int, d: int, t: int, w_max: int) -> list[dict[int, int]]:
@@ -97,15 +123,14 @@ def _leader_tables(mats: list[BitMatrix], n: int, d: int, t: int, w_max: int) ->
     own bits are column blocks of one linear map's image."""
     blocks = [gf2.split_words(m.transpose().data, m.rows) for m in mats]
     blocks.append(gf2.split_words([1 << i for i in range(n)], n))
-    chunks = list(gf2.iter_weight_le_images(np.concatenate(blocks, axis=1), w_max))
-    images = np.concatenate([c for c, _ in chunks])
-    low = sum(len(c) for c, w in chunks if w <= t)  # errors that must not share a syndrome
+    images, counts = gf2.weight_le_images(np.concatenate(blocks, axis=1), w_max)
+    low = sum(counts[:t + 1])  # errors that must not share a syndrome
     bits = images[:, -blocks[-1].shape[1]:]
     tables, lo = [], 0
-    for block in blocks[:-1]:
+    for m, block in zip(mats, blocks[:-1]):
         syn = images[:, lo:lo + block.shape[1]]
         lo += block.shape[1]
-        _, first = np.unique(gf2.row_keys(syn), return_index=True)
+        first = gf2.first_rows(gf2.row_keys(syn), m.rows)
         if np.count_nonzero(first < low) < low:
             raise ValueError(f"claimed d={d} inconsistent: weight<={t} errors share a syndrome")
         first.sort()

@@ -11,7 +11,6 @@ generalized syndrome.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,6 +249,9 @@ def _round_sets_for_kind(css_blocks, kind, i, j, basis):
         )
     # bell
     ka, kb = css_blocks[0].k, css_blocks[1].k
+    for name, u, k in (("i", i, ka), ("j", j, kb)):
+        if not 0 <= u < k:
+            raise ValueError(f"bell logical {name} must be in 0..{k - 1}, got {u}")
     log1 = [zbar(0, u) for u in range(ka) if u != i]
     cor1 = [xbar(0, u) for u in range(ka) if u != i]
     log1 += [zbar(1, v) for v in range(kb) if v != j]
@@ -309,9 +311,13 @@ def _validate_spec(spec: AncillaSpec) -> None:
     elems = spec.all_elements()
     if len(elems) != spec.total_qubits:
         raise ValueError("stabilizer count must equal total qubit count")
-    for a, b in itertools.combinations(elems, 2):
-        if not a.commutes(b):
-            raise ValueError("stabilizer elements must commute")
+    # Entry (a, b) of x z^T counts the qubits where a's X part meets b's Z
+    # part; a and b commute iff that count plus (b, a)'s is even.
+    x, z = (np.hstack([gf2.bit_rows([getattr(el, part)[b] for el in elems], n)
+                       for b, n in enumerate(spec.block_sizes)]) for part in ("x", "z"))
+    overlaps = x @ z.T
+    if ((overlaps ^ overlaps.T) & 1).any():
+        raise ValueError("stabilizer elements must commute")
     for round_, s, correctors in ((1, spec.s1, spec.correctors1), (2, spec.s2, spec.correctors2)):
         logicals = spec.logicals(round_)
         if len(correctors) != len(logicals):
@@ -403,10 +409,11 @@ class WeightTable:
         """The minimum weight of every local syndrome reached by a block
         error of weight <= w_cap: a dense table over all syndromes, or the
         sorted syndromes and their weights."""
-        chunks = list(gf2.iter_weight_le_images(block, w_cap))
-        weights = np.repeat([w for _, w in chunks], [len(c) for c, _ in chunks]).astype(np.int8)
-        keys, first = np.unique(np.concatenate([c for c, _ in chunks])[:, 0], return_index=True)
-        values = weights[first]
+        images, counts = gf2.weight_le_images(block, w_cap)
+        weights = np.repeat(np.arange(len(counts), dtype=np.int8), counts)
+        syn = images[:, 0]
+        first = gf2.first_rows(syn, bits)
+        keys, values = syn[first], weights[first]
         if bits > cls._DENSE_BITS:
             return keys, values
         dense = np.full(1 << bits, w_cap + 1, dtype=np.int8)

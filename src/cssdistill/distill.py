@@ -694,8 +694,7 @@ class CompiledRound:
         # bit, as nothing acts after readout.
         flat = [v for layer in range(len(self.layers)) for blk in range(m)
                 for pair in images[self.cnot_location(layer, blk, 1)] for img in pair for v in img]
-        words = gf2.split_words(flat, self.n_c * m)
-        bits = (words[..., None] >> np.arange(63) & 1).reshape(len(flat), -1)[:, :self.n_c * m]
+        bits = gf2.bit_rows(flat, self.n_c * m)
         bits = bits.reshape(len(self.layers), m, 4, 2, self.n_c, m).diagonal(0, 1, 5)
         own = np.moveaxis(bits, -1, 1) << np.arange(self.n_c)  # (layer, block, i, e/f, slot)
         checks, data = own[..., :self.r_c].sum(-1), own[..., self.r_c:].sum(-1)

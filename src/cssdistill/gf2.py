@@ -230,40 +230,51 @@ def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
 def iter_weight_le(n: int, w_max: int) -> Iterator[tuple[int, int]]:
     """Yield (bits, weight) for every n-bit value of weight <= w_max, by
     weight, then in the lexicographic order of the set bits."""
-    for images, w in iter_weight_le_images(split_words([1 << i for i in range(n)], n), w_max):
-        for bits in join_words(images):
-            yield bits, w
+    images, counts = weight_le_images(split_words([1 << i for i in range(n)], n), w_max)
+    yield from zip(join_words(images), (w for w, count in enumerate(counts) for _ in range(count)))
 
 
-def iter_weight_le_images(cols: np.ndarray, w_max: int) -> Iterator[tuple[np.ndarray, int]]:
+def weight_le_images(cols: np.ndarray, w_max: int) -> tuple[np.ndarray, list[int]]:
     """Images of every n-bit value of weight <= w_max under the GF(2)-linear
-    map sending bit i to row i of the (n, words) integer array ``cols``, in
-    :func:`iter_weight_le`'s order (by weight, then lexicographic by set
-    bits), as ``(images, weight)`` chunks of (count, words) arrays.
+    map sending bit i to row i of the (n, words) integer array ``cols``, as
+    one (count, words) array in :func:`iter_weight_le`'s order (by weight,
+    then lexicographic by set bits), and the number of values of each
+    weight 0..min(w_max, n).
 
     The values of weight w whose lowest bit is a are a joined to the last
-    C(n - a - 1, w - 1) values of weight w - 1, so each (w, a) chunk is one
-    XOR of a slice of the weight below, at most C(n - 1, w - 1) rows.
+    C(n - a - 1, w - 1) values of weight w - 1, so each (w, a) block of rows
+    is one XOR of rows already written.
     """
     n = len(cols)
-    top = min(w_max, n)
-    prev = np.zeros((1, cols.shape[1]), dtype=cols.dtype)
-    yield prev, 0
-    for w in range(1, top + 1):
-        chunks = []
+    counts = [math.comb(n, w) for w in range(min(w_max, n) + 1)]
+    out = np.zeros((sum(counts), cols.shape[1]), dtype=cols.dtype)
+    end = 1  # rows of weight below w
+    for w in range(1, len(counts)):
+        lo = end
         for a in range(n - w + 1):
-            chunks.append(prev[len(prev) - math.comb(n - a - 1, w - 1):] ^ cols[a])
-            yield chunks[-1], w
-        prev = np.concatenate(chunks) if w < top else None
+            size = math.comb(n - a - 1, w - 1)
+            np.bitwise_xor(out[end - size:end], cols[a], out=out[lo:lo + size])
+            lo += size
+        end = lo
+    return out, counts
 
 
 def split_words(values: Sequence[int], width: int) -> np.ndarray:
     """Integers of up to ``width`` bits as a (len(values), words) int64
     array of 63-bit words, word 0 lowest, so every word is non-negative."""
     count = max(1, -(-width // 63))
+    if count == 1:
+        return np.array(values, dtype=np.int64).reshape(len(values), 1)
     mask = (1 << 63) - 1
     rows = [[(v >> (63 * i)) & mask for i in range(count)] for v in values]
     return np.array(rows, dtype=np.int64).reshape(len(rows), count)
+
+
+def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """Integers of up to ``width`` bits as a (len(values), width) int64
+    array of their bits, bit 0 first."""
+    words = split_words(values, width)
+    return (words[..., None] >> np.arange(63) & 1).reshape(len(values), -1)[:, :width]
 
 
 def join_words(words: np.ndarray) -> list[int]:
@@ -281,6 +292,23 @@ def row_keys(words: np.ndarray) -> np.ndarray:
         return words[:, 0]
     record = np.dtype([(f"w{i}", np.int64) for i in range(words.shape[1])])
     return np.ascontiguousarray(words).view(record)[:, 0]
+
+
+# Widest key that :func:`first_rows` scatters over a table of every key.
+_DENSE_KEY_BITS = 16
+
+
+def first_rows(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Index of each distinct key's first row, in key order, as
+    ``np.unique(keys, return_index=True)[1]`` gives it.  Keys of up to
+    ``_DENSE_KEY_BITS`` bits scatter their row indices over a table of
+    every key, which needs no sort; wider ones (or :func:`row_keys`
+    records) go through ``np.unique``."""
+    if bits > _DENSE_KEY_BITS:
+        return np.unique(keys, return_index=True)[1]
+    first = np.full(1 << bits, len(keys), dtype=np.intp)
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    return first[first < len(keys)]
 
 
 def iter_row_space(m: BitMatrix) -> Iterator[int]:

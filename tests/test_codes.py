@@ -130,6 +130,38 @@ class TestLeaderTableOracle:
             leader_table_oracle(h, 1, 2)
 
 
+class TestDistanceCheck:
+    @pytest.mark.parametrize("name,d", [("golay23", 7), ("bch15_7_5", 5)])
+    def test_distance_one_too_high_rejected(self, name, d):
+        message = rf"^claimed d={d + 1} inconsistent: codeword of weight {d} found$"
+        with pytest.raises(ValueError, match=message):
+            build_code(registry(name).h, d + 1)
+
+    @pytest.mark.parametrize("d", [5, 8])
+    def test_distance_check_names_the_least_weight(self, d):
+        # The Hamming code has codewords of weights 3, 4 and 7; in Gray-code
+        # order, the first one lighter than d has weight 4.
+        with pytest.raises(ValueError, match=rf"^claimed d={d} inconsistent: codeword of weight 3 found$"):
+            build_code(registry("hamming7").h, d)
+
+    def test_light_codeword_past_the_first_span_rows(self):
+        # A [20, 17] code whose one weight-1 codeword is the last row of its
+        # rref basis, past the rows the check holds as one array.
+        g = BitMatrix(17, 20, tuple((1 << i) | (1 + i % 7) << 17 for i in range(16)) + (1 << 16,))
+        with pytest.raises(ValueError, match=r"^claimed d=2 inconsistent: codeword of weight 1 found$"):
+            build_code(gf2.null_space_basis(g), 2)
+
+    @given(full_rank_checks())
+    @settings(max_examples=60, deadline=None)
+    def test_distance_one_too_high_rejected_random(self, case):
+        h, _, _ = case
+        d = min(w.bit_count() for w in gf2.iter_row_space(gf2.null_space_basis(h)) if w)
+        build_code(h, d)
+        message = rf"^claimed d={d + 1} inconsistent: codeword of weight {d} found$"
+        with pytest.raises(ValueError, match=message):
+            build_code(h, d + 1)
+
+
 class TestSyndrome:
     @pytest.mark.parametrize("name", codes.REGISTRY_NAMES)
     def test_codewords_have_zero_syndrome(self, name):

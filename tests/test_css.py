@@ -9,6 +9,8 @@ import pytest
 from cssdistill import gf2
 from cssdistill.codes import build_code, registry
 from cssdistill.css import (
+    PauliElement,
+    WeightTable,
     _round_sets_for_kind,
     _validate_spec,
     _x_elem,
@@ -159,6 +161,41 @@ class TestAncillaSpecs:
         with pytest.raises(ValueError, match=message):
             _validate_spec(dataclasses.replace(spec, **{broken: tuple(parts)}))
 
+    @pytest.mark.parametrize("kind", ["zero", "bell"])
+    def test_validate_spec_commutation_matches_pairwise_oracle(self, steane_css, kind):
+        # The Steane zero state or Bell pair, with a Hadamard on some qubits
+        # of every element (which keeps each pair's commutation but gives
+        # elements both X and Z parts), and one element swapped for a
+        # product of two, times a one-qubit X or Z half the time: the check
+        # refuses exactly the specs with a pair of anticommuting elements.
+        base = build_ancilla_spec([steane_css] * 2 if kind == "bell" else steane_css, kind)
+        rng = random.Random(kind)
+        refused = 0
+        for _ in range(60):
+            flip = tuple(rng.getrandbits(7) for _ in range(base.m))
+
+            def hadamard(el):
+                return PauliElement(tuple(x & ~h | z & h for x, z, h in zip(el.x, el.z, flip)),
+                                    tuple(z & ~h | x & h for x, z, h in zip(el.x, el.z, flip)))
+            spec = dataclasses.replace(base, s1=tuple(map(hadamard, base.s1)),
+                                       s2=tuple(map(hadamard, base.s2)))
+            elems = spec.all_elements()
+            idx = rng.randrange(len(spec.s1))
+            el = rng.choice(elems).xor(rng.choice(elems))
+            if rng.randint(0, 1):
+                make = rng.choice((_x_elem, _z_elem))
+                el = el.xor(make(spec.m, rng.randrange(spec.m), 1 << rng.randrange(7)))
+            s1 = spec.s1[:idx] + (el,) + spec.s1[idx + 1:]
+            anti = any(not a.commutes(b) for a, b in itertools.combinations(s1 + spec.s2, 2))
+            try:
+                _validate_spec(dataclasses.replace(spec, s1=s1))
+                message = ""
+            except ValueError as exc:
+                message = str(exc)
+            assert (message == "stabilizer elements must commute") == anti
+            refused += anti
+        assert 0 < refused < 60
+
     def test_wrong_block_count(self, golay_css):
         with pytest.raises(ValueError, match="block"):
             build_ancilla_spec([golay_css, golay_css], "zero")
@@ -210,6 +247,20 @@ class TestAncillaSpecs:
     def test_mixed_rejects_bad_logical_or_basis(self, golay_css, j, basis, message):
         with pytest.raises(ValueError, match=message):
             build_ancilla_spec(golay_css, "mixed", j=j, basis=basis)
+
+    @pytest.mark.parametrize("code,i,j,message", [
+        ("golay", 1, 0, r"bell logical i must be in 0\.\.0, got 1"),
+        ("golay", -1, 0, r"bell logical i must be in 0\.\.0, got -1"),
+        ("golay", 0, 1, r"bell logical j must be in 0\.\.0, got 1"),
+        ("golay", 0, -1, r"bell logical j must be in 0\.\.0, got -1"),
+        ("k0", 0, 0, r"bell logical i must be in 0\.\.-1, got 0"),
+    ])
+    def test_bell_rejects_bad_logical(self, golay_css, code, i, j, message):
+        # golay23 with golay23_dual is a CSS code with k = 0.
+        css = build_css(registry("golay23"), registry("golay23_dual")) if code == "k0" else golay_css
+        assert css.k == (0 if code == "k0" else 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_ancilla_spec([css, css], "bell", i=i, j=j)
 
 
 class TestGeneralizedSyndrome:
@@ -356,6 +407,24 @@ class TestResidualWeight:
             if code == "hamming7":
                 unsplit = own.weights(side, words)
                 assert ((got >= 0) & ((unsplit < 0) | (unsplit > got))).any(), side
+
+    @pytest.mark.parametrize("w_cap", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["zero", "plus", "bell"])
+    @pytest.mark.parametrize("code", ["hamming7", "golay23"])
+    def test_dense_tables_match_sorted_build(self, code, kind, w_cap):
+        # Each block lookup against a build that sorts the local syndromes
+        # of every error of weight <= w_cap and keeps each one's first.
+        c = build_css(registry(code), registry(code))
+        spec = build_ancilla_spec([c, c] if kind == "bell" else c, kind)
+        tab = WeightTable(spec, w_cap)
+        for part, (tables, lookups, _) in (("z", tab._x), ("x", tab._z)):
+            for b, (lookup, block) in enumerate(zip(lookups, tables)):
+                chunks = list(gf2.iter_weight_le(spec.block_sizes[b], w_cap))
+                syn = gf2.xor_lookup(block, np.array([e for e, _ in chunks], dtype=np.int64))
+                keys, first = np.unique(syn, return_index=True)
+                want = np.full(len(lookup), w_cap + 1, dtype=np.int8)
+                want[keys] = np.array([w for _, w in chunks], dtype=np.int8)[first]
+                assert lookup.dtype == np.int8 and lookup.tolist() == want.tolist(), (part, b)
 
     def test_bell_table_stays_small(self, golay_css):
         # Per-block tables over 12-bit local syndromes: a whole-state table

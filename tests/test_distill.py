@@ -749,6 +749,20 @@ def test_runner_build_walks_no_circuit(golay_css, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["zero", "bell"], ids=["golay0-A-ref", "bell-A-nops"])
+def test_build_sorts_nothing(kind, monkeypatch):
+    # The coset-leader and weight tables keep each syndrome's first error
+    # by a dense scatter, so the benchmark configs build, codes and all,
+    # without np.unique.
+    def refused(*args, **kwargs):
+        raise AssertionError("np.unique called")
+    registry.cache_clear()
+    monkeypatch.setattr(np, "unique", refused)
+    golay = registry("golay23")
+    runner = _benchmark_runner(build_css(golay, golay), kind)
+    runner.spec.weight_table(4)
+
+
 @pytest.mark.exhaustive
 @pytest.mark.parametrize("kind,configurations", [("zero", 680_512), ("bell", 1_592_549)])
 def test_every_single_fault_is_benign(golay_css, kind, configurations):

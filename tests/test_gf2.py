@@ -220,9 +220,39 @@ class TestWeightEnumeration:
     @settings(max_examples=40)
     def test_images_are_xors_of_columns(self, case):
         cols, w_max = case
-        chunks = list(gf2.iter_weight_le_images(gf2.split_words(cols, 70), w_max))
-        got = gf2.join_words(np.concatenate([c for c, _ in chunks]))
-        weights = [w for c, w in chunks for _ in range(len(c))]
+        images, counts = gf2.weight_le_images(gf2.split_words(cols, 70), w_max)
+        got = gf2.join_words(images)
+        weights = [w for w, count in enumerate(counts) for _ in range(count)]
         want = [(functools.reduce(operator.xor, (cols[i] for i in range(len(cols)) if bits >> i & 1), 0), w)
                 for bits, w in gf2.iter_weight_le(len(cols), w_max)]
         assert list(zip(got, weights)) == want
+
+
+class TestFirstRows:
+    @pytest.mark.parametrize("bits,count,distinct", [
+        (1, 50, 2), (8, 1000, 256), (12, 10_903, 4096), (16, 5000, 5000),
+        (16, 20_000, 7), (17, 5000, 5000), (17, 20_000, 7), (40, 3000, 50), (63, 2000, 2000),
+    ])
+    def test_matches_np_unique(self, bits, count, distinct):
+        # Both sides of the dense limit, and keys repeated many times over.
+        rng = np.random.default_rng(bits * count)
+        pool = rng.integers(0, 1 << bits, size=distinct, dtype=np.int64)
+        keys = rng.choice(pool, size=count)
+        got = gf2.first_rows(keys, bits)
+        assert got.tolist() == np.unique(keys, return_index=True)[1].tolist()
+
+    @pytest.mark.parametrize("bits", [0, 12, 16, 17, 63])
+    def test_empty(self, bits):
+        assert gf2.first_rows(np.zeros(0, dtype=np.int64), bits).tolist() == []
+
+    @pytest.mark.parametrize("words", [2, 3])
+    def test_multi_word_records(self, words):
+        rng = np.random.default_rng(words)
+        rows = rng.integers(0, 4, size=(3000, words), dtype=np.int64) << rng.integers(0, 62, size=words)
+        keys = gf2.row_keys(rows)
+        got = gf2.first_rows(keys, 63 * words)
+        assert got.tolist() == np.unique(keys, return_index=True)[1].tolist()
+        firsts = {}
+        for i, row in enumerate(map(tuple, rows.tolist())):
+            firsts.setdefault(row, i)
+        assert sorted(got.tolist()) == sorted(firsts.values())
