@@ -1,9 +1,10 @@
-"""Classical binary codes with bounded-distance syndrome decoding.
+"""Classical binary codes with complete coset-leader decoding.
 
 A :class:`LinearCode` carries its parity check, generator, systematic part
-and a syndrome table of minimum-weight coset leaders.  The registry holds
-the small codes used by the distillation experiments, with their parity
-checks shipped in the package data directory.
+and, built on first use, a minimum-weight coset leader for every syndrome,
+so every syndrome decodes.  The registry holds the small codes used by the
+distillation experiments, with their parity checks shipped in the package
+data directory.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -25,18 +26,23 @@ _EXHAUSTIVE_DISTANCE_N = 24
 _DISTANCE_SAMPLES = 2000
 # Codeword span rows held as one array by the exhaustive distance check.
 _SPAN_ROWS = 16
+# Most checks and bits of a coset-leader table: its syndromes index a
+# dense array, and its leaders are int64 words.
+_TABLE_CHECKS = 16
+_TABLE_BITS = 62
 
 
 @dataclass(frozen=True)
 class LinearCode:
-    """An [n, k, d] binary linear code with a coset-leader decoder.
+    """An [n, k, d] binary linear code with a complete coset-leader decoder.
 
-    ``syndrome_table`` maps the packed r-bit syndrome to a packed
-    minimum-weight coset leader; it holds every leader of weight <= t and,
-    beyond that, leaders of weight <= w_max for whatever syndromes they
-    reach.  ``max_col_weight`` is the largest number of 1s in a column of
-    the systematic part A, the quantity that bounds error amplification in
-    a distillation round.
+    ``syndrome_table`` holds a minimum-weight coset leader of every one of
+    the 2^r syndromes of ``h``, and ``systematic_table`` the same for the
+    row-equivalent check [I_r | A] that the distillation rounds measure;
+    both are built on first use (see :func:`_leader_table`), so a code
+    that only detects never builds one.  ``max_col_weight`` is the largest
+    number of 1s in a column of the systematic part A, the quantity that
+    bounds error amplification in a distillation round.
     """
 
     name: str
@@ -48,39 +54,44 @@ class LinearCode:
     g: BitMatrix
     a: BitMatrix
     col_perm: tuple[int, ...]
-    syndrome_table: dict[int, int] = field(repr=False)
-    systematic_table: dict[int, int] = field(repr=False)
     max_col_weight: int
-    w_max: int
 
     @property
     def r(self) -> int:
         return self.n - self.k
+
+    @functools.cached_property
+    def syndrome_table(self) -> np.ndarray:
+        return _leader_table(self.h)
+
+    @functools.cached_property
+    def systematic_table(self) -> np.ndarray:
+        # Check-slot coordinates: slot i is the i-th row of [I_r | A].
+        r = self.r
+        h_sys = BitMatrix(r, self.n, tuple((1 << i) | (row << r) for i, row in enumerate(self.a.data)))
+        return self.syndrome_table if h_sys == self.h else _leader_table(h_sys)
 
     def syndrome(self, v: int) -> int:
         if v < 0 or v >> self.n:
             raise ValueError("length mismatch")
         return gf2.mat_vec(self.h, v)
 
-    def decode(self, s: int) -> tuple[int, bool]:
-        """Coset leader for syndrome ``s``.
-
-        Returns ``(e_hat, in_table)``.  When the syndrome is not reachable by
-        any error of weight <= w_max the estimate is zero and ``in_table`` is
-        False.
-        """
+    def decode(self, s: int) -> int:
+        """The minimum-weight coset leader of syndrome ``s``."""
         if s < 0 or s >> self.r:
             raise ValueError("length mismatch")
-        leader = self.syndrome_table.get(s)
-        return (0, False) if leader is None else (leader, True)
+        return int(self.syndrome_table[s])
 
     def codewords(self):
         """All 2^k codewords (packed ints); only sensible for small k."""
         return gf2.iter_row_space(self.g)
 
 
-def _verify_distance(g: BitMatrix, d: int, n: int) -> None:
-    if n <= _EXHAUSTIVE_DISTANCE_N:
+def _verify_distance(h: BitMatrix, g: BitMatrix, d: int, t: int) -> None:
+    """Raise ``ValueError`` when a nonzero codeword is lighter than d: all of
+    them are checked up to ``_EXHAUSTIVE_DISTANCE_N`` bits, a sample past
+    that, and then errors of weight <= t must have distinct syndromes."""
+    if h.cols <= _EXHAUSTIVE_DISTANCE_N:
         found = _min_weight(g, d)
     else:
         rng = random.Random(0xC0DE)
@@ -90,6 +101,10 @@ def _verify_distance(g: BitMatrix, d: int, n: int) -> None:
         found = next((w.bit_count() for w in words if w and w.bit_count() < d), d)
     if found < d:
         raise ValueError(f"claimed d={d} inconsistent: codeword of weight {found} found")
+    if h.cols > _EXHAUSTIVE_DISTANCE_N:
+        syndromes, _ = gf2.weight_le_images(gf2.split_words(h.transpose().data, h.rows), t)
+        if len(set(gf2.join_words(syndromes))) < len(syndromes):
+            raise ValueError(f"claimed d={d} inconsistent: weight<={t} errors share a syndrome")
 
 
 def _min_weight(g: BitMatrix, d: int) -> int:
@@ -116,36 +131,41 @@ def _min_weight(g: BitMatrix, d: int) -> int:
     return best
 
 
-def _leader_tables(mats: list[BitMatrix], n: int, d: int, t: int, w_max: int) -> list[dict[int, int]]:
-    """Per parity check, each syndrome of an error of weight <= w_max keyed
-    to its first such error in :func:`gf2.iter_weight_le`'s order, inserted
-    in that order.  One enumeration serves all: an error's syndromes and its
-    own bits are column blocks of one linear map's image."""
-    blocks = [gf2.split_words(m.transpose().data, m.rows) for m in mats]
-    blocks.append(gf2.split_words([1 << i for i in range(n)], n))
-    images, counts = gf2.weight_le_images(np.concatenate(blocks, axis=1), w_max)
-    low = sum(counts[:t + 1])  # errors that must not share a syndrome
-    bits = images[:, -blocks[-1].shape[1]:]
-    tables, lo = [], 0
-    for m, block in zip(mats, blocks[:-1]):
-        syn = images[:, lo:lo + block.shape[1]]
-        lo += block.shape[1]
-        first = gf2.first_rows(gf2.row_keys(syn), m.rows)
-        if np.count_nonzero(first < low) < low:
-            raise ValueError(f"claimed d={d} inconsistent: weight<={t} errors share a syndrome")
-        first.sort()
-        tables.append(dict(zip(gf2.join_words(syn[first]), gf2.join_words(bits[first]))))
-    return tables
+def _leader_table(h: BitMatrix) -> np.ndarray:
+    """A minimum-weight coset leader of every syndrome of a full-row-rank
+    ``h``, as an int64 array over all 2^r syndromes.
+
+    Breadth first over syndromes: one first reached at weight w takes
+    leader(s ^ h_j) | 1 << j, j being the lowest column whose s ^ h_j was
+    first reached at weight w - 1.  That is the syndrome's first error in
+    :func:`gf2.iter_weight_le`'s order (by weight, then lexicographic).
+    """
+    r, n = h.rows, h.cols
+    if r > _TABLE_CHECKS or n > _TABLE_BITS:
+        raise ValueError(f"a coset-leader table takes at most r={_TABLE_CHECKS} checks and "
+                         f"n={_TABLE_BITS} bits; this code has r={r}, n={n}")
+    cols = np.array(h.transpose().data, dtype=np.int64)[:, None]
+    table = np.full(1 << r, -1, dtype=np.int64)
+    table[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        # Rows by column, then by frontier syndrome: a syndrome's first row
+        # holds its lowest column.
+        reach = (cols ^ frontier).reshape(-1)
+        rows = np.flatnonzero(table.take(reach) < 0)
+        rows = rows[gf2.first_rows(reach.take(rows), r)]
+        j, src = np.divmod(rows, len(frontier))
+        new = reach.take(rows)
+        table[new] = table.take(frontier.take(src)) | np.left_shift(1, j)
+        frontier = new
+    return table
 
 
-def build_code(h: BitMatrix, d: int, name: str = "", w_max: int | None = None) -> LinearCode:
+def build_code(h: BitMatrix, d: int, name: str = "") -> LinearCode:
     """Construct a LinearCode from a full-row-rank parity check and distance.
 
-    The syndrome table is filled in order of increasing error weight, so each
-    entry is a true coset leader.  Weights <= t are complete; weights up to
-    ``w_max`` (default t+1) fill only syndromes not yet present, which gives
-    perfect codes full 2^r coverage and non-perfect codes a bounded
-    beyond-t fallback.
+    The claimed distance is checked here; the coset-leader tables are built
+    on first use.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -154,19 +174,11 @@ def build_code(h: BitMatrix, d: int, name: str = "", w_max: int | None = None) -
     if gf2.rank(h) < r:
         raise ValueError("not full rank")
     t = (d - 1) // 2
-    if w_max is None:
-        w_max = t + 1
     g = gf2.null_space_basis(h)
     k = n - r
     assert g.rows == k
     a, col_perm = gf2.systematic_form(h)
-    _verify_distance(g, d, n)
-
-    # Check-slot coordinates: the distillation rounds measure syndromes of
-    # the row-equivalent [I_r | A] matrix, with slot i the i-th check.
-    h_sys = BitMatrix(r, n, tuple((1 << i) | (a.data[i] << r) for i in range(r)))
-    tables = _leader_tables([h] if h_sys == h else [h, h_sys], n, d, t, w_max)
-    table, sys_table = tables[0], tables[-1]
+    _verify_distance(h, g, d, t)
     max_col = max((a.column(j).bit_count() for j in range(a.cols)), default=0)
     return LinearCode(
         name=name or f"[{n},{k},{d}]",
@@ -178,10 +190,7 @@ def build_code(h: BitMatrix, d: int, name: str = "", w_max: int | None = None) -
         g=g,
         a=a,
         col_perm=col_perm,
-        syndrome_table=table,
-        systematic_table=sys_table,
         max_col_weight=max_col,
-        w_max=w_max,
     )
 
 

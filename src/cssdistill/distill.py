@@ -91,17 +91,6 @@ _DENSE_BITS = 16
 _ROUND_SLICE = 2048
 
 
-def _dense_table(table: dict[int, int], bits: int) -> np.ndarray:
-    """A syndrome -> leader dict as an array over all 2^bits keys, in the
-    narrowest signed dtype; -1 marks a syndrome the dict does not hold."""
-    top = max(table.values(), default=0)
-    out = np.full(1 << bits, -1, dtype=np.min_scalar_type(-top - 1))
-    out[np.fromiter(table.keys(), np.int64, len(table))] = np.fromiter(
-        table.values(), np.int64, len(table)
-    )
-    return out
-
-
 def _flat(words: np.ndarray) -> np.ndarray:
     """A 1-D view of ``words`` for a scatter; hits scattered into a copy
     would be lost, so an array that is not C-contiguous is refused."""
@@ -316,8 +305,8 @@ class DistillationConfig:
         """Raise ``ValueError`` naming the field that puts a round beyond the
         batched kernel: it holds a unit of m blocks of n qubits and |SE| in
         one int64 word, and its dense decoder tables take at most
-        ``_DENSE_BITS`` key bits (the round code's r_c and k_c + 1, and per
-        block the larger of the block decoder's checks and the block's
+        ``_DENSE_BITS`` key or value bits (the round code's r_c and k_c, and
+        per block the larger of the block decoder's checks and the block's
         generator count), so n_c = r_c + k_c fits a word too.  A limit that
         one block breaks is the block code's (``spec.blocks``), one that only
         the m-block unit breaks the ancilla kind's (``spec``)."""
@@ -332,7 +321,7 @@ class DistillationConfig:
         for i, code_c, code_d, s in ((1, self.code_c1, self.code_d1, spec.s1),
                                      (2, self.code_c2, self.code_d2, spec.s2)):
             limits += [(f"code_c{i}", "the round code has r={} checks", code_c.r, _DENSE_BITS),
-                       (f"code_c{i}", "the round code encodes k={} bits", code_c.k, _DENSE_BITS - 1)]
+                       (f"code_c{i}", "the round code encodes k={} bits", code_c.k, _DENSE_BITS)]
             if isinstance(code_d, LinearCode):
                 limits.append((f"code_d{i}", f"|SE| = {len(s)} + {code_d.r} = {{}}",
                                len(s) + code_d.r, _WORD_BITS))
@@ -488,40 +477,31 @@ def compute_sigma(
     return rows
 
 
-def decode_columns(
-    sigma_rows: Sequence[int], code_c: LinearCode, n_cols: int
-) -> tuple[list[int], int]:
+def decode_columns(sigma_rows: Sequence[int], code_c: LinearCode, n_cols: int) -> list[int]:
     """Estimate the syndrome array column by column.
 
     Each column of sigma is the parity-check image of the unknown n_c-bit
     syndrome column; its coset leader is the estimate.  Every column is
     decoded independently (estimates are never combined across columns,
     otherwise the compatibility check would be vacuous).  Returns per-unit
-    estimated rows and a bitmask of uncorrectable columns.
+    estimated rows.
     """
     r_c = code_c.r
     if len(sigma_rows) != r_c:
         raise ValueError("sigma must have one row per check unit")
     table = code_c.systematic_table
     rows_out = [0] * code_c.n
-    bad = 0
     for c in range(n_cols):
         syn = 0
         for i in range(r_c):
             if (sigma_rows[i] >> c) & 1:
                 syn |= 1 << i
-        if not syn:
-            continue
-        leader = table.get(syn)
-        if leader is None:
-            bad |= 1 << c
-            continue
-        j = leader
+        j = int(table[syn])
         while j:
             u = (j & -j).bit_length() - 1
             rows_out[u] |= 1 << c
             j &= j - 1
-    return rows_out, bad
+    return rows_out
 
 
 def hd_column_masks(code_d: LinearCode, n_s: int) -> list[int]:
@@ -567,17 +547,13 @@ def ideal_postselect(
                 syn |= 1 << i
         syn_single[i_el] = syn
 
-    table = np.zeros(1 << r_c, dtype=np.int64)
-    for syn, leader in code_c.systematic_table.items():
-        table[syn] = leader
-
     count = 1 << n_s
     idx = np.arange(count, dtype=np.uint32)
     syn_prod = np.zeros(count, dtype=np.uint32)
     for b in range(n_s):
         sel = (idx >> b) & 1 == 1
         syn_prod[sel] ^= syn_single[b]
-    est = table[syn_prod]
+    est = code_c.systematic_table[syn_prod]
     est_xor = np.zeros(count, dtype=np.int64)
     for b in range(n_s):
         sel = (idx >> b) & 1 == 1
@@ -592,15 +568,14 @@ def correct_block(
     s_hat_row: int,
     e: tuple[int, ...],
     f: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Quantum error correction of one unit from its estimated syndromes.
 
     Decodes each block's generator syndrome with the round's classical
     code, then fixes logical eigenvalues: the estimate is multiplied by a
     logical's corrector exactly when its anticommutation with the estimate
     disagrees with the estimated eigenvalue bit.  Returns the corrected
-    frame and a flag set when a block decode fell outside the syndrome
-    table (callers discard such units).
+    frame.
     """
     counts = spec.gen_counts1 if round_ == 1 else spec.gen_counts2
     correctors = spec.correctors1 if round_ == 1 else spec.correctors2
@@ -614,10 +589,7 @@ def correct_block(
         syn = (s_hat_row >> off) & ((1 << counts[b]) - 1)
         off += counts[b]
         code = spec.blocks[b].code_z if round_ == 1 else spec.blocks[b].code_x
-        err, ok = code.decode(syn)
-        if not ok:
-            return e, f, True
-        est[b] = err
+        est[b] = code.decode(syn)
     logicals = spec.logicals(round_)
     for t, logical in enumerate(logicals):
         ell = (s_hat_row >> (off + t)) & 1
@@ -631,7 +603,7 @@ def correct_block(
                 est_z[b] ^= cor.z[b]
     new_e = tuple(eb ^ xb for eb, xb in zip(e, est_x))
     new_f = tuple(fb ^ zb for fb, zb in zip(f, est_z))
-    return new_e, new_f, False
+    return new_e, new_f
 
 
 class CompiledRound:
@@ -713,27 +685,27 @@ class CompiledRound:
         se_rows = np.array([_pack(el.z if round_ == 1 else el.x, n) for el in self.se], dtype=np.int64)
         self.nu_to_sigma = gf2.byte_tables(_bit_transpose(se_rows, m * n).tolist())
         self.hd_parity = gf2.byte_tables(self.hd_masks) if self.hd_masks else None
-        self.leaders = _dense_table(code_c.systematic_table, self.r_c)
-        # The column decoder's table: per 16-bit key, the leaders shifted
-        # right by r_c (their data bits, and bit k_c set on a miss, as -1
-        # sets every bit).  When syndromes and shifted leaders fit a byte, a
-        # key holds the syndromes of two columns and its value their two
-        # shifted leaders, byte for byte.
-        self._pair_keys = max(self.r_c, self.k_c + 1) <= 8
+        # The round code's coset leaders, in the narrowest signed dtype, and
+        # the column decoder's table: per 16-bit key, the leaders shifted
+        # right by r_c (their data bits).  When syndromes and shifted
+        # leaders fit a byte, a key holds the syndromes of two columns and
+        # its value their two shifted leaders, byte for byte.
+        leaders = code_c.systematic_table
+        self.leaders = leaders.astype(np.min_scalar_type(-int(leaders.max()) - 1))
+        self._pair_keys = max(self.r_c, self.k_c) <= 8
         shifted = np.zeros(1 << (8 if self._pair_keys else self.r_c), dtype=np.uint16)
-        shifted[:len(self.leaders)] = self.leaders >> self.r_c & ((2 << self.k_c) - 1)
+        shifted[:len(self.leaders)] = self.leaders >> self.r_c
         if self._pair_keys:  # key = low | high << 8 at [high, low]
             shifted = (shifted[None, :] | shifted[:, None] << 8).reshape(-1)
         self._column_table = shifted
-        # Per block: its correction table, shifted to the block's bits
-        # (-1 still marks a miss), and the offset and mask of its
-        # generator syndrome in the estimated SE rows.
+        # Per block: its correction table, shifted to the block's bits, and
+        # the offset and mask of its generator syndrome in the estimated SE
+        # rows.
         self.corrections = []
         off = 0
         for b, (code, count) in enumerate(zip(corr_codes, self.gen_counts)):
-            table = _dense_table(code.syndrome_table, max(code.r, count)).astype(np.int64)
-            table[table > 0] <<= b * n
-            self.corrections.append((table.astype(self.word), off, (1 << count) - 1))
+            table = (code.syndrome_table << b * n).astype(self.word)
+            self.corrections.append((table, off, (1 << count) - 1))
             off += count
         # Per logical: the parity of a correction against its measured
         # part (byte tables), its corrector and its bit in the SE rows.
@@ -801,13 +773,12 @@ class CompiledRound:
             np.bitwise_xor.at(_flat(target), index, bit)
         return nu
 
-    def batch_decode(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_decode(self, sigma: np.ndarray) -> np.ndarray:
         """Column decode of (groups, r_c) sigma rows.
 
         Column c's syndrome collects bit c of every row (columns padded to
-        whole bytes; a padding column reads syndrome 0).  Returns whether
-        every column's syndrome is in the table, and the estimated SE rows
-        of the data slots.
+        whole bytes; a padding column reads syndrome 0).  Returns the
+        estimated SE rows of the data slots.
         """
         keys = _bit_transpose(sigma, -(-self.n_se // 8) * 8)
         if self._pair_keys:
@@ -815,32 +786,26 @@ class CompiledRound:
         shifted = self._column_table.take(keys)
         if self._pair_keys:
             shifted = shifted.view(np.uint8)
-        # Bit k_c of a shifted leader flags a miss: row k_c of the
-        # transpose collects the missed columns.
-        rows = _bit_transpose(shifted, self.k_c + 1)
-        return rows[:, self.k_c] == 0, rows[:, :self.k_c]
+        return _bit_transpose(shifted, self.k_c)
 
     def batch_correct(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode, postselect and correct groups from their nonzero
         (groups, r_c) sigma rows: returns the (groups, k_c) accept mask and
         the corrections of the data units, zero on rejected units."""
-        r_c, n_c, k_c = self.r_c, self.n_c, self.k_c
-        decoded, se_hat = self.batch_decode(sigma)
-        acc = np.repeat(decoded[:, None], k_c, axis=1)
+        se_hat = self.batch_decode(sigma)
+        acc = np.ones(se_hat.shape, dtype=bool)
         if self.hd_parity is not None:
             acc &= gf2.xor_lookup(self.hd_parity, se_hat) == 0
         if self.ideal:
-            data_bits = np.arange(r_c, n_c)
-            for d in np.flatnonzero(decoded):
-                mask = ideal_postselect(sigma[d].tolist(), self.code_c, self.n_s)
-                acc[d] &= (mask >> data_bits) & 1 == 1
+            data_bits = np.arange(self.r_c, self.n_c)
+            for d, row in enumerate(sigma.tolist()):
+                acc[d] &= (ideal_postselect(row, self.code_c, self.n_s) >> data_bits) & 1 == 1
         s_hat = se_hat & ((1 << self.n_s) - 1)
         est = np.zeros(s_hat.shape, self.word)
         index = []
         for table, off, mask in self.corrections:
             index.append((s_hat >> off) & mask)
             est |= table.take(index[-1])
-        acc &= est >= 0
         est *= acc
         for (_, cor, bidx), parities in zip(self.logical_fix, self._fix_parity):
             wrong = (s_hat >> bidx) & 1
@@ -898,7 +863,7 @@ class CompiledRound:
         final, recs = run_noisy(self.circuit, injection, initial=init)
         nu = [[recs.get(i * m + b, 0) for b in range(m)] for i in range(self.r_c)]
         sigma = compute_sigma(nu, self.se, self.round)
-        se_hat, bad_cols = decode_columns(sigma, self.code_c, self.n_se)
+        se_hat = decode_columns(sigma, self.code_c, self.n_se)
         frames = [
             PauliFrame(
                 tuple(self.circuit.ns[slot * m: (slot + 1) * m]),
@@ -909,28 +874,23 @@ class CompiledRound:
         ]
         accept_mask = 0
         accepted = []
-        if not bad_cols:
-            if self.ideal:
-                accept_mask = ideal_postselect(sigma, self.code_c, self.n_s)
-            elif self.hd_masks is not None:
-                for slot in range(self.r_c, self.n_c):
-                    if postselect(se_hat[slot], self.hd_masks):
-                        accept_mask |= 1 << slot
-            else:
-                accept_mask = ((1 << self.n_c) - 1) & ~((1 << self.r_c) - 1)
+        if self.ideal:
+            accept_mask = ideal_postselect(sigma, self.code_c, self.n_s)
+        elif self.hd_masks is not None:
             for slot in range(self.r_c, self.n_c):
-                if not (accept_mask >> slot) & 1:
-                    continue
-                s_hat = se_hat[slot] & ((1 << self.n_s) - 1)
-                fr = frames[slot]
-                new_e, new_f, bad = correct_block(
-                    self.spec, self.round, s_hat, tuple(fr.e), tuple(fr.f)
-                )
-                if bad:
-                    continue
-                fr.e = list(new_e)
-                fr.f = list(new_f)
-                accepted.append(slot)
+                if postselect(se_hat[slot], self.hd_masks):
+                    accept_mask |= 1 << slot
+        else:
+            accept_mask = ((1 << self.n_c) - 1) & ~((1 << self.r_c) - 1)
+        for slot in range(self.r_c, self.n_c):
+            if not (accept_mask >> slot) & 1:
+                continue
+            s_hat = se_hat[slot] & ((1 << self.n_s) - 1)
+            fr = frames[slot]
+            new_e, new_f = correct_block(self.spec, self.round, s_hat, tuple(fr.e), tuple(fr.f))
+            fr.e = list(new_e)
+            fr.f = list(new_f)
+            accepted.append(slot)
         return RoundResult(accepted_slots=accepted, frames=frames)
 
 
@@ -1289,10 +1249,8 @@ class ProtocolRunner:
         part; both are updated in place: the flowing part picks up the check
         blocks' errors, accepted data slots are corrected, and the check
         slots of ``meas`` hold the records.  Returns the (k_c, groups,
-        trials) accept mask.  A group whose column syndromes include one
-        outside the decoding table is rejected whole, a data unit with any
-        block's syndrome outside its correction table alone.  Columns are
-        decoded and corrected ``_ROUND_SLICE`` at a time.
+        trials) accept mask.  Columns are decoded and corrected
+        ``_ROUND_SLICE`` at a time.
         """
         r_c, n_c, k_c = rnd.r_c, rnd.n_c, rnd.k_c
         planes = _flat(meas).reshape(n_c, -1)

@@ -285,15 +285,6 @@ def join_words(words: np.ndarray) -> list[int]:
     return out
 
 
-def row_keys(words: np.ndarray) -> np.ndarray:
-    """(count, words) rows as one sortable key per row; keys of several
-    words sort as records, word 0 first."""
-    if words.shape[1] == 1:
-        return words[:, 0]
-    record = np.dtype([(f"w{i}", np.int64) for i in range(words.shape[1])])
-    return np.ascontiguousarray(words).view(record)[:, 0]
-
-
 # Widest key that :func:`first_rows` scatters over a table of every key.
 _DENSE_KEY_BITS = 16
 
@@ -302,8 +293,7 @@ def first_rows(keys: np.ndarray, bits: int) -> np.ndarray:
     """Index of each distinct key's first row, in key order, as
     ``np.unique(keys, return_index=True)[1]`` gives it.  Keys of up to
     ``_DENSE_KEY_BITS`` bits scatter their row indices over a table of
-    every key, which needs no sort; wider ones (or :func:`row_keys`
-    records) go through ``np.unique``."""
+    every key, which needs no sort; wider ones go through ``np.unique``."""
     if bits > _DENSE_KEY_BITS:
         return np.unique(keys, return_index=True)[1]
     first = np.full(1 << bits, len(keys), dtype=np.intp)

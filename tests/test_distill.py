@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cssdistill import codes, distill, frames, gf2
-from cssdistill.codes import build_code, registry
+from cssdistill.codes import LinearCode, build_code, registry
 from cssdistill.css import PauliElement, build_ancilla_spec, build_css, residual_weight
 from cssdistill.distill import (
     BATCH,
@@ -59,6 +59,29 @@ def round1_rep3(zero_spec):
 @pytest.fixture(scope="module")
 def round1_bch(zero_spec):
     return CompiledRound(zero_spec, 1, registry("bch15_7_5"), None)
+
+
+def record_heavy_leaders(monkeypatch) -> list[int]:
+    """Record the weight of every leader the reference decodes past weight
+    t + 1, where the coset-leader tables once ended: a column's leader from
+    the round code, or a block's from its correction code."""
+    heavy = []
+    decode, columns = LinearCode.decode, distill.decode_columns
+
+    def block(code, s):
+        e = decode(code, s)
+        if e.bit_count() > code.t + 1:
+            heavy.append(e.bit_count())
+        return e
+
+    def column(sigma, code_c, n_cols):
+        rows = columns(sigma, code_c, n_cols)
+        weights = (sum(row >> c & 1 for row in rows) for c in range(n_cols))
+        heavy.extend(w for w in weights if w > code_c.t + 1)
+        return rows
+    monkeypatch.setattr(LinearCode, "decode", block)
+    monkeypatch.setattr(distill, "decode_columns", column)
+    return heavy
 
 
 def zero_frames(n_c):
@@ -179,8 +202,7 @@ class TestComputeSigma:
 
 class TestDecodeColumns:
     def test_zero_sigma(self):
-        rows, bad = decode_columns([0, 0], registry("rep3"), 23)
-        assert rows == [0, 0, 0] and bad == 0
+        assert decode_columns([0, 0], registry("rep3"), 23) == [0, 0, 0]
 
     def test_low_weight_recovery(self):
         # <= t_c flipped rows per column recover exactly.
@@ -201,8 +223,7 @@ class TestDecodeColumns:
                     if bch.h.get(i, j):
                         acc ^= s_true[j]
                 sigma[i] = acc
-            rows, bad = decode_columns(sigma, bch, n_cols)
-            assert bad == 0 and rows == s_true
+            assert decode_columns(sigma, bch, n_cols) == s_true
 
     def test_rep3_two_flips_blame_third_block(self):
         # Two identical flipped rows in a 3-block group: the decoder
@@ -217,26 +238,7 @@ class TestDecodeColumns:
                 if rep3.a.get(i, j):
                     acc ^= s_true[2 + j]
             sigma.append(acc)
-        rows, bad = decode_columns(sigma, rep3, 1)
-        assert bad == 0 and rows == [0, 0, 1]
-
-    def test_uncorrectable_column_flagged(self):
-        bch_shallow = build_code(registry("bch15_7_5").h, d=5, w_max=2)
-        # A weight-3 column flip can fall outside every weight-<=2 ball.
-        for combo in itertools.combinations(range(15), 3):
-            s_col = 0
-            for j in combo:
-                s_col |= 1 << j
-            syn = 0
-            for i in range(8):
-                if (bch_shallow.h.data[i] & s_col).bit_count() & 1:
-                    syn |= 1 << i
-            if syn not in bch_shallow.syndrome_table:
-                sigma = [(syn >> i) & 1 for i in range(8)]
-                rows, bad = decode_columns(sigma, bch_shallow, 1)
-                assert bad == 1
-                return
-        pytest.fail("no uncorrectable syndrome found")
+        assert decode_columns(sigma, rep3, 1) == [0, 0, 1]
 
 
 class TestPostselect:
@@ -305,8 +307,7 @@ class TestIdealPostselect:
 
 class TestCorrectBlock:
     def test_zero_syndrome_noop(self, zero_spec):
-        e, f, bad = correct_block(zero_spec, 1, 0, (0b1010,), (0b1,))
-        assert (e, f, bad) == ((0b1010,), (0b1,), False)
+        assert correct_block(zero_spec, 1, 0, (0b1010,), (0b1,)) == ((0b1010,), (0b1,))
 
     def test_weight3_x_fully_corrected(self, zero_spec, golay_css):
         rng = random.Random(9)
@@ -319,16 +320,14 @@ class TestCorrectBlock:
             for idx, el in enumerate(zero_spec.s1):
                 if (el.z[0] & e).bit_count() & 1:
                     s_hat |= 1 << idx
-            new_e, _, bad = correct_block(zero_spec, 1, s_hat, (e,), (0,))
-            assert not bad
+            new_e, _ = correct_block(zero_spec, 1, s_hat, (e,), (0,))
             assert tab.x_weight(new_e) == 0
 
     def test_logical_rule_three(self, zero_spec):
         # Estimated stabilizer bits zero, logical eigenvalue one, trivial
         # decoded error: multiply in the logical X representative.
         s_hat = 1 << 11
-        new_e, _, bad = correct_block(zero_spec, 1, s_hat, (0,), (0,))
-        assert not bad
+        new_e, _ = correct_block(zero_spec, 1, s_hat, (0,), (0,))
         assert new_e == (GOLAY_LOGICAL,)
         tab = zero_spec.weight_table(4)
         assert tab.x_weight(new_e) is None  # weight-7 class
@@ -339,8 +338,7 @@ class TestCorrectBlock:
         for idx, el in enumerate(zero_spec.s2):
             if (el.x[0] & f_err).bit_count() & 1:
                 s_hat |= 1 << idx
-        _, new_f, bad = correct_block(zero_spec, 2, s_hat, (0,), (f_err,))
-        assert not bad
+        _, new_f = correct_block(zero_spec, 2, s_hat, (0,), (f_err,))
         tab = zero_spec.weight_table(4)
         assert tab.z_weight(new_f) == 0
 
@@ -405,12 +403,54 @@ class TestRoundEngineEquivalence:
             ("rep3", "golay23", "golay23_dual", 0.02, 2),
             ("rep3", None, None, 0.02, 2),
             ("rep3", "ideal", "ideal", 0.01, 2),
+            ("golay23_dual", "golay23", "golay23_dual", 1e-3, 2),
         ],
     )
-    def test_sampled_trials_match_reference(self, zero_spec, c_name, d1, d2, p, n_extra):
+    def test_sampled_trials_match_reference(self, zero_spec, monkeypatch, c_name, d1, d2, p, n_extra):
         # Sampled positions, decoded into circuit-level injections and
         # replayed through the reference, give the batched engine's outcome.
+        # The [23,11,8] round code's covering radius is 7, so its columns
+        # also decode to leaders heavier than t + 1 = 4.
+        heavy = record_heavy_leaders(monkeypatch)
         self._check_sampled_config(zero_spec, c_name, d1, d2, p, n_extra)
+        assert bool(heavy) == (c_name == "golay23_dual")
+
+    @pytest.mark.parametrize("d1,d2", [(None, None), ("golay23", "golay23_dual")])
+    def test_sampled_trials_with_a_heavy_correction_code(self, monkeypatch, d1, d2):
+        # The CSS code of the Golay code and its dual corrects X errors
+        # with the [23,11,8] code, whose blocks also decode to leaders
+        # heavier than t + 1 = 4 when nothing rejects them first.
+        heavy = record_heavy_leaders(monkeypatch)
+        spec = build_ancilla_spec(build_css(registry("golay23"), registry("golay23_dual")), "zero")
+        self._check_sampled_config(spec, "rep3", d1, d2, 0.02, 2)
+        assert bool(heavy) == (d1 is None)
+
+    def test_widest_round_code_matches_reference(self, zero_spec):
+        # An [18,17,2] parity code would break the kernel's 16-bit column
+        # decoder values (test_config_beyond_the_kernel_names_field); the
+        # [17,16,2] one fills them.
+        parity = build_code(BitMatrix(1, 17, ((1 << 17) - 1,)), d=2)
+        runner = ProtocolRunner(DistillationConfig(
+            spec=zero_spec, code_c1=registry("rep3"), code_c2=parity, code_d1=None, code_d2=None,
+            model=FailureModel.uniform(0.01), n_extra=2,
+        ))
+        outcomes = self._check_sampled(runner, 23, 1, 20)
+        assert sum(len(o.outputs) for o in outcomes) == 20 * 16
+
+    def test_detecting_code_beyond_the_table_limit(self, zero_spec):
+        # A [29,12] detecting code has r = 17 checks, too many for a
+        # coset-leader table; postselection reads only its parities, so
+        # the runner builds and runs without one.
+        wide = build_code(BitMatrix(17, 29, tuple((1 << i) | (0x9E5 * (i + 1) & 0xFFF) << 17
+                                                  for i in range(17))), d=1)
+        rep3 = registry("rep3")
+        runner = ProtocolRunner(DistillationConfig(
+            spec=zero_spec, code_c1=rep3, code_c2=rep3, code_d1=wide, code_d2=None,
+            model=FailureModel.uniform(0.02), n_extra=2,
+        ))
+        outcomes = self._check_sampled(runner, 23, 1, 20)
+        assert sum(o.rej1 for o in outcomes)
+        assert "syndrome_table" not in vars(wide)
 
     @pytest.mark.parametrize(
         "block,c_name,d1,d2,p",
@@ -763,6 +803,16 @@ def test_build_sorts_nothing(kind, monkeypatch):
     runner.spec.weight_table(4)
 
 
+def test_detecting_code_builds_no_table():
+    # golay0-A-ref postselects round 2 with the [23,11,8] code and decodes
+    # with it nowhere, so its coset-leader tables are never built.
+    registry.cache_clear()
+    golay = registry("golay23")
+    dual = _benchmark_runner(build_css(golay, golay), "zero").config.code_d2
+    assert dual.name == "golay23_dual"
+    assert not {"syndrome_table", "systematic_table"} & set(vars(dual))
+
+
 @pytest.mark.exhaustive
 @pytest.mark.parametrize("kind,configurations", [("zero", 680_512), ("bell", 1_592_549)])
 def test_every_single_fault_is_benign(golay_css, kind, configurations):
@@ -907,26 +957,26 @@ def test_fault_positions_round_trip(golay_css, kind):
         assert start == space
 
 
-@pytest.mark.parametrize("round_,c_name,d", [
-    (1, "bch15_7_5", 5), (2, "bch15_7_5", 5), (1, "golay23", 7), (2, "golay23", 7),
-], ids=["1", "2", "golay23-1", "golay23-2"])
-def test_batch_decode_matches_decode_columns(zero_spec, round_, c_name, d):
-    # A table cut at weight 2 misses syndromes, so groups are rejected
-    # whole (a miss flags its column through bit k_c) as well as decoded;
-    # sparse rows make both common.  The [15,7,5] decoder reads the
-    # syndromes of two columns per key, the [23,12,7] one column per key.
-    shallow = build_code(registry(c_name).h, d=d, w_max=2)
-    rnd = CompiledRound(zero_spec, round_, shallow, None)
+@pytest.mark.parametrize("round_,c_name", [
+    (1, "bch15_7_5"), (2, "bch15_7_5"), (1, "golay23"), (2, "golay23"), (1, "golay23_dual"),
+    (2, "golay23_dual"),
+], ids=["1", "2", "golay23-1", "golay23-2", "golay23_dual-1", "golay23_dual-2"])
+def test_batch_decode_matches_decode_columns(zero_spec, round_, c_name):
+    # Dense rows make most column syndromes random, so the [23,11,8] code
+    # also decodes leaders heavier than t + 1 = 4.  The [15,7,5] decoder
+    # reads the syndromes of two columns per key, the 23-bit codes one
+    # column per key.
+    code = registry(c_name)
+    rnd = CompiledRound(zero_spec, round_, code, None)
     rng = np.random.default_rng(round_)
-    bits = rng.random((400, rnd.r_c, rnd.n_se)) < 0.04
+    bits = rng.random((400, rnd.r_c, rnd.n_se)) < 0.3
     sigma = (bits << np.arange(rnd.n_se)).sum(axis=2).astype(rnd.nu_to_sigma.dtype)
-    decoded, se_hat = rnd.batch_decode(sigma)
-    for row, ok, est in zip(sigma.tolist(), decoded.tolist(), se_hat.tolist()):
-        want, bad = decode_columns(row, shallow, rnd.n_se)
-        assert ok == (bad == 0)
-        if ok:
-            assert est == want[rnd.r_c:]
-    assert decoded.any() and not decoded.all()
+    heavy = 0
+    for row, est in zip(sigma.tolist(), rnd.batch_decode(sigma).tolist()):
+        want = decode_columns(row, code, rnd.n_se)
+        assert est == want[rnd.r_c:]
+        heavy += sum(sum(w >> c & 1 for w in want) > code.t + 1 for c in range(rnd.n_se))
+    assert bool(heavy) == (c_name == "golay23_dual")
 
 
 def test_batch_temporaries_stay_lean(golay_css):
@@ -1029,20 +1079,20 @@ class TestRunProtocol:
     @pytest.mark.parametrize("field,message", [
         ("spec", r"spec\.blocks: a block decoder reads 17 syndrome bits; [^;]* at most 16"),
         ("code_c1", r"code_c1: the round code has r=17 checks; [^;]* at most 16"),
-        ("code_c2", r"code_c2: the round code encodes k=16 bits; [^;]* at most 15"),
+        ("code_c2", r"code_c2: the round code encodes k=17 bits; [^;]* at most 16"),
         ("code_d1", r"code_d1: \|SE\| = 12 \+ 51 = 63; [^;]* at most 62"),
     ], ids=["spec", "code_c1", "code_c2", "code_d1"])
     def test_config_beyond_the_kernel_names_field(self, zero_spec, field, message):
         # One limit of the batched kernel broken at a time.  Seventeen
         # disjoint pairs of qubits make a self-orthogonal parity check, so a
         # CSS code whose block decoder reads 17 bits; a 17-check repetition
-        # code, a 16-bit parity code and a [63, 12] detecting code break the
+        # code, an 18-bit parity code and a [63, 12] detecting code break the
         # round and detecting codes' limits.
         pairs = build_code(BitMatrix(17, 34, tuple(3 << 2 * i for i in range(17))), d=1)
         wide = {
             "spec": build_ancilla_spec(build_css(pairs, pairs), "zero"),
             "code_c1": build_code(BitMatrix(17, 18, tuple(3 << i for i in range(17))), d=1),
-            "code_c2": build_code(BitMatrix(1, 17, ((1 << 17) - 1,)), d=2),
+            "code_c2": build_code(BitMatrix(1, 18, ((1 << 18) - 1,)), d=2),
             "code_d1": build_code(BitMatrix(51, 63, tuple(1 << i for i in range(51))), d=1),
         }
         rep3 = registry("rep3")

@@ -244,15 +244,3 @@ class TestFirstRows:
     @pytest.mark.parametrize("bits", [0, 12, 16, 17, 63])
     def test_empty(self, bits):
         assert gf2.first_rows(np.zeros(0, dtype=np.int64), bits).tolist() == []
-
-    @pytest.mark.parametrize("words", [2, 3])
-    def test_multi_word_records(self, words):
-        rng = np.random.default_rng(words)
-        rows = rng.integers(0, 4, size=(3000, words), dtype=np.int64) << rng.integers(0, 62, size=words)
-        keys = gf2.row_keys(rows)
-        got = gf2.first_rows(keys, 63 * words)
-        assert got.tolist() == np.unique(keys, return_index=True)[1].tolist()
-        firsts = {}
-        for i, row in enumerate(map(tuple, rows.tolist())):
-            firsts.setdefault(row, i)
-        assert sorted(got.tolist()) == sorted(firsts.values())
