@@ -151,109 +151,98 @@ def _bit_transpose(words: np.ndarray, width: int) -> np.ndarray:
 
 # ---- batched fault sampling ------------------------------------------------
 #
-# A trial's faults come from its own Philox stream (ProtocolRunner._sample):
-# numpy's geometric skips over the gate space, then over the readout space,
-# then integers(0, 15) and integers(0, 3) for each gate fault.  For
-# 0 < p < 1/3 numpy's geometric is inversion of one standard exponential,
-# and both bounded draws are Lemire's multiply-shift on uint32 halves of raw
-# words, so a batch can draw each trial's exponentials and raw words in two
-# calls and transform them all at once.
+# A trial's faults come from its own Philox stream (ProtocolRunner._trial_rng)
+# as numpy's geometric and integers would draw them: Bernoulli(p) skips over
+# the gate space, then over the readout space, then integers(0, 15) and
+# integers(0, 3) for each gate fault.  A batch draws each trial's standard
+# exponentials and raw words in one numpy call per kind and turns them into
+# those skips and draws for the whole batch at once; nothing calls numpy's
+# geometric or integers.
 
 
 def _chunk(total: int, p: float) -> int:
-    """Geometric draws per chunk of :meth:`ProtocolRunner._bernoulli_positions`."""
+    """Skips drawn per chunk over ``total`` locations at rate p; a trial
+    whose chunk ends inside the space draws another
+    (:meth:`ProtocolRunner._sample_batch`)."""
     mean = total * p
     return max(16, int(mean + 6.0 * math.sqrt(mean) + 8))
 
 
-def _batch_positions(exps: np.ndarray, total: int, p: float):
-    """Bernoulli(p) positions over [0, total) for each row of ``exps``, a
-    trial's chunk of standard exponentials, as numpy's geometric inversion
-    makes them: skip = ceil(E / -log1p(-p)), position = running sum - 1.
+def _batch_positions(draws: np.ndarray, total: int, p: float):
+    """Bernoulli(p) positions over [0, total) for each row of ``draws``, a
+    trial's chunks of skip draws, as numpy's geometric makes the skips:
+    ``ceil(E / -log1p(-p))`` of a standard exponential E for p < 1/3, and
+    from 1/3 up a search of the pmf's partial sums for U = (word >> 11) *
+    2^-53 of a raw word.  position = running sum - 1.
 
     The running sums are taken in float64: they are exact below 2^53 and
-    never decrease above it, so they are exact wherever a position is kept.
-    Returns the kept positions of every trial in trial order, the count per
-    trial, and the trials the transform cannot reproduce: a chunk that does
-    not reach ``total`` (numpy would draw another), or a final running sum
-    of 2^62 or more, where numpy may have clamped a skip or wrapped its
-    int64 running sums.  p >= 1 takes every position and p <= 0 none,
-    without exponentials.
+    never decrease above it, so they are exact wherever a position is kept
+    (numpy's int64 sums clamp and wrap at p below about 1e-17).  Returns
+    the kept positions of every trial in trial order, the count per trial,
+    and the trials whose draws all stay inside the space, for which numpy
+    would draw another chunk.  p >= 1 takes every position and p <= 0
+    none, without draws.
     """
-    count = len(exps)
+    count = len(draws)
     none = np.zeros(count, dtype=bool)
     if p <= 0.0 or total == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(count, dtype=np.int64), none
     if p >= 1.0:
         return np.tile(np.arange(total), count), np.full(count, total), none
-    # math.log1p is the libm function numpy's C code calls.
-    sums = np.ceil(exps / -math.log1p(-p))
+    if p >= 1 / 3:
+        # numpy's skip is one plus the number of partial sums below U:
+        # sum = prod = p, then prod *= 1 - p; sum += prod until it stops
+        # changing.
+        prod, ps = p, [p]
+        while ps[-1] + (prod := prod * (1.0 - p)) != ps[-1]:
+            ps.append(ps[-1] + prod)
+        sums = np.searchsorted(ps, (draws >> np.uint64(11)) * 2.0**-53) + 1.0
+    else:
+        # math.log1p is the libm function numpy's C code calls.  A skip
+        # beyond the float range (p near the smallest double) is infinite.
+        with np.errstate(over="ignore"):
+            sums = np.ceil(draws / -math.log1p(-p))
     sums.cumsum(axis=1, out=sums)
     keep = sums <= total
     k = keep.sum(axis=1)
-    bad = (k == exps.shape[1]) | (sums[:, -1] >= 2.0**62)
     pos = sums[keep].astype(np.int64)
     pos -= 1
-    return pos, k, bad
+    return pos, k, k == draws.shape[1]
 
 
 def _pauli_draws(raw: np.ndarray, k: np.ndarray):
     """The 15-way and 3-way draws of each trial's k gate faults from its row
     of raw words, as ``integers(0, 15, k)`` then ``integers(0, 3, k)`` take
-    them: the row's uint32 stream, low half of each word first, gives the
-    15-way draws from its first k values and the 3-way draws from the next
-    k, each ``(u * range) >> 32``.  Only those values are gathered, by flat
-    index.  A zero uint32 is numpy's only rejection for these ranges; the
-    trials that meet one are returned with the draws."""
+    them: the row's uint32 stream, low half of each word first and zeros
+    skipped, gives the 15-way draws from its first k values and the 3-way
+    draws from the next k, each ``(u * range) >> 32``.  Lemire's threshold
+    (2^32 - range) mod range is 1 for both ranges, so a zero is numpy's only
+    rejection.  The first 2k values of each row are gathered by flat index;
+    a row with a zero among them is read again without its zeros.  Returns
+    the draws and the trials whose row holds fewer than 2k nonzero values.
+    """
     u32 = raw.view(np.uint32)
     ends = np.cumsum(k)
     # Fault i (counted over the batch) of trial t reads value i - (faults
     # before t) of row t, and its 3-way draw the value k[t] further on.
     at = np.arange(ends[-1] if len(k) else 0)
     at += np.repeat(np.arange(len(k)) * u32.shape[1] - (ends - k), k)
-    u32 = u32.reshape(-1)
-    u15 = u32.take(at)
+    flat = u32.reshape(-1)
+    u15 = flat.take(at)
     at += np.repeat(k, k)
-    u3 = u32.take(at)
-    rejected = np.zeros(len(k), dtype=bool)
-    rejected[np.searchsorted(ends, np.flatnonzero((u15 == 0) | (u3 == 0)), side="right")] = True
+    u3 = flat.take(at)
+    short = np.zeros(len(k), dtype=bool)
+    for t in set(np.searchsorted(ends, np.flatnonzero((u15 == 0) | (u3 == 0)), side="right").tolist()):
+        lo, n = ends[t] - k[t], k[t]
+        row = u32[t][u32[t] != 0]
+        short[t] = len(row) < 2 * n
+        if not short[t]:
+            u15[lo:lo + n], u3[lo:lo + n] = row[:n], row[n:2 * n]
     draw15 = np.multiply(u15, 15, dtype=np.int64)
     draw3 = np.multiply(u3, 3, dtype=np.int64)
     draw15 >>= 32
     draw3 >>= 32
-    return draw15, draw3, rejected
-
-
-@functools.cache
-def _draws_match_numpy() -> bool:
-    """Whether this numpy's draws are the ones the batch transforms make.
-
-    On fixed Philox keys, two geometric chunks, the 15-way and the 3-way
-    draws (an odd count, so a buffered half word carries from one to the
-    other) are drawn as :meth:`ProtocolRunner._sample` draws them and
-    compared with the transforms of one exponential and one raw-word call
-    on the same stream.  On any difference the batch samples trial by
-    trial.
-    """
-    sizes, probs, faults = (21, 37), (0.3, 1e-3), 13
-    for key in ((0, 0), (0xFFFFFFFFFFFFFFFF, 7), (2718, 1)):
-        key = np.array(key, dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        want = [gen.geometric(p, size=s) for p, s in zip(probs, sizes)]
-        want15 = gen.integers(0, 15, size=faults)
-        want3 = gen.integers(0, 3, size=faults)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        exps = gen.standard_exponential(sum(sizes))
-        raw = gen.bit_generator.random_raw(faults)[None, :]
-        # A total that no chunk reaches keeps every draw as a position.
-        got = [_batch_positions(e[None, :], 2**62, p)[0] for e, p in
-               zip(np.split(exps, [sizes[0]]), probs)]
-        want = [w.cumsum() - 1 for w in want]
-        got15, got3, _ = _pauli_draws(raw, np.array([faults]))
-        if not all(np.array_equal(g, w) for g, w in zip(got + [got15, got3],
-                                                        want + [want15, want3])):
-            return False
-    return True
+    return draw15, draw3, short
 
 
 def _decode(pos: np.ndarray, layout) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
@@ -991,58 +980,11 @@ class ProtocolRunner:
         gen.bit_generator.state = state
         return gen
 
-    def _bernoulli_positions(self, rng, total: int, p: float) -> np.ndarray:
-        """Positions of an independent Bernoulli(p) process over [0, total),
-        sampled by geometric skips."""
-        if p <= 0.0 or total == 0:
-            return np.zeros(0, dtype=np.int64)
-        if p >= 1.0:
-            return np.arange(total, dtype=np.int64)
-        chunk = _chunk(total, p)
-        parts = []
-        cur = -1  # positions are the running sums of the skips, minus one
-        while True:
-            ends = rng.geometric(p, size=chunk).cumsum()
-            ends += cur
-            cut = int(ends.searchsorted(total))
-            parts.append(ends[:cut])
-            if cut < chunk:
-                return parts[0] if len(parts) == 1 else np.concatenate(parts)
-            cur = int(ends[-1])
-
-    def _sample(self, rng: np.random.Generator):
-        """One trial's faults: gate positions with their 15-way and 3-way
-        Pauli draws, then readout positions."""
-        model = self.config.model
-        gate_pos = self._bernoulli_positions(rng, self._gate_space, model.p_gate)
-        meas_pos = self._bernoulli_positions(rng, self._meas_space, model.p_meas)
-        # Separate draws per fault family keep the distributions exact.
-        if len(gate_pos):
-            draw15 = rng.integers(0, 15, size=len(gate_pos))
-            draw3 = rng.integers(0, 3, size=len(gate_pos))
-        else:
-            draw15 = draw3 = gate_pos
-        return gate_pos, draw15, draw3, meas_pos
-
-    def _fault_rows(self, samples):
-        """Stack per-trial samples into the arguments of :meth:`_execute`:
-        gate rows (trial, position, draw15, draw3), readout rows (trial,
-        position) and the trial count."""
-        trials = np.arange(len(samples))
-        gate = np.stack((
-            np.repeat(trials, [len(s[0]) for s in samples]),
-            *(np.concatenate([s[i] for s in samples]) for i in range(3)),
-        ), axis=1, dtype=self._rows)
-        meas = np.stack((
-            np.repeat(trials, [len(s[3]) for s in samples]),
-            np.concatenate([s[3] for s in samples]),
-        ), axis=1, dtype=self._rows)
-        return gate, meas, len(samples)
-
-    def run_trial(self, rng: np.random.Generator) -> TrialOutcome:
-        """One protocol cycle with faults sampled from ``rng``, on the
-        reference."""
-        return self.run_reference(*self._injections(self._sample(rng)))
+    def run_trial(self, seed: int, p_index: int, trial: int) -> TrialOutcome:
+        """Trial ``trial`` of the (seed, p index) streams, sampled as
+        :meth:`run_batch` samples it and run on the reference."""
+        gate, meas, _ = self._sample_batch(seed, p_index, trial, 1)
+        return self.run_reference(*self._injections(gate, meas))
 
     def run_batch(self, seed: int, p_index: int, first: int, count: int) -> BatchOutcome:
         """Trials ``first .. first + count - 1`` of the (seed, p index)
@@ -1052,52 +994,101 @@ class ProtocolRunner:
         return self._run_protocol_core(self._execute(*self._sample_batch(seed, p_index, first, count)))
 
     def _sample_batch(self, seed: int, p_index: int, first: int, count: int):
-        """:meth:`_fault_rows` of :meth:`_sample` for trials ``first ..
-        first + count - 1`` of the (seed, p index) streams, row for row.
+        """The faults of trials ``first .. first + count - 1`` of the (seed,
+        p index) streams as the arguments of :meth:`_execute`: gate rows
+        (trial, position, draw15, draw3), readout rows (trial, position),
+        trials counted from ``first`` and rows in trial order, and the count.
 
-        Each trial's stream is drawn in two numpy calls: the standard
-        exponentials numpy's geometric would consume for the gate chunk and
-        the readout chunk, then the raw words of its Pauli draws.  The
-        transforms run on the whole batch (:func:`_batch_positions`,
-        :func:`_pauli_draws`).  The batch is sampled trial by trial by
-        :meth:`_sample` instead when a trial's draws fall outside what the
-        transforms reproduce, when numpy's geometric searches (1/3 <= p < 1)
-        or when this numpy fails :func:`_draws_match_numpy`.
+        A trial draws a chunk of skips over the gate space, then one over
+        the readout space, then one raw word per gate fault of its chunk
+        for the Pauli draws (:meth:`_draw_rows`).  A trial drawn short is
+        drawn again alone: with one more gate chunk while its gate draws
+        stay inside the gate space, then with one more readout chunk while
+        those do (they start where the gate draws end), then with twice the
+        raw words while they hold too few nonzero uint32 values.
         """
         model = self.config.model
-        trials = range(first, first + count)
+        chunks = [_chunk(total, p) if total and 0 < p < 1 else 0
+                  for total, p in ((self._gate_space, model.p_gate), (self._meas_space, model.p_meas))]
+        # At most one raw word per skip of the gate chunk, or one per
+        # location at p = 1.
+        n_raw = chunks[0] or (self._gate_space if model.p_gate >= 1 else 0)
+        gate, meas, short = self._draw_rows(seed, p_index, range(first, first + count), chunks, n_raw)
+        redraw = short.any(axis=0)
+        if not redraw.any():
+            return gate, meas, count
+        parts = [(gate[~redraw[gate[:, 0]]], meas[~redraw[meas[:, 0]]])]
+        for i in np.flatnonzero(redraw).tolist():
+            sizes, words, flags = list(chunks), n_raw, short[:, i]
+            while flags.any():
+                if flags[0]:
+                    sizes[0] += chunks[0]
+                    words += chunks[0]
+                elif flags[1]:
+                    sizes[1] += chunks[1]
+                else:
+                    words *= 2
+                g, m, flags = self._draw_rows(seed, p_index, [first + i], sizes, words)
+                flags = flags[:, 0]
+            g[:, 0] = m[:, 0] = i
+            parts.append((g, m))
+        gate, meas = (np.concatenate(rows) for rows in zip(*parts))
+        return (gate[np.argsort(gate[:, 0], kind="stable")],
+                meas[np.argsort(meas[:, 0], kind="stable")], count)
+
+    def _draw_rows(self, seed: int, p_index: int, trials: Sequence[int], sizes, n_raw: int):
+        """Fault rows of ``trials``, each drawn from the start of its stream
+        as ``sizes`` (gate, readout) skip draws and then ``n_raw`` raw words;
+        the rows' trial column counts from 0.  Returns the gate rows, the
+        readout rows and the (3, trials) mask of the trials whose gate
+        draws, readout draws or raw words ran short.
+
+        A family's skips are raw words where numpy's geometric searches
+        (1/3 <= p < 1), else standard exponentials (:func:`_batch_positions`);
+        consecutive draws of one kind are one numpy call per trial.
+        """
+        model = self.config.model
         families = ((self._gate_space, model.p_gate), (self._meas_space, model.p_meas))
-
-        def per_trial():
-            return self._fault_rows([self._sample(self._trial_rng(seed, p_index, t)) for t in trials])
-
-        if any(total and 1 / 3 <= p < 1 for total, p in families) or not _draws_match_numpy():
-            return per_trial()
-        c_g, c_m = (_chunk(total, p) if total and 0 < p < 1 else 0 for total, p in families)
-        # The Pauli draws take one raw word per gate fault, at most one per
-        # draw of the chunk, or one per location at p = 1.
-        n_raw = c_g or (self._gate_space if model.p_gate >= 1 else 0)
-        exps = np.empty((count, c_g + c_m))
-        raw = np.empty((count, n_raw), dtype=np.uint64)
+        count = len(trials)
+        # Whether each draw takes raw words (True) or standard exponentials,
+        # its columns in the array of its kind, and one (kind, first
+        # column, end) step per run of draws of one kind in stream order.
+        from_words = [1 / 3 <= p < 1 for _, p in families] + [True]
+        ends, cols, steps = [0, 0], [], []
+        for size, kind in zip((*sizes, n_raw), from_words):
+            lo = ends[kind]
+            ends[kind] += size
+            cols.append(slice(lo, ends[kind]))
+            if steps and steps[-1][0] == kind:
+                steps[-1][2] = ends[kind]
+            elif size:
+                steps.append([kind, lo, ends[kind]])
+        draws = (np.empty((count, ends[0])), np.empty((count, ends[1]), dtype=np.uint64))
+        steps = [(kind, draws[kind][:, lo:hi], hi - lo) for kind, lo, hi in steps]
+        # _trial_rng resets one reused generator, so its draw methods are
+        # bound once.
+        rng = self._trial_rng(seed, p_index, 0)
+        exponential, raw = rng.standard_exponential, rng.bit_generator.random_raw
         for i, t in enumerate(trials):
-            rng = self._trial_rng(seed, p_index, t)
-            if c_g + c_m:
-                rng.standard_exponential(out=exps[i])
-            if n_raw:
-                raw[i] = rng.bit_generator.random_raw(n_raw)
-        g_pos, k, bad = _batch_positions(exps[:, :c_g], *families[0])
-        m_pos, m_k, m_bad = _batch_positions(exps[:, c_g:], *families[1])
-        del exps
+            self._trial_rng(seed, p_index, t)
+            for kind, out, n in steps:
+                if kind:
+                    out[i] = raw(n)
+                else:
+                    exponential(out=out[i])
+        (g_pos, k, g_short), (m_pos, m_k, m_short) = (
+            _batch_positions(draws[kind][:, at], total, p)
+            for (total, p), kind, at in zip(families, from_words, cols))
+        words = draws[1]
+        del draws, steps
         trial = np.arange(count, dtype=self._rows)
         meas = np.stack((np.repeat(trial, m_k), m_pos), axis=1, dtype=self._rows)
         gate = np.empty((len(g_pos), 4), dtype=self._rows)
         gate[:, 0] = np.repeat(trial, k)
         gate[:, 1] = g_pos
         del g_pos
-        gate[:, 2], gate[:, 3], rejected = _pauli_draws(raw, k)
-        if (bad | m_bad | rejected).any():
-            return per_trial()
-        return gate, meas, count
+        gate[:, 2], gate[:, 3], w_short = _pauli_draws(words[:, cols[2]], k)
+        return gate, meas, np.stack((g_short, m_short, w_short))
 
     def run_injected(
         self,
@@ -1324,11 +1315,12 @@ class ProtocolRunner:
             frames[ids[slot]] = res.frames[slot]
         return [ids[slot] for slot in res.accepted_slots]
 
-    def _injections(self, sample):
-        """A sample as fault injections for :meth:`run_reference`, its
-        positions decoded against the gate and readout layouts (see
-        :meth:`__init__`)."""
-        gate_pos, draw15, draw3, meas_pos = sample
+    def _injections(self, gate, meas):
+        """One trial's gate and readout rows (see :meth:`_execute`) as fault
+        injections for :meth:`run_reference`, their positions decoded
+        against the gate and readout layouts (see :meth:`__init__`)."""
+        _, gate_pos, draw15, draw3 = gate.T
+        meas_pos = meas[:, 1]
         enc_locs = self.enc_cnot_locs + self.enc_prep_locs
         staged: tuple[dict[int, list[Fault]], ...] = ({}, {}, {})
         (prep, (unit, loc)), *rounds = _decode(gate_pos, self._gate_layout)

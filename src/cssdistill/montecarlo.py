@@ -103,6 +103,10 @@ class RunStats:
     per_p: list[PStats]
 
     def merge(self, other: "RunStats") -> None:
+        """Add the counters of a run over the same p grid, point by point."""
+        if len(self.per_p) != len(other.per_p):
+            raise ValueError(f"cannot merge a run of {len(other.per_p)} p points "
+                             f"into one of {len(self.per_p)}")
         for a, b in zip(self.per_p, other.per_p):
             a.merge(b)
 

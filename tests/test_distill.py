@@ -278,8 +278,9 @@ class TestIdealPostselect:
         rep3 = registry("rep3")
         n_s = 12
         h = rep3.h
+        # Flipped subsets with the same rows share their verdicts.
+        rows_cache = {}
         for flipped in range(1, 8):
-            rows_cache = {}
             for v in range(1, 1 << n_s):
                 sigma = [0, 0]
                 for i in range(2):
@@ -378,9 +379,8 @@ class TestRoundEngineEquivalence:
         batch = runner.run_batch(seed, p_index, 0, trials)
         outcomes = []
         for t in range(trials):
-            sample = runner._sample(runner._trial_rng(seed, p_index, t))
             got = batch.outcome(t)
-            assert got == runner.run_reference(*runner._injections(sample)), t
+            assert got == runner.run_trial(seed, p_index, t), t
             outcomes.append(got)
         return outcomes
 
@@ -497,7 +497,7 @@ class TestRoundEngineEquivalence:
         assert any(any(any(e) or any(f) for e, f in o.outputs) for o in outcomes)
 
     def _random_faults(self, runner, p, rng):
-        return runner.with_model(FailureModel.uniform(p))._sample(rng)
+        return numpy_rows(runner.with_model(FailureModel.uniform(p)), [rng])
 
     def test_plus_spec_round2_logicals(self, golay_css):
         # The plus state moves the logical eigenvalue handling to round 2
@@ -514,9 +514,9 @@ class TestRoundEngineEquivalence:
         for _ in range(8):
             self._check_injected(runner, self._random_faults(runner, 0.02, rng))
 
-    def _check_injected(self, runner, sample):
-        got = runner._run_protocol_core(runner._execute(*runner._fault_rows([sample]))).outcome(0)
-        assert got == runner.run_reference(*runner._injections(sample))
+    def _check_injected(self, runner, rows):
+        got = runner._run_protocol_core(runner._execute(*rows)).outcome(0)
+        assert got == runner.run_reference(*runner._injections(*rows[:2]))
 
     def test_bell_spec_two_block_units(self, golay_css):
         # Two-block ancilla units run on the batched kernel as 46-bit words.
@@ -546,21 +546,51 @@ def steane_runner():
     ))
 
 
+def _numpy_positions(rng, total, p):
+    """Positions of a Bernoulli(p) process over [0, total) from numpy's own
+    geometric skips, drawn ``distill._chunk`` at a time until one ends past
+    the space."""
+    if p <= 0.0 or total == 0:
+        return np.zeros(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    chunk, parts, cur = distill._chunk(total, p), [], -1
+    while True:
+        ends = rng.geometric(p, size=chunk).cumsum() + cur
+        cut = int(ends.searchsorted(total))
+        parts.append(ends[:cut])
+        if cut < chunk:
+            return np.concatenate(parts)
+        cur = int(ends[-1])
+
+
+def numpy_rows(runner, rngs):
+    """The oracle of ``ProtocolRunner._sample_batch``: each trial's faults
+    drawn from its generator with numpy's own ``geometric`` skips over the
+    gate space, then over the readout space, then ``integers(0, 15)`` and
+    ``integers(0, 3)`` per gate fault, stacked as fault rows."""
+    model, gate, meas = runner.config.model, [], []
+    for t, rng in enumerate(rngs):
+        pos = _numpy_positions(rng, runner._gate_space, model.p_gate)
+        m_pos = _numpy_positions(rng, runner._meas_space, model.p_meas)
+        draw15 = rng.integers(0, 15, size=len(pos))
+        draw3 = rng.integers(0, 3, size=len(pos))
+        gate.append(np.column_stack((np.full(len(pos), t), pos, draw15, draw3)))
+        meas.append(np.column_stack((np.full(len(m_pos), t), m_pos)))
+    return np.concatenate(gate).astype(runner._rows), np.concatenate(meas).astype(runner._rows), t + 1
+
+
 # Failure rates: none, inversion geometric, search geometric, every location.
 _RATES = st.one_of(st.just(0.0), st.floats(1e-6, 0.3), st.sampled_from([0.35, 1.0]))
 
 
 class TestBatchSampling:
-    """``_sample_batch`` against the per-trial sampler, row for row."""
-
-    @staticmethod
-    def _per_trial(runner, seed, p_index, first, count):
-        return runner._fault_rows([runner._sample(runner._trial_rng(seed, p_index, t))
-                                   for t in range(first, first + count)])
+    """``_sample_batch`` against numpy's per-trial draws, row for row."""
 
     def _check(self, runner, seed, p_index, first, count):
         got = runner._sample_batch(seed, p_index, first, count)
-        want = self._per_trial(runner, seed, p_index, first, count)
+        want = numpy_rows(runner, (runner._trial_rng(seed, p_index, t)
+                                   for t in range(first, first + count)))
         assert got[2] == want[2] == count
         for g, w in zip(got[:2], want[:2]):
             assert g.dtype == w.dtype and g.shape == w.shape
@@ -579,33 +609,83 @@ class TestBatchSampling:
     def test_benchmark_configs(self, golay_css, kind):
         # Golay |0>_L with combination A and Golay postselection, and Golay
         # Bell pairs without: the two benchmark workloads at their rates.
-        bch = registry("bch15_7_5")
-        blocks = golay_css if kind == "zero" else [golay_css, golay_css]
-        d1, d2 = (registry("golay23"), registry("golay23_dual")) if kind == "zero" else (None, None)
-        base = ProtocolRunner(DistillationConfig(
-            spec=build_ancilla_spec(blocks, kind), code_c1=bch, code_c2=bch,
-            code_d1=d1, code_d2=d2, model=FailureModel.uniform(0.0), n_extra=6,
-        ))
+        base = _benchmark_runner(golay_css, kind)
         for p_index, p in enumerate([1e-4, 4e-4, 1.6e-3]):
             self._check(base.with_model(FailureModel.uniform(p)), 31, p_index, 5 * BATCH, BATCH)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_multi_chunk_redraws_match_numpy(self, steane_runner, monkeypatch, chunk):
+        # Chunks far too short for their spaces: most trials are drawn
+        # again alone with more gate chunks, then more readout chunks, at
+        # inversion and search rates, and spliced back in trial order.
+        monkeypatch.setattr(distill, "_chunk", lambda total, p: chunk)
+        for p_gate, p_meas in [(0.01, 0.05), (0.4, 1e-3), (2e-3, 0.5), (0.0, 0.3), (1.0, 0.02)]:
+            runner = steane_runner.with_model(FailureModel(p_gate=p_gate, p_meas=p_meas))
+            self._check(runner, 5, 2, 40, 12)
+
+    def test_raw_word_redraws_match_numpy(self, steane_runner, monkeypatch):
+        # A row flagged as out of nonzero uint32 values is drawn again alone
+        # with twice the raw words until it is not; flagged here, with
+        # garbage draws, for three trials until their words doubled twice.
+        real, widths = distill._pauli_draws, []
+
+        def short_rows(raw, k):
+            draw15, draw3, short = real(raw, k)
+            widths.append(raw.shape[1])
+            rows = [0, 5, 17] if len(k) > 1 else [0] * (raw.shape[1] < 4 * widths[0])
+            short[rows] = True
+            garbage = short[np.repeat(np.arange(len(k)), k)]
+            draw15[garbage] = draw3[garbage] = -1
+            return draw15, draw3, short
+
+        monkeypatch.setattr(distill, "_pauli_draws", short_rows)
+        self._check(steane_runner.with_model(FailureModel.uniform(0.05)), 3, 1, 100, 20)
+        assert widths[1:] == [2 * widths[0], 4 * widths[0]] * 3
+
+    @pytest.mark.parametrize("p", [np.nextafter(1 / 3, 0), 1 / 3, 0.35, 0.5, 0.9, 0.999999])
+    def test_search_geometric_matches_numpy(self, p):
+        # From p = 1/3 up numpy's geometric searches its partial sums for a
+        # uniform of one raw word; below it inverts a standard exponential.
+        searches = p >= 1 / 3
+        for key in (0, 7, 2**64 - 1):
+            want = np.random.Generator(np.random.Philox(key=key)).geometric(p, (4, 500))
+            want = want.cumsum(axis=1) - 1
+            gen = np.random.Generator(np.random.Philox(key=key))
+            draws = gen.bit_generator.random_raw((4, 500)) if searches else gen.standard_exponential((4, 500))
+            for total in (300, 10**6):
+                pos, k, short = distill._batch_positions(draws, total, p)
+                assert np.array_equal(pos, want[want < total])
+                assert k.tolist() == (want < total).sum(axis=1).tolist()
+                assert short.tolist() == [total == 10**6] * 4
+
+    @pytest.mark.parametrize("p", [1e-18, 1e-300, 5e-324])
+    def test_tiny_rates_sample_no_faults(self, steane_runner, golay_css, p):
+        # numpy's geometric clamps such skips to 2^63 - 1 and its int64
+        # running sums wrap: at 1e-18 they put 151,961 faults in these 10,240
+        # golay0-A-ref trials, where about 6e-10 are expected.
+        for base in (steane_runner, _benchmark_runner(golay_css, "zero")):
+            runner = base.with_model(FailureModel.uniform(p))
+            for first in range(0, 40 * BATCH, BATCH):
+                gate, meas, _ = runner._sample_batch(3, 0, first, BATCH)
+                assert len(gate) == len(meas) == 0, (base.n, first)
+
     def test_long_chunk_falls_back(self):
         # Skips of 1 use up a chunk of 16 inside a total of 100: numpy would
-        # draw a second chunk.  The other row ends inside its chunk.
+        # draw a second chunk, so the trial is drawn again with two.  The
+        # other row ends inside its chunk.
         exps = np.full((2, 16), 1e-9)
         exps[1, 3] = 50.0
-        pos, k, bad = distill._batch_positions(exps, 100, 0.01)
-        assert bad.tolist() == [True, False]
+        pos, k, short = distill._batch_positions(exps, 100, 0.01)
+        assert short.tolist() == [True, False]
         assert k.tolist() == [16, 3]
         assert pos[16:].tolist() == [0, 1, 2]
 
     def test_positions_match_integer_running_sums(self):
         # Crafted rows against plain-int skips and running sums.  Row 0
         # holds a skip of about 2^60 in a chunk of 16, which the float64
-        # running sums keep exact (an int64 guard of 2^63 / 16 per skip
-        # used to send it back to numpy); row 1 a skip of 2^63 or more,
-        # which numpy clamps; row 2 fifteen short skips that end inside
-        # the total, and row 3 sixteen that use up the chunk.
+        # running sums keep exact; row 1 a skip of 2^64, past numpy's int64
+        # clamp, after two kept positions; row 2 fifteen short skips that
+        # end inside the total, and row 3 sixteen that use up the chunk.
         p, total = 1e-12, 100
         rate = -math.log1p(-p)
         exps = np.full((4, 16), 3.0 * rate)
@@ -613,88 +693,34 @@ class TestBatchSampling:
         exps[1, 2] = 2.0**64 * rate
         exps[2, 15] = 200.0 * rate
         exps[3] = 2.0 * rate
-        pos, k, bad = distill._batch_positions(exps, total, p)
-        assert bad.tolist() == [False, True, False, True]
+        pos, k, short = distill._batch_positions(exps, total, p)
+        assert short.tolist() == [False, False, False, True]
         want = []
         for row in exps.tolist():
             sums = itertools.accumulate(math.ceil(e / rate) for e in row)
             want.append([s - 1 for s in sums if s - 1 < total])
-        assert want[0] == [2, 5, 8, 11, 14] and len(want[2]) == 15
+        assert want[0] == [2, 5, 8, 11, 14] and want[1] == [2, 5] and len(want[2]) == 15
         assert k.tolist() == [len(w) for w in want]
-        ends = np.cumsum(k)
-        for row in (0, 2):
-            assert pos[ends[row] - k[row]:ends[row]].tolist() == want[row]
-
-    def test_huge_skip_falls_back(self):
-        # A skip of 2^63 or more, which numpy clamps and whose running sum
-        # would overflow int64.
-        exps = np.full((2, 16), 30.0)
-        exps[0, 7] = 1e10
-        *_, bad = distill._batch_positions(exps, 100, 1e-12)
-        assert bad.tolist() == [True, False]
+        assert pos.tolist() == [x for w in want for x in w]
 
     def test_zero_uint32_falls_back(self):
-        # One gate fault per trial reads the low then the high half of the
-        # trial's first word; numpy redraws a zero half.  The second word
-        # of trial 2 is never read.
-        raw = np.array([[7 << 32, 1], [9, 1], [(3 << 32) | 0xFFFFFFFF, 0]], dtype=np.uint64)
-        draw15, draw3, rejected = distill._pauli_draws(raw, np.ones(3, np.int64))
-        assert rejected.tolist() == [True, True, False]
-        assert draw15[2] == 14 and draw3[2] == 0
+        # A trial's k 15-way then k 3-way draws read the first 2k nonzero
+        # uint32 values of its row, low half of each word first: numpy
+        # redraws a zero.  The last row holds one nonzero value, too few
+        # for one fault, so the trial is drawn again with twice the words.
+        def u(d, r):  # (u * r) >> 32 == d
+            return d * 2**32 // r + 1
 
-    def test_rejected_trial_samples_batch_per_trial(self, steane_runner, monkeypatch):
-        # A trial the transforms reject sends the whole batch through the
-        # per-trial sampler; the transformed draws, garbage here for the
-        # rejected trials, must not reach the rows.
-        real = distill._pauli_draws
-
-        def reject_some(raw, k):
-            draw15, draw3, rejected = real(raw, k)
-            rejected[[0, 5, 6, 17]] = True
-            garbage = rejected[np.repeat(np.arange(len(k)), k)]
-            draw15[garbage] = draw3[garbage] = -1
-            return draw15, draw3, rejected
-
-        monkeypatch.setattr(distill, "_pauli_draws", reject_some)
-        runner = steane_runner.with_model(FailureModel.uniform(0.05))
-        self._check(runner, 3, 1, 100, 20)
-
-    @pytest.mark.parametrize("p", [0.35, 0.5])
-    def test_search_geometric_samples_per_trial(self, steane_runner, monkeypatch, p):
-        def unused(*args):
-            raise AssertionError("transform used for a search-geometric rate")
-
-        monkeypatch.setattr(distill, "_batch_positions", unused)
-        self._check(steane_runner.with_model(FailureModel.uniform(p)), 8, 0, 0, 12)
-
-    def test_failed_self_test_samples_per_trial(self, steane_runner, monkeypatch):
-        assert distill._draws_match_numpy()
-
-        def unused(*args):
-            raise AssertionError("transform used after a failed self-test")
-
-        monkeypatch.setattr(distill, "_draws_match_numpy", lambda: False)
-        monkeypatch.setattr(distill, "_batch_positions", unused)
-        self._check(steane_runner.with_model(FailureModel.uniform(0.02)), 8, 0, 0, 12)
-
-    @pytest.mark.parametrize("part", ["positions", "draws"])
-    def test_self_test_catches_a_wrong_transform(self, monkeypatch, part):
-        if part == "positions":
-            real = distill._batch_positions
-
-            def running_sums(exps, total, p):  # positions without the "- 1"
-                pos, k, bad = real(exps, total, p)
-                return pos + 1, k, bad
-
-            monkeypatch.setattr(distill, "_batch_positions", running_sums)
-        else:
-            real = distill._pauli_draws
-
-            def high_half_first(raw, k):
-                return real((raw << np.uint64(32)) | (raw >> np.uint64(32)), k)
-
-            monkeypatch.setattr(distill, "_pauli_draws", high_half_first)
-        assert not distill._draws_match_numpy.__wrapped__()
+        rows = [[u(11, 15), 0, u(4, 15), u(2, 3), 0, u(1, 3)],
+                [u(7, 15), u(0, 3), 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, 0],
+                [0, u(14, 15), 0, 0, 0, u(2, 3)],
+                [u(3, 15), 0, 0, 0, 0, 0]]
+        raw = np.array(rows, dtype="<u4").view("<u8").astype(np.uint64)
+        draw15, draw3, short = distill._pauli_draws(raw, np.array([2, 1, 0, 1, 1]))
+        assert short.tolist() == [False, False, False, False, True]
+        assert draw15[:4].tolist() == [11, 4, 7, 14]
+        assert draw3[:4].tolist() == [2, 1, 0, 2]
 
 
 def _single_fault_batches(runner, size=2048):
@@ -864,8 +890,7 @@ def test_sampled_multi_fault_audit(golay_css, k):
             assert ((weights >= 0) & (weights <= k)).all(), side
         for t in replay[(replay >= start) & (replay < start + count)] - start:
             g, m = gate_rows[gate_rows[:, 0] == t], meas_rows[meas_rows[:, 0] == t]
-            sample = (g[:, 1], g[:, 2], g[:, 3], m[:, 1])
-            assert batch.outcome(t) == runner.run_reference(*runner._injections(sample)), start + t
+            assert batch.outcome(t) == runner.run_reference(*runner._injections(g, m)), start + t
 
 
 @pytest.mark.parametrize("round_", [1, 2])
@@ -1046,7 +1071,7 @@ class TestRunProtocol:
             model=FailureModel.uniform(0.0), n_extra=2,
         )
         runner = ProtocolRunner(cfg)
-        out = runner.run_trial(runner._trial_rng(1, 0, 0))
+        out = runner.run_trial(1, 0, 0)
         assert not out.aborted
         assert len(out.outputs) == 7 * 7
         assert all(e == (0,) and f == (0,) for e, f in out.outputs)
@@ -1061,11 +1086,13 @@ class TestRunProtocol:
         )
         r1 = ProtocolRunner(cfg)
         r2 = ProtocolRunner(cfg)
+        batch = r1.run_batch(77, 3, 0, 20)
         for t in range(20):
+            # The stream is Philox keyed by (seed, p index) at counter
+            # (0, 0, 0, trial), the same in a fresh generator.
             fresh = np.random.Generator(np.random.Philox(key=[77, 3], counter=[0, 0, 0, t]))
-            a = r1.run_trial(fresh)
-            b = r2.run_trial(r2._trial_rng(77, 3, t))
-            assert a == b
+            assert r2.run_trial(77, 3, t) == batch.outcome(t)
+            assert fresh.bit_generator.random_raw() == r2._trial_rng(77, 3, t).bit_generator.random_raw()
 
     def test_dimension_validation(self, zero_spec):
         bch = registry("bch15_7_5")

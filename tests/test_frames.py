@@ -176,31 +176,34 @@ def steane_runner():
 
 
 class TestSampleFailures:
-    """The protocol runner's per-trial fault sampler against the model."""
+    """The protocol runner's fault sampler against the model."""
 
     def test_zero_rates_empty(self, steane_runner):
-        rng = np.random.default_rng(0)
-        assert all(len(part) == 0 for part in steane_runner._sample(rng))
+        gate, meas, count = steane_runner._sample_batch(0, 0, 0, 64)
+        assert count == 64 and len(gate) == len(meas) == 0
 
     def test_expected_cnot_fault_count(self, steane_runner):
-        rng = np.random.default_rng(123)
-        p = 0.01
-        runner = steane_runner.with_model(FailureModel(p_gate=p, p_meas=0.0))
+        # At a rate where numpy's geometric inverts an exponential and at
+        # one where it searches (from p = 1/3 up).
         trials = 4000
-        total = sum(len(runner._sample(rng)[0]) for _ in range(trials))
-        n_locs = runner._gate_space  # CNOTs and preparations
-        mean = trials * n_locs * p
-        sigma = (trials * n_locs * p * (1 - p)) ** 0.5
-        assert abs(total - mean) < 5 * sigma
+        for p in (0.01, 0.5):
+            runner = steane_runner.with_model(FailureModel(p_gate=p, p_meas=0.0))
+            total = sum(len(runner._sample_batch(123, 0, first, 500)[0])
+                        for first in range(0, trials, 500))
+            n_locs = runner._gate_space  # CNOTs and preparations
+            mean = trials * n_locs * p
+            sigma = (trials * n_locs * p * (1 - p)) ** 0.5
+            assert abs(total - mean) < 5 * sigma, p
 
     def test_pauli_histogram_uniform(self, steane_runner):
         # chi^2 over the 15 two-qubit fault classes of every CNOT, encoder
         # and rounds, as the runner's injections label them.
         runner = steane_runner.with_model(FailureModel(p_gate=1.0, p_meas=0.0))
-        rng = np.random.default_rng(7)
+        gate, meas, _ = runner._sample_batch(7, 0, 0, 1000)
+        assert len(meas) == 0
         counts = dict.fromkeys(PAULI_2Q, 0)
-        for _ in range(1000):
-            for stage in runner._injections(runner._sample(rng)):
+        for rows in np.split(gate, np.flatnonzero(np.diff(gate[:, 0])) + 1):
+            for stage in runner._injections(rows, meas):
                 for inj in stage.values():
                     for fault in inj.items:
                         if len(fault.pauli) == 2:

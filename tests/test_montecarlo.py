@@ -205,6 +205,16 @@ class TestPStats:
             a.merge(PStats(p=2e-3, trials=1))
         assert a.trials == 2
 
+    def test_run_merge_other_grid_rejected(self):
+        # Runs over p grids of different lengths used to merge their common
+        # prefix and drop the rest.
+        run = RunStats(meta={}, per_p=[PStats(p=1e-3, trials=2), PStats(p=2e-3, trials=3)])
+        with pytest.raises(ValueError, match="run of 1 p points into one of 2"):
+            run.merge(RunStats(meta={}, per_p=[PStats(p=1e-3, trials=1)]))
+        with pytest.raises(ValueError, match="run of 3 p points into one of 2"):
+            run.merge(RunStats(meta={}, per_p=[PStats(p=p, trials=1) for p in (1e-3, 2e-3, 4e-3)]))
+        assert [s.trials for s in run.per_p] == [2, 3]
+
 
 class TestWilson:
     def test_zero_successes(self):
