@@ -270,16 +270,46 @@ class TestPostselect:
         assert not postselect(row ^ 1, masks)
 
 
+def product_ideal_postselect(sigma_rows, code_c, n_s):
+    """The oracle of ``ideal_postselect`` on one group: decode the syndrome
+    column of every product of the n_s stabilizers and accept a unit when
+    each estimate's bit equals the XOR of its factors' bits.  Returns the
+    accept mask over the n_c units."""
+    r_c = code_c.r
+    syn_single = np.zeros(n_s, dtype=np.uint32)
+    for i_el in range(n_s):
+        syn = 0
+        for i in range(r_c):
+            if (sigma_rows[i] >> i_el) & 1:
+                syn |= 1 << i
+        syn_single[i_el] = syn
+
+    count = 1 << n_s
+    idx = np.arange(count, dtype=np.uint32)
+    syn_prod = np.zeros(count, dtype=np.uint32)
+    for b in range(n_s):
+        sel = (idx >> b) & 1 == 1
+        syn_prod[sel] ^= syn_single[b]
+    est = code_c.systematic_table[syn_prod]
+    est_xor = np.zeros(count, dtype=np.int64)
+    for b in range(n_s):
+        sel = (idx >> b) & 1 == 1
+        est_xor[sel] ^= est[1 << b]
+    mismatch = int(np.bitwise_or.reduce(est ^ est_xor))
+    return ~mismatch & ((1 << code_c.n) - 1)
+
+
 class TestIdealPostselect:
     def test_good_patterns_pass_exhaustively(self, zero_spec):
         # Exhaustive over the rep3 round: every good
         # pattern (identical nonzero rows) yields valid estimates for all
-        # blocks, for every flipped-row subset and every row value.
+        # blocks, for every flipped-row subset and every row value, all
+        # 7 x 4,095 groups in one call; a sample of them checks the product
+        # oracle too.
         rep3 = registry("rep3")
         n_s = 12
         h = rep3.h
-        # Flipped subsets with the same rows share their verdicts.
-        rows_cache = {}
+        rows = []
         for flipped in range(1, 8):
             for v in range(1, 1 << n_s):
                 sigma = [0, 0]
@@ -290,20 +320,44 @@ class TestIdealPostselect:
                             parity ^= 1
                     if parity:
                         sigma[i] = v
-                key = tuple(sigma)
-                if key in rows_cache:
-                    accept = rows_cache[key]
-                else:
-                    accept = ideal_postselect(sigma, rep3, n_s)
-                    rows_cache[key] = accept
-                assert accept == 0b111, (flipped, v)
+                rows.append(sigma)
+        accept = ideal_postselect(rows, rep3, n_s)
+        assert accept.tolist() == [0b111] * len(rows)
+        for sigma in rows[::701]:
+            assert product_ideal_postselect(sigma, rep3, n_s) == 0b111, sigma
 
     def test_inconsistent_pattern_rejected(self, zero_spec):
         # Rows flipping in unrelated columns break product consistency.
         rep3 = registry("rep3")
         sigma = [0b000000000011, 0b000000000101]
-        accept = ideal_postselect(sigma, rep3, 12)
-        assert accept != 0b111
+        accept = ideal_postselect([sigma], rep3, 12)
+        assert accept[0] != 0b111
+        assert accept[0] == product_ideal_postselect(sigma, rep3, 12)
+
+    @pytest.mark.parametrize("n_s", [3, 7, 12])
+    @pytest.mark.parametrize("name", codes.REGISTRY_NAMES)
+    def test_matches_product_oracle(self, name, n_s):
+        # The span check against the product oracle on one call of random
+        # rows and of sparse ones: each column (stabilizer) is clean or
+        # has the syndrome of a one- or two-unit error, often one shared
+        # error (a good pattern), so that both verdicts occur.
+        code = registry(name)
+        rng = random.Random(zlib.crc32(f"{name}:{n_s}".encode()))
+
+        def unit_syndrome():  # of one unit in the check slots' coordinates
+            u = rng.randrange(code.n)
+            return 1 << u if u < code.r else code.a.column(u - code.r)
+        groups = [[rng.getrandbits(n_s) for _ in range(code.r)] for _ in range(40)]
+        for _ in range(60):
+            shared = unit_syndrome() ^ unit_syndrome()
+            cols = [0 if rng.random() < 0.6 else shared if rng.random() < 0.7
+                    else unit_syndrome() ^ unit_syndrome() for _ in range(n_s)]
+            groups.append([sum((col >> i & 1) << c for c, col in enumerate(cols)) for i in range(code.r)])
+        got = ideal_postselect(groups, code, n_s).tolist()
+        want = [product_ideal_postselect(sigma, code, n_s) for sigma in groups]
+        assert got == want
+        full = (1 << code.n) - 1
+        assert full in want and any(w != full for w in want)
 
 
 class TestCorrectBlock:
@@ -459,6 +513,8 @@ class TestRoundEngineEquivalence:
             # bch15_7_5 as detecting code: k = 7 = |S| of a Steane Bell round.
             ("hamming7", "bch15_7_5", "bch15_7_5", "bch15_7_5", 2e-3),
             ("hamming7", "rep3", "ideal", "ideal", 0.01),
+            # |S| = 23 stabilizers: 2^23 products, but a span of at most 4 syndromes.
+            ("golay23", "rep3", "ideal", "ideal", 1e-3),
         ],
     )
     def test_sampled_bell_trials_match_reference(self, block, c_name, d1, d2, p):
@@ -1025,6 +1081,27 @@ def test_batch_temporaries_stay_lean(golay_css):
     finally:
         tracemalloc.stop()
     assert peak < 1.9 * 2**20, peak / 2**20
+
+
+def test_ideal_batch_temporaries_stay_lean(golay_css):
+    # One warm BATCH-size batch of Golay |0>_L with combination A's round
+    # codes and ideal postselection at p = 1.6e-3 peaked at 1.82-1.83 MiB
+    # of traced allocations over eight seeds (numpy 2.4); 2.2 MiB leaves
+    # 20% headroom.  ideal_postselect's span arrays hold 2^14 (group,
+    # syndrome) cells at once; at 2^16 this batch peaked at 3.00 MiB.
+    bch = registry("bch15_7_5")
+    runner = ProtocolRunner(DistillationConfig(
+        spec=build_ancilla_spec(golay_css, "zero"), code_c1=bch, code_c2=bch,
+        code_d1="ideal", code_d2="ideal", model=FailureModel.uniform(1.6e-3), n_extra=6,
+    ))
+    runner.run_batch(5, 2, 0, BATCH)
+    tracemalloc.start()
+    try:
+        runner.run_batch(5, 2, BATCH, BATCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * 2**20, peak / 2**20
 
 
 def test_bell_batch_temporaries_stay_lean(golay_css):

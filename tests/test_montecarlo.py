@@ -93,7 +93,10 @@ class TestRunExperiment:
         # detecting code bch15_7_5 has k = 7 = |S|, so postselection rejects.
         # The Steane |0>_L with rep3 rounds at p = 0.35 and 1 pins the streams
         # where numpy's geometric searches and where p = 1 takes every
-        # location without a draw.
+        # location without a draw.  The two ideal-postselection cases on
+        # Golay |0>_L (rep3 rounds, and combination A's round codes) were
+        # recorded with the engine that decoded all 2^|S| stabilizer
+        # products of every group.
         zero = dataclasses.replace(comb_a_config, n_extra=6)
         golay = zero.spec.blocks[0]
         steane = build_css(registry("hamming7"), registry("hamming7"))
@@ -103,6 +106,8 @@ class TestRunExperiment:
                                        code_d1=code_d, code_d2=code_d)
 
         rep3 = registry("rep3")
+        ideal = dataclasses.replace(zero, code_d1="ideal", code_d2="ideal")
+        ideal_rep3 = dataclasses.replace(ideal, code_c1=rep3, code_c2=rep3)
         edge = dataclasses.replace(zero, spec=build_ancilla_spec(steane, "zero"), code_c1=rep3,
                                    code_c2=rep3, code_d1=None, code_d2=None, n_extra=2)
 
@@ -138,6 +143,16 @@ class TestRunExperiment:
                 {"p": 1.0, "trials": 40, "aborted": 0, "cand1": 200, "rej1": 0,
                  "cand2": 40, "rej2": 0, "accepted": 40,
                  "hist_x": [3, 22, 13, 2, 0], "hist_z": [4, 36, 0, 0, 0]},
+            ]),
+            (ideal_rep3, [1e-2], 300, [
+                {"p": 1e-2, "trials": 300, "aborted": 81, "cand1": 2700, "rej1": 1705,
+                 "cand2": 219, "rej2": 198, "accepted": 21,
+                 "hist_x": [10, 9, 2, 0, 0], "hist_z": [19, 2, 0, 0, 0]},
+            ]),
+            (ideal, [1.6e-3], 300, [
+                {"p": 1.6e-3, "trials": 300, "aborted": 60, "cand1": 44100, "rej1": 10072,
+                 "cand2": 11760, "rej2": 10963, "accepted": 797,
+                 "hist_x": [609, 166, 20, 2, 0], "hist_z": [763, 34, 0, 0, 0]},
             ]),
         ]
         for cfg, grid, trials, want in cases:
