@@ -624,7 +624,7 @@ class CompiledRound:
         self.se = extend_stabilizers(self.s, real_d)
         self.n_s = len(self.s)
         self.n_se = len(self.se)
-        self.hd_masks = hd_column_masks(real_d, self.n_s) if real_d else None
+        self.hd_masks = hd_column_masks(real_d, self.n_s) if real_d else [0] * self.n_s
 
         # Layer (i, j) of the round circuit runs at (step, rank) =
         # self.schedule[layer], and its readouts in the step after the last.
@@ -659,19 +659,21 @@ class CompiledRound:
         checks, data = own[..., :self.r_c].sum(-1), own[..., self.r_c:].sum(-1)
         single = np.stack((checks[..., 0 if round_ == 1 else 1], data[..., 0], data[..., 1]), axis=-1)
         self.eff_masks = _by_code(single, range(16))
-        # Per part, the masks as (layer, block, Pauli code) rows of slot
-        # flags, and the unit word of each (block, qubit) bit, for the
-        # scatters of fault_hits.
+        # For the scatters of fault_hits: per plane, the masks as (layer,
+        # block, Pauli code) rows of slot flags (the measured plane takes the
+        # records on check slots and its own part on data slots, the flowing
+        # plane the other part), and the unit word of each (block, qubit) bit.
+        measured = 1 if round_ == 1 else 2
         self._hit_slots = [
-            ((self.eff_masks[..., part, None] >> np.arange(width)) & 1 == 1).reshape(-1, width)
-            for part, width in enumerate((self.r_c, self.n_c, self.n_c))
+            ((mask[..., None] >> np.arange(self.n_c)) & 1 == 1).reshape(-1, self.n_c)
+            for mask in (self.eff_masks[..., 0] | self.eff_masks[..., measured],
+                         self.eff_masks[..., 3 - measured])
         ]
         self._bits = np.left_shift(1, np.arange(m * n), dtype=self.word)
         # Per (block, qubit) of a unit: the SE elements whose measured part
         # touches it.
         se_rows = np.array([_pack(el.z if round_ == 1 else el.x, n) for el in self.se], dtype=np.int64)
         self.nu_to_sigma = gf2.byte_tables(_bit_transpose(se_rows, m * n).tolist())
-        self.hd_parity = gf2.byte_tables(self.hd_masks) if self.hd_masks else None
         # The round code's coset leaders, in the narrowest signed dtype, and
         # the column decoder's table: per 16-bit key, the leaders shifted
         # right by r_c (their data bits).  When syndromes and shifted
@@ -685,31 +687,34 @@ class CompiledRound:
         if self._pair_keys:  # key = low | high << 8 at [high, low]
             shifted = (shifted[None, :] | shifted[:, None] << 8).reshape(-1)
         self._column_table = shifted
-        # Per block: its correction table, shifted to the block's bits, and
-        # the offset and mask of its generator syndrome in the estimated SE
-        # rows.
-        self.corrections = []
+        # The decision tables.  A unit's int64 side word holds the detecting
+        # code's parities of its estimated SE row in bits [0, r_d), all zero
+        # iff it is accepted, and in bit r_d + t whether logical t's
+        # corrector applies: its estimated bit XOR the correction's parity
+        # against its measured part (a corrector anticommutes with its own
+        # logical alone, css._validate_spec).  Per block, by its generator
+        # syndrome: the correction, shifted to the block's bits, and its side
+        # share; one byte-table map adds the bits above the generators.
+        self.r_d = r_d = self.n_se - self.n_s
+        correctors = spec.correctors1 if round_ == 1 else spec.correctors2
+        reps = [_pack(lg.z if round_ == 1 else lg.x, n) for lg in spec.logicals(round_)]
+        fix = gf2.byte_tables([sum(((rep >> i) & 1) << (r_d + t) for t, rep in enumerate(reps))
+                               for i in range(m * n)])
+        self.block_tables = []
         off = 0
         for b, (code, count) in enumerate(zip(corr_codes, self.gen_counts)):
-            table = (code.syndrome_table << b * n).astype(self.word)
-            self.corrections.append((table, off, (1 << count) - 1))
+            correction = (code.syndrome_table << b * n).astype(self.word)
+            share = gf2.xor_lookup(gf2.byte_tables(self.hd_masks[off:off + count]), np.arange(1 << count))
+            side = share.astype(np.int64) ^ gf2.xor_lookup(fix, correction)
+            self.block_tables.append((off, (1 << count) - 1, correction, side))
             off += count
-        # Per logical: the parity of a correction against its measured
-        # part (byte tables), its corrector and its bit in the SE rows.
-        self.logical_fix = []
-        correctors = spec.correctors1 if round_ == 1 else spec.correctors2
-        for t, lg in enumerate(self.s[off:]):
-            rep = _pack(lg.z if round_ == 1 else lg.x, n)
-            parity = gf2.byte_tables([(rep >> i) & 1 for i in range(m * n)])
-            cor = self.word(_pack(correctors[t].x if round_ == 1 else correctors[t].z, n))
-            self.logical_fix.append((parity, cor, off + t))
-        # The parities folded into the correction tables, per logical and
-        # block: a correction has bits of its own block only, and a corrector
-        # anticommutes with its own logical alone (css._validate_spec).
-        self._fix_parity = [
-            [(gf2.xor_lookup(parity, table) & 1).astype(np.uint8) for table, _, _ in self.corrections]
-            for parity, _, _ in self.logical_fix
-        ]
+        self.tail_shift = off
+        self.tail_side = gf2.byte_tables([
+            self.hd_masks[c] ^ (1 << (r_d + c - off) if c < self.n_s else 0)
+            for c in range(off, self.n_se)
+        ]).astype(np.int64)
+        self.corrector_map = gf2.byte_tables(
+            [_pack(cor.x if round_ == 1 else cor.z, n) for cor in correctors])
         # Per check row: the slots of the data units feeding it; per data
         # unit: the check slots it meets.
         self.row_data_idx = [
@@ -744,7 +749,7 @@ class CompiledRound:
         Transversal propagation: measured parts flow data -> check, the
         opposite parts check -> data, identically in both rounds, one row
         XOR per coupling; then the round's fault hits (see
-        :meth:`fault_hits`) land on records, e parts and f parts.  Both
+        :meth:`fault_hits`) land on the measured and the flowing plane.  Both
         planes are updated in place, and the records are the check rows of
         ``meas``: no later stage reads a check unit's frame.
         """
@@ -755,8 +760,7 @@ class CompiledRound:
         for slot, rows in enumerate(self.col_check_idx, self.r_c):
             for r in rows:
                 flow[slot] ^= flow[r]
-        e_part, f_part = (meas, flow) if self.round == 1 else (flow, meas)
-        for target, (index, bit) in zip((nu, e_part, f_part), hits):
+        for target, (index, bit) in zip((meas, flow), hits):
             np.bitwise_xor.at(_flat(target), index, bit)
         return nu
 
@@ -779,26 +783,28 @@ class CompiledRound:
         """Decode, postselect and correct groups from their nonzero
         (groups, r_c) sigma rows: returns the (groups, k_c) accept mask and
         the corrections of the data units, zero on rejected units."""
-        se_hat = self.batch_decode(sigma)
-        acc = np.ones(se_hat.shape, dtype=bool)
-        if self.hd_parity is not None:
-            acc &= gf2.xor_lookup(self.hd_parity, se_hat) == 0
+        acc, est = self.decide(self.batch_decode(sigma))
         if self.ideal:
             accept = ideal_postselect(sigma, self.code_c, self.n_s)[:, None]
             acc &= (accept >> np.arange(self.r_c, self.n_c)) & 1 == 1
-        s_hat = se_hat & ((1 << self.n_s) - 1)
-        est = np.zeros(s_hat.shape, self.word)
-        index = []
-        for table, off, mask in self.corrections:
-            index.append((s_hat >> off) & mask)
-            est |= table.take(index[-1])
         est *= acc
-        for (_, cor, bidx), parities in zip(self.logical_fix, self._fix_parity):
-            wrong = (s_hat >> bidx) & 1
-            for parity, idx in zip(parities, index):
-                wrong ^= parity.take(idx)
-            est ^= (wrong.astype(bool) & acc) * cor
         return acc, est
+
+    def decide(self, se_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Detecting-code verdicts and corrections of estimated SE rows (an
+        array of unsigned words): one lookup per block of each table, and
+        one of the map above the generators, give a row's side word (see
+        :meth:`__init__`) and correction; the correctors its side word
+        calls for join the correction."""
+        side = gf2.xor_lookup(self.tail_side, se_hat >> self.tail_shift)
+        est = np.zeros(se_hat.shape, self.word)
+        for off, mask, correction, share in self.block_tables:
+            index = (se_hat >> off) & mask
+            est ^= correction.take(index)
+            side ^= share.take(index)
+        del index  # freed before the step's largest lookup
+        est ^= gf2.xor_lookup(self.corrector_map, side >> self.r_d)
+        return (side & ((1 << self.r_d) - 1)) == 0, est
 
     def fault_hits(self, row, layer, qubit, code, m_row, m_slot, m_qubit, plane: int):
         """Round faults of a batch as XOR hits on its slot planes (see
@@ -807,21 +813,22 @@ class CompiledRound:
 
         CNOT faults are (column, layer, qubit, Pauli code) arrays, readout
         flips (column, check slot, qubit); qubit q of block blk is bit
-        ``blk * n + q`` of the unit word.  Returns three (flat index, bit)
+        ``blk * n + q`` of the unit word.  Returns two (flat index, bit)
         pairs, index slot * plane + column and the bits in the unit word
-        dtype: on the (r_c, plane) check records, on the (n_c, plane) e
-        parts and on the f parts.
+        dtype: on the (n_c, plane) measured plane, records and readout
+        flips included, and on the flowing plane.
         """
         bit = self._bits.take(qubit)
         combo = (layer * self.m + qubit // self.n) * 16 + code
         index_type = np.int32 if self.n_c * plane < 2**31 else np.int64
         hits = []
-        for width, table in zip((self.r_c, self.n_c, self.n_c), self._hit_slots):
+        for table in self._hit_slots:
             # flatnonzero and divmod: a 2-D nonzero costs ten times more.
-            k, slot = np.divmod(np.flatnonzero(table.take(combo, axis=0)), width)
+            k, slot = np.divmod(
+                np.flatnonzero(table.take(combo, axis=0)).astype(index_type), self.n_c)
             slot *= plane
             slot += row[k]
-            hits.append((slot.astype(index_type), bit[k]))
+            hits.append((slot, bit[k]))
         index, bits = hits[0]
         hits[0] = (np.concatenate((index, m_slot.astype(index_type) * plane + m_row)),
                    np.concatenate((bits, self._bits.take(m_qubit))))
@@ -858,18 +865,10 @@ class CompiledRound:
             )
             for slot in range(self.n_c)
         ]
-        accept_mask = 0
+        accept_mask = int(ideal_postselect([sigma], self.code_c, self.n_s)[0]) if self.ideal else -1
         accepted = []
-        if self.ideal:
-            accept_mask = int(ideal_postselect([sigma], self.code_c, self.n_s)[0])
-        elif self.hd_masks is not None:
-            for slot in range(self.r_c, self.n_c):
-                if postselect(se_hat[slot], self.hd_masks):
-                    accept_mask |= 1 << slot
-        else:
-            accept_mask = ((1 << self.n_c) - 1) & ~((1 << self.r_c) - 1)
         for slot in range(self.r_c, self.n_c):
-            if not (accept_mask >> slot) & 1:
+            if not ((accept_mask >> slot) & 1 and postselect(se_hat[slot], self.hd_masks)):
                 continue
             s_hat = se_hat[slot] & ((1 << self.n_s) - 1)
             fr = frames[slot]

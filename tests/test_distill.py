@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 import zlib
@@ -837,19 +839,20 @@ def _digest(*items) -> str:
 
 
 @pytest.mark.parametrize("kind,digests", [
-    ("zero", {"round1": "ef7174c3a775258d", "round2": "01ba2271e3f0ba2d",
+    ("zero", {"round1": "7bc8d19239e38dd7", "round2": "1fbf7acd71923e73",
               "encoder": "8666236d5ebb9a13"}),
-    ("bell", {"round1": "9cf7f48e61611493", "round2": "b84bfac1c93107bc",
+    ("bell", {"round1": "1c26ab32e5b499b6", "round2": "1dd05cc304332039",
               "encoder": "f4e6b6e6f6ce2de8"}),
 ], ids=["golay0-A-ref", "bell-A-nops"])
 def test_compiled_tables_are_pinned(golay_css, kind, digests):
     # Every table and circuit the batched kernel runs on the benchmark
-    # configs, against digests recorded before the per-block measurement
-    # bases were deleted: the rounds' gates and tables, and the encoder's
-    # gates and effects, did not move.
+    # configs, against digests recorded when the per-block decision tables
+    # and the two hit planes came in (the encoder's digests date from
+    # before the per-block measurement bases were deleted): a change to
+    # any of them shows here.
     runner = _benchmark_runner(golay_css, kind)
-    tables = ("eff_masks", "_hit_slots", "nu_to_sigma", "hd_parity", "leaders",
-              "corrections", "logical_fix")
+    tables = ("eff_masks", "_hit_slots", "nu_to_sigma", "leaders", "block_tables",
+              "tail_side", "corrector_map")
     got = {f"round{rnd.round}": _digest(rnd.circuit, *(getattr(rnd, t) for t in tables))
            for rnd in (runner.round1, runner.round2)}
     got["encoder"] = _digest(runner.enc_circuit, runner._enc_eff)
@@ -1058,6 +1061,53 @@ def test_batch_decode_matches_decode_columns(zero_spec, round_, c_name):
         assert est == want[rnd.r_c:]
         heavy += sum(sum(w >> c & 1 for w in want) > code.t + 1 for c in range(rnd.n_se))
     assert bool(heavy) == (c_name == "golay23_dual")
+
+
+def _decision_round(golay_css, name, round_):
+    """A round of golay0-A-ref, bell-A-nops, Golay |+>_L with combination A
+    (detecting codes golay23_dual, then golay23), or the [[62, 56]] zero
+    state of test_wide_blocks_match_reference, which has 56 logicals."""
+    bch, golay, dual = registry("bch15_7_5"), registry("golay23"), registry("golay23_dual")
+    if name == "wide-62":
+        code = build_code(BitMatrix(3, 62, registry("hamming7").h.data), d=1)
+        return CompiledRound(build_ancilla_spec(build_css(code, code), "zero"), round_,
+                             registry("rep3"), None)
+    spec, codes_d = {
+        "golay0-A-ref": (build_ancilla_spec(golay_css, "zero"), (golay, dual)),
+        "bell-A-nops": (build_ancilla_spec([golay_css, golay_css], "bell"), (None, None)),
+        "plus-A": (build_ancilla_spec(golay_css, "plus"), (dual, golay)),
+    }[name]
+    return CompiledRound(spec, round_, bch, codes_d[round_ - 1])
+
+
+@pytest.mark.parametrize("round_", [1, 2])
+@pytest.mark.parametrize("name", ["golay0-A-ref", "bell-A-nops", "plus-A", "wide-62"])
+def test_decide_matches_reference(golay_css, name, round_):
+    # The decision step on estimated SE rows, with no sigma: each row's
+    # accept bit is postselect's on the detecting code's parities, and its
+    # correction correct_block's on a clean frame.  The rows' stabilizer
+    # parts are every generator syndrome and logical pattern when there
+    # are at most 2^16, else 20,000 random ones; their parity bits are the
+    # expected ones, and again with one random bit flipped.
+    rnd = _decision_round(golay_css, name, round_)
+    n_s, r_d = rnd.n_s, rnd.n_se - rnd.n_s
+    rng = np.random.default_rng(round_)
+    stab = (np.arange(1 << n_s) if n_s <= 16 else rng.integers(0, 1 << n_s, 20_000)).tolist()
+    masks = rnd.hd_masks
+    parity = [functools.reduce(operator.xor, (masks[c] for c in range(n_s) if v >> c & 1), 0)
+              for v in stab]
+    rows = [v | p << n_s for v, p in zip(stab, parity)]
+    if r_d:
+        rows += [v | (p ^ 1 << int(rng.integers(r_d))) << n_s for v, p in zip(stab, parity)]
+    dtype = rnd.batch_decode(np.zeros((1, rnd.r_c), rnd.nu_to_sigma.dtype)).dtype
+    acc, est = rnd.decide(np.array(rows, dtype=dtype))
+    want_acc = [postselect(row, masks) for row in rows]
+    assert want_acc == [i < len(stab) for i in range(len(rows))]
+    assert acc.tolist() == want_acc
+    zero = (0,) * rnd.m
+    want_est = [distill._pack(correct_block(rnd.spec, round_, v, zero, zero)[round_ - 1], rnd.n)
+                for v in stab]
+    assert est.tolist() == want_est * (len(rows) // len(stab))
 
 
 def test_batch_temporaries_stay_lean(golay_css):

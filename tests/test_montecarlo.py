@@ -96,7 +96,12 @@ class TestRunExperiment:
         # location without a draw.  The two ideal-postselection cases on
         # Golay |0>_L (rep3 rounds, and combination A's round codes) were
         # recorded with the engine that decoded all 2^|S| stabilizer
-        # products of every group.
+        # products of every group.  The last two were recorded with the
+        # engine that looked up detecting-code parities and logical fixes
+        # in separate tables per logical and block: Golay |0>_L with a
+        # detecting code in round 1 only, and Golay |+>_L, whose round 2
+        # carries the logical, with golay23_dual (k = 11 = |S1|) and
+        # golay23 (k = 12 = |S2|).
         zero = dataclasses.replace(comb_a_config, n_extra=6)
         golay = zero.spec.blocks[0]
         steane = build_css(registry("hamming7"), registry("hamming7"))
@@ -110,6 +115,9 @@ class TestRunExperiment:
         ideal_rep3 = dataclasses.replace(ideal, code_c1=rep3, code_c2=rep3)
         edge = dataclasses.replace(zero, spec=build_ancilla_spec(steane, "zero"), code_c1=rep3,
                                    code_c2=rep3, code_d1=None, code_d2=None, n_extra=2)
+        one_sided = dataclasses.replace(zero, code_d2=None)
+        plus = dataclasses.replace(zero, spec=build_ancilla_spec(golay, "plus"),
+                                   code_d1=registry("golay23_dual"), code_d2=registry("golay23"))
 
         cases = [
             (zero, [1e-4, 1.6e-3], 300, [
@@ -153,6 +161,22 @@ class TestRunExperiment:
                 {"p": 1.6e-3, "trials": 300, "aborted": 60, "cand1": 44100, "rej1": 10072,
                  "cand2": 11760, "rej2": 10963, "accepted": 797,
                  "hist_x": [609, 166, 20, 2, 0], "hist_z": [763, 34, 0, 0, 0]},
+            ]),
+            (one_sided, [4e-4, 1.6e-3], 300, [
+                {"p": 4e-4, "trials": 300, "aborted": 0, "cand1": 44100, "rej1": 422,
+                 "cand2": 14700, "rej2": 0, "accepted": 14700,
+                 "hist_x": [12972, 1611, 115, 2, 0], "hist_z": [13331, 967, 246, 156, 0]},
+                {"p": 1.6e-3, "trials": 300, "aborted": 16, "cand1": 44100, "rej1": 8301,
+                 "cand2": 13916, "rej2": 0, "accepted": 13916,
+                 "hist_x": [8912, 3958, 883, 141, 22], "hist_z": [4813, 3610, 2400, 3093, 0]},
+            ]),
+            (plus, [4e-4, 1.6e-3], 300, [
+                {"p": 4e-4, "trials": 300, "aborted": 0, "cand1": 44100, "rej1": 429,
+                 "cand2": 14700, "rej2": 3409, "accepted": 11291,
+                 "hist_x": [10140, 1092, 57, 2, 0], "hist_z": [11172, 117, 1, 1, 0]},
+                {"p": 1.6e-3, "trials": 300, "aborted": 16, "cand1": 44100, "rej1": 8338,
+                 "cand2": 13916, "rej2": 12149, "accepted": 1767,
+                 "hist_x": [1224, 440, 90, 13, 0], "hist_z": [1513, 190, 29, 22, 13]},
             ]),
         ]
         for cfg, grid, trials, want in cases:
