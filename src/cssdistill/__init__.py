@@ -6,6 +6,7 @@ Subpackages:
 * :mod:`cssdistill.codes` -- classical codes and syndrome decoders.
 * :mod:`cssdistill.css` -- CSS codes, ancilla specifications, residual weights.
 * :mod:`cssdistill.frames` -- Pauli-frame circuits, noise, fault injection.
+* :mod:`cssdistill.sampling` -- fault rows: samplers, enumerators, replay.
 * :mod:`cssdistill.distill` -- the two-round distillation protocol.
 * :mod:`cssdistill.montecarlo` -- parallel experiments and statistics.
 * :mod:`cssdistill.cli` -- command-line entry points.

@@ -134,7 +134,7 @@ FIELDS = {
                     lambda v: [float(p) for p in v]),
     "trials_per_p": _integer(1),
     "n_extra": _integer(0),
-    # The key word of every trial's Philox stream (distill._trial_rng).
+    # The key word of every trial's Philox stream (sampling.TrialStream).
     "seed": _integer(0, 2**64 - 1),
     # Weights 0..3 are histogram bins of their own; the weight table grows
     # about threefold per step of the cap, and beyond 5 it costs seconds

@@ -29,7 +29,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from . import gf2
+from . import gf2, sampling
 from .codes import LinearCode
 from .css import AncillaSpec, PauliElement
 from .frames import (
@@ -37,7 +37,6 @@ from .frames import (
     PAULI_2Q,
     Circuit,
     FailureModel,
-    Fault,
     FaultInjection,
     Gate,
     PauliFrame,
@@ -149,122 +148,6 @@ def _bit_transpose(words: np.ndarray, width: int) -> np.ndarray:
     out = cols[..., 0, :].astype(dtype, copy=False)
     for k in range(1, r8):
         out |= cols[..., k, :].astype(dtype) << (8 * k)
-    return out
-
-
-# ---- batched fault sampling ------------------------------------------------
-#
-# A trial's faults come from its own Philox stream (ProtocolRunner._trial_rng)
-# as numpy's geometric and integers would draw them: Bernoulli(p) skips over
-# the gate space, then over the readout space, then integers(0, 15) and
-# integers(0, 3) for each gate fault.  A batch draws each trial's standard
-# exponentials and raw words in one numpy call per kind and turns them into
-# those skips and draws for the whole batch at once; nothing calls numpy's
-# geometric or integers.
-
-
-def _chunk(total: int, p: float) -> int:
-    """Skips drawn per chunk over ``total`` locations at rate p; a trial
-    whose chunk ends inside the space draws another
-    (:meth:`ProtocolRunner._sample_batch`)."""
-    mean = total * p
-    return max(16, int(mean + 6.0 * math.sqrt(mean) + 8))
-
-
-def _batch_positions(draws: np.ndarray, total: int, p: float):
-    """Bernoulli(p) positions over [0, total) for each row of ``draws``, a
-    trial's chunks of skip draws, as numpy's geometric makes the skips:
-    ``ceil(E / -log1p(-p))`` of a standard exponential E for p < 1/3, and
-    from 1/3 up a search of the pmf's partial sums for U = (word >> 11) *
-    2^-53 of a raw word.  position = running sum - 1.
-
-    The running sums are taken in float64: they are exact below 2^53 and
-    never decrease above it, so they are exact wherever a position is kept
-    (numpy's int64 sums clamp and wrap at p below about 1e-17).  Returns
-    the kept positions of every trial in trial order, the count per trial,
-    and the trials whose draws all stay inside the space, for which numpy
-    would draw another chunk.  p >= 1 takes every position and p <= 0
-    none, without draws.
-    """
-    count = len(draws)
-    none = np.zeros(count, dtype=bool)
-    if p <= 0.0 or total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(count, dtype=np.int64), none
-    if p >= 1.0:
-        return np.tile(np.arange(total), count), np.full(count, total), none
-    if p >= 1 / 3:
-        # numpy's skip is one plus the number of partial sums below U:
-        # sum = prod = p, then prod *= 1 - p; sum += prod until it stops
-        # changing.
-        prod, ps = p, [p]
-        while ps[-1] + (prod := prod * (1.0 - p)) != ps[-1]:
-            ps.append(ps[-1] + prod)
-        sums = np.searchsorted(ps, (draws >> np.uint64(11)) * 2.0**-53) + 1.0
-    else:
-        # math.log1p is the libm function numpy's C code calls.  A skip
-        # beyond the float range (p near the smallest double) is infinite.
-        with np.errstate(over="ignore"):
-            sums = np.ceil(draws / -math.log1p(-p))
-    sums.cumsum(axis=1, out=sums)
-    keep = sums <= total
-    k = keep.sum(axis=1)
-    pos = sums[keep].astype(np.int64)
-    pos -= 1
-    return pos, k, k == draws.shape[1]
-
-
-def _pauli_draws(raw: np.ndarray, k: np.ndarray):
-    """The 15-way and 3-way draws of each trial's k gate faults from its row
-    of raw words, as ``integers(0, 15, k)`` then ``integers(0, 3, k)`` take
-    them: the row's uint32 stream, low half of each word first and zeros
-    skipped, gives the 15-way draws from its first k values and the 3-way
-    draws from the next k, each ``(u * range) >> 32``.  Lemire's threshold
-    (2^32 - range) mod range is 1 for both ranges, so a zero is numpy's only
-    rejection.  The first 2k values of each row are gathered by flat index;
-    a row with a zero among them is read again without its zeros.  Returns
-    the draws and the trials whose row holds fewer than 2k nonzero values.
-    """
-    u32 = raw.view(np.uint32)
-    ends = np.cumsum(k)
-    # Fault i (counted over the batch) of trial t reads value i - (faults
-    # before t) of row t, and its 3-way draw the value k[t] further on.
-    at = np.arange(ends[-1] if len(k) else 0)
-    at += np.repeat(np.arange(len(k)) * u32.shape[1] - (ends - k), k)
-    flat = u32.reshape(-1)
-    u15 = flat.take(at)
-    at += np.repeat(k, k)
-    u3 = flat.take(at)
-    short = np.zeros(len(k), dtype=bool)
-    for t in set(np.searchsorted(ends, np.flatnonzero((u15 == 0) | (u3 == 0)), side="right").tolist()):
-        lo, n = ends[t] - k[t], k[t]
-        row = u32[t][u32[t] != 0]
-        short[t] = len(row) < 2 * n
-        if not short[t]:
-            u15[lo:lo + n], u3[lo:lo + n] = row[:n], row[n:2 * n]
-    draw15 = np.multiply(u15, 15, dtype=np.int64)
-    draw3 = np.multiply(u3, 3, dtype=np.int64)
-    draw15 >>= 32
-    draw3 >>= 32
-    return draw15, draw3, short
-
-
-def _decode(pos: np.ndarray, layout) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """Positions of a space laid out as consecutive row-major segments of
-    the shapes in ``layout``: per segment, the indices of its positions in
-    ``pos`` and their coordinates along its axes.  A chain of divmods in
-    ``pos``' dtype; ``np.unravel_index`` returns intp and was about twice
-    as slow on the kernel's int32 positions."""
-    out = []
-    start = 0
-    for shape in layout:
-        end = start + math.prod(shape)
-        sel = np.flatnonzero((pos >= start) & (pos < end))
-        rest, coords = pos[sel] - start, []
-        for size in shape[:0:-1]:
-            rest, c = np.divmod(rest, size)
-            coords.append(c)
-        out.append((sel, (rest, *coords[::-1])))
-        start = end
     return out
 
 
@@ -529,12 +412,13 @@ def ideal_postselect(
     column of every product of the n_s stabilizers is the XOR of its
     factors' bits.  With s_i stabilizer i's syndrome, V their span and D
     the column decoder, that is exactly bit j of D being linear on V, D(v ^
-    s_i) = D(v) ^ D(s_i) for all v in V and all i, checked in O(n_s 2^r_c)
-    per group, not O(n_s 2^n_s) over the products.
+    s_i) = D(v) ^ D(s_i) for all v in V and all i, checked once per
+    distinct row in O(n_s 2^r_c), not O(n_s 2^n_s) over the products.
     """
     table = code_c.systematic_table
     cells = np.arange(len(table))
-    singles = _bit_transpose(np.asarray(sigma, dtype=np.int64), n_s).astype(np.intp)
+    rows, inverse = np.unique(np.asarray(sigma, dtype=np.int64), axis=0, return_inverse=True)
+    singles = _bit_transpose(rows, n_s).astype(np.intp)
     bad = np.zeros(len(singles), dtype=np.int64)
     step = max(1, _SPAN_CELLS >> code_c.r)
     for lo in range(0, len(singles), step):
@@ -546,7 +430,7 @@ def ideal_postselect(
         for s in gens.swapaxes(0, 1):
             diff = table.take(cells ^ s) ^ table ^ table.take(s)
             bad[lo:lo + step] |= np.bitwise_or.reduce(diff * member, axis=1)
-    return ~bad & ((1 << code_c.n) - 1)
+    return (~bad & ((1 << code_c.n) - 1)).take(inverse)
 
 
 def correct_block(
@@ -605,7 +489,6 @@ class CompiledRound:
     ):
         self.round = round_
         self.code_c = code_c
-        self.code_d = code_d
         self.ideal = code_d == "ideal"
         real_d = code_d if isinstance(code_d, LinearCode) else None
         self.spec = spec
@@ -905,19 +788,16 @@ class ProtocolRunner:
         self.n_enc_cnots = len(self.enc_cnot_locs)
         self.n_enc_locs = self.n_enc_cnots + len(self.enc_prep_locs)
 
-        # The fault spaces, each a run of row-major segments: the gate space
-        # holds every unit's encoder locations, CNOTs then preparations, and
-        # then each round's (group, layer, unit qubit) CNOTs; the readout
-        # space each round's (group, check slot, unit qubit) readouts.
+        # The fault spaces and the dtype of fault rows (see sampling).
         width = self.m * self.n
-        self._gate_layout = ((self.n_units, self.n_enc_locs),
-                             (self.groups1, len(self.round1.layers), width),
-                             (self.groups2, len(self.round2.layers), width))
-        self._meas_layout = ((self.groups1, self.r_c1, width), (self.groups2, self.r_c2, width))
-        self._gate_space, self._meas_space = (
-            sum(map(math.prod, layout)) for layout in (self._gate_layout, self._meas_layout))
-        # Fault rows hold trial indices, positions and draws.
-        self._rows = np.int32 if max(self._gate_space, self._meas_space) < 2**31 else np.int64
+        self.gate_layout = ((self.n_units, self.n_enc_locs),
+                            (self.groups1, len(self.round1.layers), width),
+                            (self.groups2, len(self.round2.layers), width))
+        self.meas_layout = ((self.groups1, self.r_c1, width), (self.groups2, self.r_c2, width))
+        self.gate_space, self.meas_space = (
+            sum(map(math.prod, layout)) for layout in (self.gate_layout, self.meas_layout))
+        self.row_dtype = np.int32 if max(self.gate_space, self.meas_space) < 2**31 else np.int64
+        self.stream = sampling.TrialStream()
         # Frames of a batch hold one unit, all m blocks, per word.
         self._word = self.round1.word
         self._compile_encoding()
@@ -930,7 +810,6 @@ class ProtocolRunner:
         # Frame rows of round 2's (slot, group) units after a round 1
         # without rejections.
         self._identity_rows = self._unit_pos.take(self._g1_data_ids[:self.n_c2])
-        self._rng = None
 
     def with_model(self, model: FailureModel) -> "ProtocolRunner":
         """This compiled protocol under another failure model; no compiled
@@ -956,135 +835,11 @@ class ProtocolRunner:
             single = np.array([images[loc] for loc in locs], dtype=self._word)
             self._enc_eff[rows, :len(codes)] = _by_code(single.reshape(-1, comps, 2), codes)
 
-    # ---- trial execution -------------------------------------------------
-
-    def _trial_rng(self, seed: int, p_index: int, trial: int) -> np.random.Generator:
-        """Counter-based per-trial stream, reproducible and order-free:
-        Philox keyed by (seed, p index) at counter (0, 0, 0, trial).  One
-        generator object is reused, so the returned generator is only
-        valid until the next call."""
-        if self._rng is None:
-            bg = np.random.Philox(key=0)
-            counter, key = [0, 0, 0, 0], [0, 0]
-            state = bg.state
-            state.update(state={"counter": counter, "key": key}, buffer=[0] * 4,
-                         buffer_pos=4, has_uint32=0, uinteger=0)
-            self._rng = (np.random.Generator(bg), state, counter, key)
-        gen, state, counter, key = self._rng
-        counter[3] = trial
-        key[0], key[1] = seed & 0xFFFFFFFFFFFFFFFF, p_index
-        gen.bit_generator.state = state
-        return gen
-
     def run_trial(self, seed: int, p_index: int, trial: int) -> TrialOutcome:
         """Trial ``trial`` of the (seed, p index) streams, sampled as
         :meth:`run_batch` samples it and run on the reference."""
-        gate, meas, _ = self._sample_batch(seed, p_index, trial, 1)
-        return self.run_reference(*self._injections(gate, meas))
-
-    def run_batch(self, seed: int, p_index: int, first: int, count: int) -> BatchOutcome:
-        """Trials ``first .. first + count - 1`` of the (seed, p index)
-        streams, as one batch."""
-        # Each stage returns before the next starts, so the fault rows are
-        # freed before the rounds run (see _run_protocol_core).
-        return self._run_protocol_core(self._execute(*self._sample_batch(seed, p_index, first, count)))
-
-    def _sample_batch(self, seed: int, p_index: int, first: int, count: int):
-        """The faults of trials ``first .. first + count - 1`` of the (seed,
-        p index) streams as the arguments of :meth:`_execute`: gate rows
-        (trial, position, draw15, draw3), readout rows (trial, position),
-        trials counted from ``first`` and rows in trial order, and the count.
-
-        A trial draws a chunk of skips over the gate space, then one over
-        the readout space, then one raw word per gate fault of its chunk
-        for the Pauli draws (:meth:`_draw_rows`).  A trial drawn short is
-        drawn again alone: with one more gate chunk while its gate draws
-        stay inside the gate space, then with one more readout chunk while
-        those do (they start where the gate draws end), then with twice the
-        raw words while they hold too few nonzero uint32 values.
-        """
-        model = self.config.model
-        chunks = [_chunk(total, p) if total and 0 < p < 1 else 0
-                  for total, p in ((self._gate_space, model.p_gate), (self._meas_space, model.p_meas))]
-        # At most one raw word per skip of the gate chunk, or one per
-        # location at p = 1.
-        n_raw = chunks[0] or (self._gate_space if model.p_gate >= 1 else 0)
-        gate, meas, short = self._draw_rows(seed, p_index, range(first, first + count), chunks, n_raw)
-        redraw = short.any(axis=0)
-        if not redraw.any():
-            return gate, meas, count
-        parts = [(gate[~redraw[gate[:, 0]]], meas[~redraw[meas[:, 0]]])]
-        for i in np.flatnonzero(redraw).tolist():
-            sizes, words, flags = list(chunks), n_raw, short[:, i]
-            while flags.any():
-                if flags[0]:
-                    sizes[0] += chunks[0]
-                    words += chunks[0]
-                elif flags[1]:
-                    sizes[1] += chunks[1]
-                else:
-                    words *= 2
-                g, m, flags = self._draw_rows(seed, p_index, [first + i], sizes, words)
-                flags = flags[:, 0]
-            g[:, 0] = m[:, 0] = i
-            parts.append((g, m))
-        gate, meas = (np.concatenate(rows) for rows in zip(*parts))
-        return (gate[np.argsort(gate[:, 0], kind="stable")],
-                meas[np.argsort(meas[:, 0], kind="stable")], count)
-
-    def _draw_rows(self, seed: int, p_index: int, trials: Sequence[int], sizes, n_raw: int):
-        """Fault rows of ``trials``, each drawn from the start of its stream
-        as ``sizes`` (gate, readout) skip draws and then ``n_raw`` raw words;
-        the rows' trial column counts from 0.  Returns the gate rows, the
-        readout rows and the (3, trials) mask of the trials whose gate
-        draws, readout draws or raw words ran short.
-
-        A family's skips are raw words where numpy's geometric searches
-        (1/3 <= p < 1), else standard exponentials (:func:`_batch_positions`);
-        consecutive draws of one kind are one numpy call per trial.
-        """
-        model = self.config.model
-        families = ((self._gate_space, model.p_gate), (self._meas_space, model.p_meas))
-        count = len(trials)
-        # Whether each draw takes raw words (True) or standard exponentials,
-        # its columns in the array of its kind, and one (kind, first
-        # column, end) step per run of draws of one kind in stream order.
-        from_words = [1 / 3 <= p < 1 for _, p in families] + [True]
-        ends, cols, steps = [0, 0], [], []
-        for size, kind in zip((*sizes, n_raw), from_words):
-            lo = ends[kind]
-            ends[kind] += size
-            cols.append(slice(lo, ends[kind]))
-            if steps and steps[-1][0] == kind:
-                steps[-1][2] = ends[kind]
-            elif size:
-                steps.append([kind, lo, ends[kind]])
-        draws = (np.empty((count, ends[0])), np.empty((count, ends[1]), dtype=np.uint64))
-        steps = [(kind, draws[kind][:, lo:hi], hi - lo) for kind, lo, hi in steps]
-        # _trial_rng resets one reused generator, so its draw methods are
-        # bound once.
-        rng = self._trial_rng(seed, p_index, 0)
-        exponential, raw = rng.standard_exponential, rng.bit_generator.random_raw
-        for i, t in enumerate(trials):
-            self._trial_rng(seed, p_index, t)
-            for kind, out, n in steps:
-                if kind:
-                    out[i] = raw(n)
-                else:
-                    exponential(out=out[i])
-        (g_pos, k, g_short), (m_pos, m_k, m_short) = (
-            _batch_positions(draws[kind][:, at], total, p)
-            for (total, p), kind, at in zip(families, from_words, cols))
-        words = draws[1]
-        del draws, steps
-        trial = np.arange(count, dtype=self._rows)
-        meas = np.stack((np.repeat(trial, m_k), m_pos), axis=1, dtype=self._rows)
-        gate = np.empty((len(g_pos), 4), dtype=self._rows)
-        gate[:, 0] = np.repeat(trial, k)
-        gate[:, 1] = g_pos
-        del g_pos
-        gate[:, 2], gate[:, 3], w_short = _pauli_draws(words[:, cols[2]], k)
-        return gate, meas, np.stack((g_short, m_short, w_short))
+        gate, meas, _ = sampling.sample_batch(self, seed, p_index, trial, 1)
+        return self.run_reference(*sampling.injections(self, gate, meas))
 
     def run_injected(
         self,
@@ -1113,11 +868,21 @@ class ProtocolRunner:
 
     # ---- trial-batched engine ----------------------------------------------
 
-    def _execute(self, gate_faults, meas_faults, n_trials: int) -> list:
-        """Scatter a batch's sampled faults: ``gate_faults`` rows are
-        (trial, position, draw15, draw3) and ``meas_faults`` rows (trial,
-        position), positions as laid out by the gate and readout spaces.
+    def run_batch(self, seed: int, p_index: int, first: int, count: int) -> BatchOutcome:
+        """Trials ``first .. first + count - 1`` of the (seed, p index)
+        streams, sampled by :func:`sampling.sample_batch` and run as
+        :meth:`run_rows` runs them, but with no name holding the fault rows
+        through the rounds (0.33 MiB of peak at 1.6e-3)."""
+        return self._run_protocol_core(
+            self._execute(*sampling.sample_batch(self, seed, p_index, first, count)))
 
+    def run_rows(self, gate, meas, count: int) -> BatchOutcome:
+        """The batched engine on a batch of fault rows (see
+        :mod:`cssdistill.sampling`): the scatter, then both rounds."""
+        return self._run_protocol_core(self._execute(gate, meas, count))
+
+    def _execute(self, gate_faults, meas_faults, n_trials: int) -> list:
+        """Scatter a batch of fault rows (see :mod:`cssdistill.sampling`).
         Returns ``[e, f, hits1, hits2]`` for :meth:`_run_protocol_core`:
         the frames with the encoding faults applied (they start clean) and
         the round faults as each round's hits (see
@@ -1129,7 +894,7 @@ class ProtocolRunner:
         e, f = np.zeros((2, self.n_units, n_trials), dtype=self._word)
         trial, pos, draw15, draw3 = gate_faults.T
         m_trial, m_pos = meas_faults.T
-        (prep, (unit, loc)), *rounds = _decode(pos, self._gate_layout)
+        (prep, (unit, loc)), *rounds = sampling.decode(pos, self.gate_layout)
         draw = np.where(loc < self.n_enc_cnots, draw15[prep], draw3[prep])
         eff = self._enc_eff.reshape(-1, 2).take(loc * 15 + draw, axis=0)
         index = self._unit_pos.take(unit) * n_trials + trial[prep]
@@ -1139,7 +904,7 @@ class ProtocolRunner:
         hits = []
         for rnd, groups, (sel, (group, layer, qubit)), (m_sel, (m_group, m_slot, m_qubit)) in zip(
             (self.round1, self.round2), (self.groups1, self.groups2),
-            rounds, _decode(m_pos, self._meas_layout),
+            rounds, sampling.decode(m_pos, self.meas_layout),
         ):
             hits.append(rnd.fault_hits(group * n_trials + trial[sel], layer, qubit,
                                        _PAULI15_CODES.take(draw15[sel]),
@@ -1267,7 +1032,7 @@ class ProtocolRunner:
     def run_reference(self, prep, r1, r2) -> TrialOutcome:
         """Reference protocol cycle with the given fault injections: by unit
         for the preparations, by group for each round (see
-        :meth:`_injections`).
+        :func:`sampling.injections`).
 
         Walks each unit's encoder with :func:`run_noisy` and each group with
         :meth:`CompiledRound.run`; refill and regrouping are plain Python.
@@ -1310,26 +1075,3 @@ class ProtocolRunner:
         for slot in res.accepted_slots:
             frames[ids[slot]] = res.frames[slot]
         return [ids[slot] for slot in res.accepted_slots]
-
-    def _injections(self, gate, meas):
-        """One trial's gate and readout rows (see :meth:`_execute`) as fault
-        injections for :meth:`run_reference`, their positions decoded
-        against the gate and readout layouts (see :meth:`__init__`)."""
-        _, gate_pos, draw15, draw3 = gate.T
-        meas_pos = meas[:, 1]
-        enc_locs = self.enc_cnot_locs + self.enc_prep_locs
-        staged: tuple[dict[int, list[Fault]], ...] = ({}, {}, {})
-        (prep, (unit, loc)), *rounds = _decode(gate_pos, self._gate_layout)
-        for u, at, d15, d3 in zip(*(a.tolist() for a in (unit, loc, draw15[prep], draw3[prep]))):
-            pauli = PAULI_2Q[d15] if at < self.n_enc_cnots else PAULI_1Q[d3]
-            staged[0].setdefault(u, []).append(Fault(*enc_locs[at], pauli))
-        for faults, rnd, (sel, cnots), (_, reads) in zip(
-            staged[1:], (self.round1, self.round2), rounds, _decode(meas_pos, self._meas_layout)
-        ):
-            flip = "X" if rnd.round == 1 else "Z"
-            for group, layer, qubit, d15 in zip(*(c.tolist() for c in (*cnots, draw15[sel]))):
-                faults.setdefault(group, []).append(
-                    Fault(*rnd.cnot_location(layer, qubit), PAULI_2Q[d15]))
-            for group, slot, qubit in zip(*(c.tolist() for c in reads)):
-                faults.setdefault(group, []).append(Fault(*rnd.readout_location(slot, qubit), flip))
-        return tuple({k: FaultInjection(tuple(v)) for k, v in faults.items()} for faults in staged)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cssdistill import codes, distill, frames, gf2
+from cssdistill import codes, distill, frames, gf2, sampling
 from cssdistill.codes import LinearCode, build_code, registry
 from cssdistill.css import PauliElement, build_ancilla_spec, build_css, residual_weight
 from cssdistill.distill import (
@@ -342,7 +342,8 @@ class TestIdealPostselect:
         # The span check against the product oracle on one call of random
         # rows and of sparse ones: each column (stabilizer) is clean or
         # has the syndrome of a one- or two-unit error, often one shared
-        # error (a good pattern), so that both verdicts occur.
+        # error (a good pattern), so that both verdicts occur.  Repeats of
+        # 30 rows, shuffled in, are decided once and must map back.
         code = registry(name)
         rng = random.Random(zlib.crc32(f"{name}:{n_s}".encode()))
 
@@ -355,6 +356,8 @@ class TestIdealPostselect:
             cols = [0 if rng.random() < 0.6 else shared if rng.random() < 0.7
                     else unit_syndrome() ^ unit_syndrome() for _ in range(n_s)]
             groups.append([sum((col >> i & 1) << c for c, col in enumerate(cols)) for i in range(code.r)])
+        groups += rng.choices(groups, k=30)
+        rng.shuffle(groups)
         got = ideal_postselect(groups, code, n_s).tolist()
         want = [product_ideal_postselect(sigma, code, n_s) for sigma in groups]
         assert got == want
@@ -573,8 +576,8 @@ class TestRoundEngineEquivalence:
             self._check_injected(runner, self._random_faults(runner, 0.02, rng))
 
     def _check_injected(self, runner, rows):
-        got = runner._run_protocol_core(runner._execute(*rows)).outcome(0)
-        assert got == runner.run_reference(*runner._injections(*rows[:2]))
+        got = runner.run_rows(*rows).outcome(0)
+        assert got == runner.run_reference(*sampling.injections(runner, *rows[:2]))
 
     def test_bell_spec_two_block_units(self, golay_css):
         # Two-block ancilla units run on the batched kernel as 46-bit words.
@@ -606,13 +609,13 @@ def steane_runner():
 
 def _numpy_positions(rng, total, p):
     """Positions of a Bernoulli(p) process over [0, total) from numpy's own
-    geometric skips, drawn ``distill._chunk`` at a time until one ends past
+    geometric skips, drawn ``sampling._chunk`` at a time until one ends past
     the space."""
     if p <= 0.0 or total == 0:
         return np.zeros(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(total, dtype=np.int64)
-    chunk, parts, cur = distill._chunk(total, p), [], -1
+    chunk, parts, cur = sampling._chunk(total, p), [], -1
     while True:
         ends = rng.geometric(p, size=chunk).cumsum() + cur
         cut = int(ends.searchsorted(total))
@@ -623,19 +626,20 @@ def _numpy_positions(rng, total, p):
 
 
 def numpy_rows(runner, rngs):
-    """The oracle of ``ProtocolRunner._sample_batch``: each trial's faults
+    """The oracle of ``sampling.sample_batch``: each trial's faults
     drawn from its generator with numpy's own ``geometric`` skips over the
     gate space, then over the readout space, then ``integers(0, 15)`` and
     ``integers(0, 3)`` per gate fault, stacked as fault rows."""
     model, gate, meas = runner.config.model, [], []
     for t, rng in enumerate(rngs):
-        pos = _numpy_positions(rng, runner._gate_space, model.p_gate)
-        m_pos = _numpy_positions(rng, runner._meas_space, model.p_meas)
+        pos = _numpy_positions(rng, runner.gate_space, model.p_gate)
+        m_pos = _numpy_positions(rng, runner.meas_space, model.p_meas)
         draw15 = rng.integers(0, 15, size=len(pos))
         draw3 = rng.integers(0, 3, size=len(pos))
         gate.append(np.column_stack((np.full(len(pos), t), pos, draw15, draw3)))
         meas.append(np.column_stack((np.full(len(m_pos), t), m_pos)))
-    return np.concatenate(gate).astype(runner._rows), np.concatenate(meas).astype(runner._rows), t + 1
+    rows = runner.row_dtype
+    return np.concatenate(gate).astype(rows), np.concatenate(meas).astype(rows), t + 1
 
 
 # Failure rates: none, inversion geometric, search geometric, every location.
@@ -643,11 +647,12 @@ _RATES = st.one_of(st.just(0.0), st.floats(1e-6, 0.3), st.sampled_from([0.35, 1.
 
 
 class TestBatchSampling:
-    """``_sample_batch`` against numpy's per-trial draws, row for row."""
+    """``sampling.sample_batch`` against numpy's per-trial draws, row for
+    row."""
 
     def _check(self, runner, seed, p_index, first, count):
-        got = runner._sample_batch(seed, p_index, first, count)
-        want = numpy_rows(runner, (runner._trial_rng(seed, p_index, t)
+        got = sampling.sample_batch(runner, seed, p_index, first, count)
+        want = numpy_rows(runner, (runner.stream.at(seed, p_index, t)
                                    for t in range(first, first + count)))
         assert got[2] == want[2] == count
         for g, w in zip(got[:2], want[:2]):
@@ -676,7 +681,7 @@ class TestBatchSampling:
         # Chunks far too short for their spaces: most trials are drawn
         # again alone with more gate chunks, then more readout chunks, at
         # inversion and search rates, and spliced back in trial order.
-        monkeypatch.setattr(distill, "_chunk", lambda total, p: chunk)
+        monkeypatch.setattr(sampling, "_chunk", lambda total, p: chunk)
         for p_gate, p_meas in [(0.01, 0.05), (0.4, 1e-3), (2e-3, 0.5), (0.0, 0.3), (1.0, 0.02)]:
             runner = steane_runner.with_model(FailureModel(p_gate=p_gate, p_meas=p_meas))
             self._check(runner, 5, 2, 40, 12)
@@ -685,7 +690,7 @@ class TestBatchSampling:
         # A row flagged as out of nonzero uint32 values is drawn again alone
         # with twice the raw words until it is not; flagged here, with
         # garbage draws, for three trials until their words doubled twice.
-        real, widths = distill._pauli_draws, []
+        real, widths = sampling._pauli_draws, []
 
         def short_rows(raw, k):
             draw15, draw3, short = real(raw, k)
@@ -696,7 +701,7 @@ class TestBatchSampling:
             draw15[garbage] = draw3[garbage] = -1
             return draw15, draw3, short
 
-        monkeypatch.setattr(distill, "_pauli_draws", short_rows)
+        monkeypatch.setattr(sampling, "_pauli_draws", short_rows)
         self._check(steane_runner.with_model(FailureModel.uniform(0.05)), 3, 1, 100, 20)
         assert widths[1:] == [2 * widths[0], 4 * widths[0]] * 3
 
@@ -711,7 +716,7 @@ class TestBatchSampling:
             gen = np.random.Generator(np.random.Philox(key=key))
             draws = gen.bit_generator.random_raw((4, 500)) if searches else gen.standard_exponential((4, 500))
             for total in (300, 10**6):
-                pos, k, short = distill._batch_positions(draws, total, p)
+                pos, k, short = sampling._batch_positions(draws, total, p)
                 assert np.array_equal(pos, want[want < total])
                 assert k.tolist() == (want < total).sum(axis=1).tolist()
                 assert short.tolist() == [total == 10**6] * 4
@@ -724,7 +729,7 @@ class TestBatchSampling:
         for base in (steane_runner, _benchmark_runner(golay_css, "zero")):
             runner = base.with_model(FailureModel.uniform(p))
             for first in range(0, 40 * BATCH, BATCH):
-                gate, meas, _ = runner._sample_batch(3, 0, first, BATCH)
+                gate, meas, _ = sampling.sample_batch(runner, 3, 0, first, BATCH)
                 assert len(gate) == len(meas) == 0, (base.n, first)
 
     def test_long_chunk_falls_back(self):
@@ -733,7 +738,7 @@ class TestBatchSampling:
         # other row ends inside its chunk.
         exps = np.full((2, 16), 1e-9)
         exps[1, 3] = 50.0
-        pos, k, short = distill._batch_positions(exps, 100, 0.01)
+        pos, k, short = sampling._batch_positions(exps, 100, 0.01)
         assert short.tolist() == [True, False]
         assert k.tolist() == [16, 3]
         assert pos[16:].tolist() == [0, 1, 2]
@@ -751,7 +756,7 @@ class TestBatchSampling:
         exps[1, 2] = 2.0**64 * rate
         exps[2, 15] = 200.0 * rate
         exps[3] = 2.0 * rate
-        pos, k, short = distill._batch_positions(exps, total, p)
+        pos, k, short = sampling._batch_positions(exps, total, p)
         assert short.tolist() == [False, False, False, True]
         want = []
         for row in exps.tolist():
@@ -775,34 +780,10 @@ class TestBatchSampling:
                 [0, u(14, 15), 0, 0, 0, u(2, 3)],
                 [u(3, 15), 0, 0, 0, 0, 0]]
         raw = np.array(rows, dtype="<u4").view("<u8").astype(np.uint64)
-        draw15, draw3, short = distill._pauli_draws(raw, np.array([2, 1, 0, 1, 1]))
+        draw15, draw3, short = sampling._pauli_draws(raw, np.array([2, 1, 0, 1, 1]))
         assert short.tolist() == [False, False, False, False, True]
         assert draw15[:4].tolist() == [11, 4, 7, 14]
         assert draw3[:4].tolist() == [2, 1, 0, 2]
-
-
-def _single_fault_batches(runner, size=2048):
-    """Every single fault of the protocol as one-fault trials, in batches
-    of ``size``: 15 Paulis per CNOT, 3 per preparation and a flip per
-    readout.  Yields the arguments of ``_execute``."""
-    enc = np.arange(math.prod(runner._gate_layout[0]))
-    is_cnot = enc % runner.n_enc_locs < runner.n_enc_cnots
-    cnots = np.concatenate((enc[is_cnot], np.arange(len(enc), runner._gate_space)))
-    preps = enc[~is_cnot]
-    gate = np.concatenate((
-        np.column_stack((np.repeat(cnots, 15), np.tile(np.arange(15), len(cnots)),
-                         np.zeros(15 * len(cnots), np.int64))),
-        np.column_stack((np.repeat(preps, 3), np.zeros(3 * len(preps), np.int64),
-                         np.tile(np.arange(3), len(preps)))),
-    ))
-    reads = np.arange(runner._meas_space)
-    none_gate, none_meas = np.zeros((0, 4), np.int64), np.zeros((0, 2), np.int64)
-    for start in range(0, len(gate), size):
-        rows = gate[start:start + size]
-        yield np.column_stack((np.arange(len(rows)), rows)), none_meas, len(rows)
-    for start in range(0, len(reads), size):
-        rows = reads[start:start + size]
-        yield none_gate, np.column_stack((np.arange(len(rows)), rows)), len(rows)
 
 
 def _benchmark_runner(golay_css, kind):
@@ -907,8 +888,8 @@ def test_every_single_fault_is_benign(golay_css, kind, configurations):
     runner = _benchmark_runner(golay_css, kind)
     table = runner.spec.weight_table(4)
     seen = 0
-    for gate, meas, count in _single_fault_batches(runner):
-        batch = runner._run_protocol_core(runner._execute(gate, meas, count))
+    for gate, meas, count in sampling.single_faults(runner):
+        batch = runner.run_rows(gate, meas, count)
         seen += count
         assert not batch.aborted.any()
         assert not batch.rej1.any() and not batch.rej2.any()
@@ -916,6 +897,31 @@ def test_every_single_fault_is_benign(golay_css, kind, configurations):
             weights = table.weights(side, frames)
             assert ((weights >= 0) & (weights <= 1)).all(), side
     assert seen == configurations
+
+
+@pytest.mark.parametrize("kind,configurations", [("zero", 680_512), ("bell", 1_592_549)])
+def test_single_faults_enumerates_each_once(golay_css, kind, configurations):
+    # The enumeration behind test_every_single_fault_is_benign, without the
+    # kernel: one fault per trial, and as many distinct (space, position,
+    # Pauli) keys, each in range, as the protocol has single faults.
+    runner = _benchmark_runner(golay_css, kind)
+    enc, enc_cnots = runner.n_units * runner.n_enc_locs, runner.n_units * runner.n_enc_cnots
+    gate, meas = [], []
+    for g, m, count in sampling.single_faults(runner):
+        assert np.array_equal(np.concatenate((g[:, 0], m[:, 0])), np.arange(count))
+        gate.append(g[:, 1:])
+        meas.append(m[:, 1])
+    (pos, draw15, draw3), meas = (np.concatenate(rows).astype(np.int64).T for rows in (gate, meas))
+    is_cnot = (pos >= enc) | (pos % runner.n_enc_locs < runner.n_enc_cnots)
+    pauli = np.where(is_cnot, draw15, draw3)
+    assert (np.where(is_cnot, draw3, draw15) == 0).all()
+    assert ((pauli >= 0) & (pauli < np.where(is_cnot, 15, 3))).all()
+    assert ((pos >= 0) & (pos < runner.gate_space)).all()
+    assert ((meas >= 0) & (meas < runner.meas_space)).all()
+    keys = np.concatenate((pos * 15 + pauli, runner.gate_space * 15 + meas))
+    assert len(np.unique(keys)) == len(keys) == configurations
+    assert configurations == (15 * (runner.gate_space - enc + enc_cnots) + 3 * (enc - enc_cnots)
+                              + runner.meas_space)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -926,30 +932,23 @@ def test_sampled_multi_fault_audit(golay_css, k):
     # may keep residual weight above k (or beyond the table), and 30 of
     # the trials replayed on the reference give the batched outcome.
     runner = _benchmark_runner(golay_css, "zero")
-    assert (runner._gate_space, runner._meas_space) == (50_820, 5_152)
+    assert (runner.gate_space, runner.meas_space) == (50_820, 5_152)
     table = runner.spec.weight_table(4)
     rng = np.random.default_rng(1000 + k)
-    trials, size = 100_000, 2048
-    pos = rng.integers(0, runner._gate_space + runner._meas_space, (trials, k))
-    while len(repeat := np.flatnonzero((np.diff(np.sort(pos), axis=1) == 0).any(axis=1))):
-        pos[repeat] = rng.integers(0, runner._gate_space + runner._meas_space, (len(repeat), k))
-    draw15, draw3 = rng.integers(0, 15, (trials, k)), rng.integers(0, 3, (trials, k))
+    trials = 100_000
+    batches = sampling.k_faults(runner, k, trials, rng)
     replay = np.sort(rng.choice(trials, 30, replace=False))
-    for start in range(0, trials, size):
-        rows = slice(start, start + size)
-        count = len(pos[rows])
-        trial, at = np.repeat(np.arange(count), k), pos[rows].ravel()
-        gate = at < runner._gate_space
-        gate_rows = np.column_stack((trial[gate], at[gate], draw15[rows].ravel()[gate],
-                                     draw3[rows].ravel()[gate]))
-        meas_rows = np.column_stack((trial[~gate], at[~gate] - runner._gate_space))
-        batch = runner._run_protocol_core(runner._execute(gate_rows, meas_rows, count))
+    start = 0
+    for gate_rows, meas_rows, count in batches:
+        batch = runner.run_rows(gate_rows, meas_rows, count)
         for side, frames in (("x", batch.out_e), ("z", batch.out_f)):
             weights = table.weights(side, frames)
             assert ((weights >= 0) & (weights <= k)).all(), side
         for t in replay[(replay >= start) & (replay < start + count)] - start:
             g, m = gate_rows[gate_rows[:, 0] == t], meas_rows[meas_rows[:, 0] == t]
-            assert batch.outcome(t) == runner.run_reference(*runner._injections(g, m)), start + t
+            assert batch.outcome(t) == runner.run_reference(*sampling.injections(runner, g, m)), start + t
+        start += count
+    assert start == trials
 
 
 @pytest.mark.parametrize("round_", [1, 2])
@@ -1025,10 +1024,10 @@ def test_fault_positions_round_trip(golay_css, kind):
     # Every position of both fault spaces decodes into exactly one segment,
     # inside its shape, and its coordinates encode back to the position.
     runner = _benchmark_runner(golay_css, kind)
-    for layout, space in ((runner._gate_layout, runner._gate_space),
-                          (runner._meas_layout, runner._meas_space)):
+    for layout, space in ((runner.gate_layout, runner.gate_space),
+                          (runner.meas_layout, runner.meas_space)):
         pos = np.arange(space, dtype=np.int32)
-        parts = distill._decode(pos, layout)
+        parts = sampling.decode(pos, layout)
         assert len(parts) == len(layout)
         start = 0
         for shape, (sel, coords) in zip(layout, parts):
@@ -1219,7 +1218,7 @@ class TestRunProtocol:
             # (0, 0, 0, trial), the same in a fresh generator.
             fresh = np.random.Generator(np.random.Philox(key=[77, 3], counter=[0, 0, 0, t]))
             assert r2.run_trial(77, 3, t) == batch.outcome(t)
-            assert fresh.bit_generator.random_raw() == r2._trial_rng(77, 3, t).bit_generator.random_raw()
+            assert fresh.bit_generator.random_raw() == r2.stream.at(77, 3, t).bit_generator.random_raw()
 
     def test_dimension_validation(self, zero_spec):
         bch = registry("bch15_7_5")

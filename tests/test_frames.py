@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cssdistill import gf2
+from cssdistill import gf2, sampling
 from cssdistill.codes import build_code, registry
 from cssdistill.css import build_ancilla_spec, build_css
 from cssdistill.distill import DistillationConfig, ProtocolRunner, build_round_circuit
@@ -179,7 +179,7 @@ class TestSampleFailures:
     """The protocol runner's fault sampler against the model."""
 
     def test_zero_rates_empty(self, steane_runner):
-        gate, meas, count = steane_runner._sample_batch(0, 0, 0, 64)
+        gate, meas, count = sampling.sample_batch(steane_runner, 0, 0, 0, 64)
         assert count == 64 and len(gate) == len(meas) == 0
 
     def test_expected_cnot_fault_count(self, steane_runner):
@@ -188,9 +188,9 @@ class TestSampleFailures:
         trials = 4000
         for p in (0.01, 0.5):
             runner = steane_runner.with_model(FailureModel(p_gate=p, p_meas=0.0))
-            total = sum(len(runner._sample_batch(123, 0, first, 500)[0])
+            total = sum(len(sampling.sample_batch(runner, 123, 0, first, 500)[0])
                         for first in range(0, trials, 500))
-            n_locs = runner._gate_space  # CNOTs and preparations
+            n_locs = runner.gate_space  # CNOTs and preparations
             mean = trials * n_locs * p
             sigma = (trials * n_locs * p * (1 - p)) ** 0.5
             assert abs(total - mean) < 5 * sigma, p
@@ -199,11 +199,11 @@ class TestSampleFailures:
         # chi^2 over the 15 two-qubit fault classes of every CNOT, encoder
         # and rounds, as the runner's injections label them.
         runner = steane_runner.with_model(FailureModel(p_gate=1.0, p_meas=0.0))
-        gate, meas, _ = runner._sample_batch(7, 0, 0, 1000)
+        gate, meas, _ = sampling.sample_batch(runner, 7, 0, 0, 1000)
         assert len(meas) == 0
         counts = dict.fromkeys(PAULI_2Q, 0)
         for rows in np.split(gate, np.flatnonzero(np.diff(gate[:, 0])) + 1):
-            for stage in runner._injections(rows, meas):
+            for stage in sampling.injections(runner, rows, meas):
                 for inj in stage.values():
                     for fault in inj.items:
                         if len(fault.pauli) == 2:

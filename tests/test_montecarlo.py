@@ -78,6 +78,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=rf"^chunk_size: expected an integer >= 1, got {chunk_size}$"):
             run_experiment(comb_a_config, [1e-3], 10, seed=1, workers=1, chunk_size=chunk_size)
 
+    @pytest.mark.parametrize("kind", ["zero", "bell"], ids=["golay0-A-ref", "bell-A-nops"])
+    def test_w_cap_changes_no_counters(self, comb_a_config, kind):
+        # Residual weights 0..3 are bins of their own for any cap >= 3, and
+        # weight 4, heavier ones and those beyond the table share bin 4, so
+        # no counter depends on w_cap.  The benchmark configs, with outputs
+        # in bin 4.
+        config = dataclasses.replace(comb_a_config, n_extra=6)
+        if kind == "bell":
+            golay = config.spec.blocks[0]
+            config = dataclasses.replace(config, spec=build_ancilla_spec([golay, golay], "bell"),
+                                         code_d1=None, code_d2=None)
+        per_p = [[s.to_dict() for s in run_experiment(config, [4e-4, 1.6e-3], 3000, seed=5, workers=1,
+                                                       w_cap=w_cap).per_p]
+                 for w_cap in (3, 4, 5)]
+        assert per_p[0] == per_p[1] == per_p[2]
+        assert per_p[0][1]["hist_x"][4] + per_p[0][1]["hist_z"][4]
+
     def test_histogram_conservation(self, comb_a_config):
         stats = run_experiment(comb_a_config, [2e-3], 150, seed=3, workers=2)
         s = stats.per_p[0]
