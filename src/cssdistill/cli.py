@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import codes as codes_mod
@@ -92,37 +92,20 @@ def _code(value, name):
     return _registry_name(value, name)
 
 
-_css_keys = _object(cx=_code, cz=_code, cx_file=_path, cz_file=_path)
-
-
-def _css(value, name):
-    """Codes ``cx``/``cz`` (golay23 by default), or the ``cx_file``/``cz_file`` pair."""
-    value = _css_keys(value, name)
-    files = [key for key in ("cx_file", "cz_file") if key in value]
-    for key in ("cx_file", "cz_file", "cx", "cz") if files else ():
-        if (key in value) != key.endswith("_file"):
-            rule = "required" if key.endswith("_file") else "not allowed"
-            raise ConfigError(f"{name}.{key}: {rule} with {name}.{files[0]}")
-    return value
-
-
 def _detecting(value, name):
-    """A postselection code, or "none" (also null) or "ideal"."""
-    return value if value in (None, "none", "ideal") else _code(value, name)
+    """A postselection code, "none" or "ideal"."""
+    return value if value in ("none", "ideal") else _code(value, name)
 
 
-# Every ExperimentConfig field and its check.  Three rules need more than
-# the field: c1/c2 are given exactly when combination is null, d1/d2 keep
-# their defaults or say "ideal" under ideal_postselection (__post_init__),
+# Every ExperimentConfig field and its check.  Two rules need more than the
+# field: c1/c2 are given exactly when combination is null (__post_init__),
 # and ancilla.i/j must be below the code's k (build_spec).
 FIELDS = {
-    "css": _css,
+    "css": _object(cx=_code, cz=_code),
     "ancilla": _object(kind=_string, i=lambda v, name: v, j=lambda v, name: v,
                        basis=_rule("'Z' or 'X'", lambda v: v in ("Z", "X"))),
-    "combination": _nullable(_rule(
-        f"one of {list(COMBINATIONS)} or 'name1+name2' of registry names",
-        lambda v: isinstance(v, str) and (v in COMBINATIONS or v.count("+") == 1
-                                          and set(v.split("+")) <= set(codes_mod.REGISTRY_NAMES)))),
+    "combination": _nullable(_rule(f"one of {list(COMBINATIONS)}",
+                                   lambda v: isinstance(v, str) and v in COMBINATIONS)),
     "c1": _nullable(_code),
     "c2": _nullable(_code),
     "d1": _detecting,
@@ -140,7 +123,6 @@ FIELDS = {
     # about threefold per step of the cap, and beyond 5 it costs seconds
     # and hundreds of MiB on a two-block ancilla.
     "w_cap": _integer(3, 5),
-    "ideal_postselection": _rule("true or false", lambda v: isinstance(v, bool)),
     "out": _nullable(_string),
 }
 
@@ -156,14 +138,13 @@ class ExperimentConfig:
     combination: str | None = None
     c1: str | dict | None = None
     c2: str | dict | None = None
-    d1: str | dict | None = "golay23"
-    d2: str | dict | None = "golay23_dual"
+    d1: str | dict = "golay23"
+    d2: str | dict = "golay23_dual"
     p_grid: list = field(default_factory=lambda: [4e-4, 8e-4, 1.6e-3])
     trials_per_p: int = 10_000
     n_extra: int = 2
     seed: int = 0
     w_cap: int = 4
-    ideal_postselection: bool = False
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -172,19 +153,12 @@ class ExperimentConfig:
         for name in ("c1", "c2"):
             if (getattr(self, name) is None) == (self.combination is None):
                 raise ConfigError(f"{name}: set both c1 and c2, or a combination, not both")
-        # ideal_postselection replaces both detecting codes: any other code
-        # given would go unused.
-        for f in fields(self) if self.ideal_postselection else ():
-            value = getattr(self, f.name)
-            if f.name in ("d1", "d2") and value not in (f.default, "ideal"):
-                raise ConfigError(f"{f.name}: expected {f.default!r} or 'ideal' with "
-                                  f"ideal_postselection true, got {value!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
+        unknown = sorted(set(d) - set(FIELDS))
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"{unknown[0]}: unknown config field; expected one of {list(FIELDS)}")
         return cls(**d)
 
     def to_dict(self) -> dict:
@@ -215,11 +189,7 @@ def _load_classical(value, fieldname: str) -> LinearCode:
 
 
 def build_spec(cfg: ExperimentConfig) -> AncillaSpec:
-    cx, cz = (
-        _load_classical({"file": cfg.css[f"{key}_file"]}, f"css.{key}_file") if "cx_file" in cfg.css
-        else _load_classical(cfg.css.get(key, "golay23"), f"css.{key}")
-        for key in ("cx", "cz")
-    )
+    cx, cz = (_load_classical(cfg.css.get(key, "golay23"), f"css.{key}") for key in ("cx", "cz"))
     try:
         quantum = build_css(cx, cz)
     except ValueError as exc:
@@ -248,12 +218,9 @@ def build_distillation_config(cfg: ExperimentConfig, p: float = 0.0) -> Distilla
     such as one beyond the batched kernel, raises ConfigError naming its
     field."""
     spec = build_spec(cfg)
-    c1, c2 = cfg.c1, cfg.c2
-    if cfg.combination:
-        c1, c2 = COMBINATIONS.get(cfg.combination) or cfg.combination.split("+", 1)
+    c1, c2 = COMBINATIONS[cfg.combination] if cfg.combination else (cfg.c1, cfg.c2)
     d1, d2 = (
-        "ideal" if cfg.ideal_postselection or value == "ideal"
-        else None if value in (None, "none") else _load_classical(value, name)
+        value if value == "ideal" else None if value == "none" else _load_classical(value, name)
         for value, name in ((cfg.d1, "d1"), (cfg.d2, "d2"))
     )
     code_c1, code_c2 = _load_classical(c1, "c1"), _load_classical(c2, "c2")
@@ -273,11 +240,13 @@ _Z_BINS = (("pz_w1", 1), ("pz_w2", 2), ("pz_w3", 3))
 
 
 def metric_rows(stats: RunStats) -> list[dict]:
-    """One row per (p, metric): value, Wilson 95% bounds, count."""
+    """One row per (p, metric): value, Wilson 95% bounds, count.  The
+    effective rates invert the weight model at the block code's t, P_X(>t)
+    and P_Z(t), which the exact bins 0..3 resolve only for t <= 3; a code
+    with t = 0 has neither them nor a naive yield."""
     rows = []
     meta = stats.meta
-    n = meta["n"]
-    t = 3
+    n, t = meta["n"], meta["t"]
     for s in stats.per_p:
         def emit(metric, count, total):
             if total:
@@ -294,9 +263,11 @@ def metric_rows(stats: RunStats) -> list[dict]:
         emit("abort", s.aborted, s.trials)
         y_ft, y_naive = yields(s, meta, t=t)
         rows.append(dict(p=s.p, metric="yield_ft", value=y_ft, ci_lo=None, ci_hi=None, count=None))
-        rows.append(dict(p=s.p, metric="yield_naive", value=y_naive, ci_lo=None, ci_hi=None, count=None))
-        if s.accepted:
-            px_gt = (s.hist_x[4]) / s.accepted
+        if y_naive is not None:
+            rows.append(dict(p=s.p, metric="yield_naive", value=y_naive, ci_lo=None, ci_hi=None,
+                             count=None))
+        if s.accepted and 1 <= t <= 3:
+            px_gt = sum(s.hist_x[t + 1:]) / s.accepted
             if 0 < px_gt < 1:
                 rows.append(dict(p=s.p, metric="p_eff_x", ci_lo=None, ci_hi=None, count=None,
                                  value=effective_rate(px_gt, n, t, "tail")))

@@ -412,17 +412,22 @@ def ideal_postselect(
     column of every product of the n_s stabilizers is the XOR of its
     factors' bits.  With s_i stabilizer i's syndrome, V their span and D
     the column decoder, that is exactly bit j of D being linear on V, D(v ^
-    s_i) = D(v) ^ D(s_i) for all v in V and all i, checked once per
-    distinct row in O(n_s 2^r_c), not O(n_s 2^n_s) over the products.
+    s_i) = D(v) ^ D(s_i) for all v in V and all i, in O(n_s 2^r_c), not
+    O(n_s 2^n_s) over the products.  That depends only on the set of
+    nonzero s_i, so it is checked once per distinct set, without its zero
+    generators.
     """
     table = code_c.systematic_table
     cells = np.arange(len(table))
-    rows, inverse = np.unique(np.asarray(sigma, dtype=np.int64), axis=0, return_inverse=True)
-    singles = _bit_transpose(rows, n_s).astype(np.intp)
-    bad = np.zeros(len(singles), dtype=np.int64)
+    singles = _bit_transpose(np.asarray(sigma, dtype=np.int64), n_s).astype(np.intp)
+    singles.sort(axis=1)
+    singles[:, 1:][singles[:, 1:] == singles[:, :-1]] = 0
+    sets, inverse = np.unique(np.sort(singles, axis=1), axis=0, return_inverse=True)
+    bad = np.zeros(len(sets), dtype=np.int64)
     step = max(1, _SPAN_CELLS >> code_c.r)
-    for lo in range(0, len(singles), step):
-        gens = singles[lo:lo + step, :, None]
+    for lo in range(0, len(sets), step):
+        gens = sets[lo:lo + step]
+        gens = gens[:, gens.any(axis=0), None]
         member = np.zeros((len(gens), len(table)), dtype=bool)
         member[:, 0] = True
         for s in gens.swapaxes(0, 1):

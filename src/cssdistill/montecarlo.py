@@ -118,10 +118,12 @@ class RunStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunStats":
-        meta = dict(d["meta"])
-        for key in ("n", "k_c1", "n_c1", "k_c2", "n_c2"):  # what metric_rows and yields read
-            if type(meta.get(key)) is not int or meta[key] < 1:
-                raise ValueError(f"meta.{key}: expected an integer >= 1, got {meta.get(key)!r}")
+        # Results written before t was recorded were analysed with t = 3.
+        meta = {"t": 3, **d["meta"]}
+        for key in ("n", "k_c1", "n_c1", "k_c2", "n_c2", "t"):  # what metric_rows and yields read
+            low = 0 if key == "t" else 1
+            if type(meta.get(key)) is not int or meta[key] < low:
+                raise ValueError(f"meta.{key}: expected an integer >= {low}, got {meta.get(key)!r}")
         return cls(meta=meta, per_p=[PStats.from_dict(x) for x in d["per_p"]])
 
     @classmethod
@@ -245,6 +247,8 @@ def run_experiment(
     meta = {
         "kind": spec.kind,
         "n": spec.blocks[0].n,
+        # The errors every block corrects, on both sides.
+        "t": min(min(block.code_x.t, block.code_z.t) for block in spec.blocks),
         "k_c1": config.code_c1.k,
         "n_c1": config.code_c1.n,
         "k_c2": config.code_c2.k,
@@ -342,14 +346,15 @@ def slope_fit(points: list[tuple[float, float]]) -> FitResult:
     return FitResult(slope=slope, intercept=intercept, stderr=stderr)
 
 
-def yields(stats: PStats, meta: dict, t: int) -> tuple[float, float]:
+def yields(stats: PStats, meta: dict, t: int) -> tuple[float, float | None]:
     """(Yield_FT, Yield_naive).
 
     Yield_FT applies the counted per-round rejection rates to the ideal
     k1 k2 / (n1 n2) throughput; the naive verification benchmark needs
-    t^2 + t identically prepared blocks per qualified ancilla.
+    t^2 + t identically prepared blocks per qualified ancilla, so it has no
+    yield (None) for a code with t = 0.
     """
     base = (meta["k_c1"] * meta["k_c2"]) / (meta["n_c1"] * meta["n_c2"])
     yield_ft = base * (1.0 - stats.r1) * (1.0 - stats.r2)
-    yield_naive = 1.0 / (t * t + t)
+    yield_naive = 1.0 / (t * t + t) if t else None
     return yield_ft, yield_naive

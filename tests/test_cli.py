@@ -1,6 +1,8 @@
 import json
+import re
 from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from cssdistill.cli import (
     parse_scenario,
 )
 from cssdistill.distill import ProtocolRunner
-from cssdistill.montecarlo import RunStats, PStats
+from cssdistill.montecarlo import PStats, RunStats, effective_rate
 
 
 def write_config(tmp_path, **overrides):
@@ -39,7 +41,7 @@ class TestConfig:
         assert again == cfg
 
     def test_unknown_field(self):
-        with pytest.raises(ConfigError, match="unknown config fields"):
+        with pytest.raises(ConfigError, match="^frobnicate: unknown config field; expected one of"):
             ExperimentConfig.from_dict({"frobnicate": 1})
 
     @pytest.mark.parametrize("name", list(COMBINATIONS))
@@ -51,7 +53,10 @@ class TestConfig:
         assert dc.code_d1.name == "golay23" and dc.code_d2.name == "golay23_dual"
 
     def test_plus_syntax(self):
-        cfg = ExperimentConfig(combination="rep3+rep3", trials_per_p=1)
+        # "name1+name2" is no combination: c1 and c2 name an arbitrary pair.
+        with pytest.raises(ConfigError, match="^combination: expected one of"):
+            ExperimentConfig(combination="rep3+rep3")
+        cfg = ExperimentConfig(c1="rep3", c2="rep3", trials_per_p=1)
         dc = build_distillation_config(cfg)
         assert dc.code_c1.name == "rep3" and dc.code_c2.name == "rep3"
 
@@ -66,7 +71,7 @@ class TestConfig:
         assert dc.code_d1 is None and dc.code_d2 is None
 
     def test_ideal_flag(self):
-        cfg = ExperimentConfig(combination="D", ideal_postselection=True)
+        cfg = ExperimentConfig(combination="D", d1="ideal", d2="ideal")
         dc = build_distillation_config(cfg)
         assert dc.code_d1 == "ideal" and dc.code_d2 == "ideal"
 
@@ -101,6 +106,7 @@ class TestSimulate:
         assert "yield_ft" in out
         data = json.loads((tmp_path / "res.json").read_text())
         stats = RunStats.from_dict(data)
+        assert data["meta"]["t"] == 3
         assert stats.per_p[0].accepted == 4 * 49
         assert stats.per_p[0].hist_x[0] == 4 * 49
         y = [r for r in metric_rows(stats) if r["metric"] == "yield_ft"]
@@ -144,30 +150,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
         assert f"error: {named}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["c1", "c2", "d1", "d2", "css.cx_file", "css.cz_file"])
+    @pytest.mark.parametrize("field", ["c1", "c2", "d1", "d2", "css.cx", "css.cz"])
     @pytest.mark.parametrize("path", [2**20, None], ids=["descriptor", "null"])
     def test_code_file_must_be_a_path(self, tmp_path, capsys, field, path):
         # An integer would open as a file descriptor (2**20 is not an open
         # one, so nothing is read from or closed in this process).
-        code = tmp_path / "rep3.txt"
-        code.write_text("d=3\n2 3\n110\n011\n")
         cfg = {"combination": None, "c1": "rep3", "c2": "rep3", "p_grid": [0.0]}
         if field.startswith("css."):
-            cfg["css"] = {"cx_file": str(code), "cz_file": str(code)}
-            cfg["css"][field[4:]] = path
+            cfg["css"] = {field[4:]: {"file": path}}
         else:
             cfg[field] = {"file": path}
         cfg_path = write_config(tmp_path, **cfg)
         assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
         assert f"error: {field}: expected a file path, got {path!r}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("given,missing", [("cx_file", "cz_file"), ("cz_file", "cx_file")])
-    def test_half_file_pair_names_missing_field(self, tmp_path, capsys, given, missing):
-        code = tmp_path / "rep3.txt"
-        code.write_text("d=3\n2 3\n110\n011\n")
-        cfg_path = write_config(tmp_path, css={given: str(code)})
-        assert main(["simulate", "--config", str(cfg_path), "--workers", "1"]) == 1
-        assert f"error: css.{missing}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("ancilla,field", [
         ({"kind": "zero", "frob": 1}, "frob"),
@@ -263,8 +258,8 @@ class TestSimulate:
         assert not out.exists()
 
     # Inputs that were silently ignored or misread: each must exit 1 naming
-    # the field.  GOLAY is a path, so css.cx beside the file pair is the
-    # only fault of that case.
+    # the field.  ideal_postselection and the css file keys are no longer
+    # fields, whatever their value and whatever sits beside them.
     @pytest.mark.parametrize("overrides,named", [
         ({"ideal_postselection": "yes"}, "ideal_postselection"),
         ({"ideal_postselection": "false"}, "ideal_postselection"),
@@ -272,8 +267,8 @@ class TestSimulate:
         ({"css": {"cx": "golay23", "cz": "golay23", "frob": 1}}, "css.frob"),
         ({"combination": None, "c1": {"file": "GOLAY", "frob": 1}, "c2": "rep3"}, "c1.frob"),
         ({"combination": None, "c1": {"file": "GOLAY", "name": 5}, "c2": "rep3"}, "c1.name"),
-        ({"css": {"cx": "golay23", "cx_file": "GOLAY", "cz_file": "GOLAY"}}, "css.cx"),
-        ({"css": {"cz": "golay23", "cx_file": "GOLAY", "cz_file": "GOLAY"}}, "css.cz"),
+        ({"css": {"cx": "golay23", "cx_file": "GOLAY", "cz_file": "GOLAY"}}, "css.cx_file"),
+        ({"css": {"cz": "golay23", "cz_file": "GOLAY", "cx_file": "GOLAY"}}, "css.cz_file"),
         ({"c1": "rep5"}, "c1"),
         ({"c2": "rep5"}, "c2"),
         ({"w_cap": 0}, "w_cap"),
@@ -304,17 +299,22 @@ BAD_FIELD_VALUES = {
     "n_extra": ({"n_extra": -1}, "n_extra"),
     "seed": ({"seed": "abc"}, "seed"),
     "w_cap": ({"w_cap": 2}, "w_cap"),
-    "ideal_postselection": ({"ideal_postselection": "yes"}, "ideal_postselection"),
     "out": ({"out": 5}, "out"),
 }
 # Further bad values, each with the field its message names.
 MORE_BAD_VALUES = {
     # The Golay Bell weight table peaks at 45 MiB at cap 4 and 166 MiB at 5.
     "w_cap-high": ({"w_cap": 6}, "w_cap"),
-    # ideal_postselection replaces d1/d2, so a code given there would go
-    # unchecked and unused.
-    "ideal-with-d2": ({"ideal_postselection": True, "d2": "rep3"}, "d2"),
-    "ideal-with-d1-none": ({"ideal_postselection": True, "d1": "none"}, "d1"),
+    # A choice has one spelling, so these are refused by name: ideal
+    # postselection is d1/d2 "ideal", a code file css.cx/cz {"file": path},
+    # a code pair c1/c2, and no postselection "none".
+    "ideal_postselection": ({"ideal_postselection": True}, "ideal_postselection"),
+    "ideal-with-d2": ({"ideal_postselection": True, "d2": "rep3"}, "ideal_postselection"),
+    "ideal-with-d1-none": ({"ideal_postselection": True, "d1": "none"}, "ideal_postselection"),
+    "css-cx_file": ({"css": {"cx_file": "golay23.txt", "cz_file": "golay23.txt"}}, "css.cx_file"),
+    "combination-plus": ({"combination": "rep3+rep3"}, "combination"),
+    "d1-null": ({"d1": None}, "d1"),
+    "d2-null": ({"d2": None}, "d2"),
     # The seed is a Philox key word: 2**64 would give seed 0's samples.
     "seed-2**64": ({"seed": 2**64}, "seed"),
     "seed-negative": ({"seed": -1}, "seed"),
@@ -324,6 +324,16 @@ MORE_BAD_VALUES = {
 def test_schema_covers_every_field():
     names = {f.name for f in fields(ExperimentConfig)}
     assert set(cli.FIELDS) == names and set(BAD_FIELD_VALUES) == names
+
+
+def test_readme_table_lists_every_field():
+    # The first cell of each row of README's "Config fields" table names
+    # its fields, in the dataclass's order.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Config fields\n", 1)[1].split("\n#", 1)[0]
+    names = [name for line in section.splitlines() if line.startswith("| `")
+             for name in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert names == list(cli.FIELDS) == [f.name for f in fields(ExperimentConfig)]
 
 
 @pytest.mark.parametrize("command", ["simulate", "inject"])
@@ -373,7 +383,7 @@ def test_config_beyond_the_kernel_exits_1(tmp_path, capsys, monkeypatch, command
     else:
         n = int(case.split("-")[1])
         code = _padded_steane(tmp_path, n)
-        overrides.update(css={"cx_file": code, "cz_file": code},
+        overrides.update(css={"cx": {"file": code}, "cz": {"file": code}},
                          ancilla={"kind": case.split("-")[0]})
     cfg_path = write_config(tmp_path, **overrides)
     scen = tmp_path / "empty.txt"
@@ -566,6 +576,26 @@ class TestAnalyze:
         wx = (tmp_path / "out" / "weights_x.csv").read_text().strip().splitlines()
         assert len(wx) == 1  # header only: absent, not zero
 
+    @pytest.mark.parametrize("t", [0, 1, 3, 4])
+    def test_metric_rows_read_t_from_meta(self, t):
+        # The counters of a Steane run (hamming7 blocks, t = 1, no
+        # postselection, 2,000 trials at 4e-3); every t reads its own bins.
+        s = PStats(p=4e-3, trials=2000, accepted=2000, cand1=10000, cand2=2000,
+                   hist_x=[1767, 201, 30, 2, 0], hist_z=[1890, 110, 0, 0, 0])
+        meta = {**self._fake_stats([s]).meta, "n": 7, "t": t}
+        rows = {r["metric"]: r["value"] for r in metric_rows(RunStats(meta=meta, per_p=[s]))}
+        want = {
+            0: {},
+            1: {"yield_naive": 1 / 2, "p_eff_x": effective_rate(32 / 2000, 7, 1, "tail"),
+                "p_eff_z": effective_rate(110 / 2000, 7, 1, "point")},
+            3: {"yield_naive": 1 / 12},  # bins 4 and 3 are empty
+            4: {"yield_naive": 1 / 20},  # beyond the exact bins
+        }[t]
+        assert {m: v for m, v in rows.items() if m in ("yield_naive", "p_eff_x", "p_eff_z")} == want
+        # A results file written before t was recorded reads as t = 3.
+        del meta["t"]
+        assert RunStats.from_dict({"meta": meta, "per_p": [s.to_dict()]}).meta["t"] == 3
+
     def test_malformed_results(self, tmp_path):
         res = tmp_path / "r.json"
         res.write_text("{}")
@@ -580,8 +610,9 @@ class TestAnalyze:
         lambda d: {**d, "per_p": [{**d["per_p"][0], "p": None}]},
         lambda d: {**d, "meta": {}},
         lambda d: {**d, "meta": {**d["meta"], "k_c1": "7"}},
+        lambda d: {**d, "meta": {**d["meta"], "t": -1}},
     ], ids=["list", "per_p-number", "hist-number", "hist-short", "counter-string", "p-null",
-            "meta-empty", "meta-string"])
+            "meta-empty", "meta-string", "t-negative"])
     def test_results_not_shaped_like_runstats(self, tmp_path, capsys, edit):
         stats = self._fake_stats([PStats(p=1e-3, trials=10, accepted=1, hist_x=[1, 0, 0, 0, 0],
                                          hist_z=[1, 0, 0, 0, 0])])

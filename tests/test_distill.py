@@ -343,19 +343,30 @@ class TestIdealPostselect:
         # rows and of sparse ones: each column (stabilizer) is clean or
         # has the syndrome of a one- or two-unit error, often one shared
         # error (a good pattern), so that both verdicts occur.  Repeats of
-        # 30 rows, shuffled in, are decided once and must map back.
+        # 30 rows, and 30 rows each with their columns permuted or one
+        # column copied over another, shuffled in, are decided once per set
+        # of columns and must map back.
         code = registry(name)
         rng = random.Random(zlib.crc32(f"{name}:{n_s}".encode()))
 
         def unit_syndrome():  # of one unit in the check slots' coordinates
             u = rng.randrange(code.n)
             return 1 << u if u < code.r else code.a.column(u - code.r)
+
+        def rows(cols):
+            return [sum((col >> i & 1) << c for c, col in enumerate(cols)) for i in range(code.r)]
         groups = [[rng.getrandbits(n_s) for _ in range(code.r)] for _ in range(40)]
         for _ in range(60):
             shared = unit_syndrome() ^ unit_syndrome()
-            cols = [0 if rng.random() < 0.6 else shared if rng.random() < 0.7
-                    else unit_syndrome() ^ unit_syndrome() for _ in range(n_s)]
-            groups.append([sum((col >> i & 1) << c for c, col in enumerate(cols)) for i in range(code.r)])
+            groups.append(rows([0 if rng.random() < 0.6 else shared if rng.random() < 0.7
+                                else unit_syndrome() ^ unit_syndrome() for _ in range(n_s)]))
+        for sigma in rng.choices(groups, k=30):
+            cols = [sum((row >> c & 1) << i for i, row in enumerate(sigma)) for c in range(n_s)]
+            rng.shuffle(cols)
+            groups.append(rows(cols))
+            src, dst = rng.sample(range(n_s), 2)
+            cols[dst] = cols[src]
+            groups.append(rows(cols))
         groups += rng.choices(groups, k=30)
         rng.shuffle(groups)
         got = ideal_postselect(groups, code, n_s).tolist()
