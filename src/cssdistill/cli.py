@@ -92,9 +92,13 @@ def _code(value, name):
     return _registry_name(value, name)
 
 
+_detecting_name = _rule("'none', 'ideal', a registry name or {'file': path}",
+                        lambda v: v in ("none", "ideal", *codes_mod.REGISTRY_NAMES))
+
+
 def _detecting(value, name):
     """A postselection code, "none" or "ideal"."""
-    return value if value in ("none", "ideal") else _code(value, name)
+    return _code(value, name) if isinstance(value, dict) else _detecting_name(value, name)
 
 
 # Every ExperimentConfig field and its check.  Two rules need more than the

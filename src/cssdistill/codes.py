@@ -82,10 +82,6 @@ class LinearCode:
             raise ValueError("length mismatch")
         return int(self.syndrome_table[s])
 
-    def codewords(self):
-        """All 2^k codewords (packed ints); only sensible for small k."""
-        return gf2.iter_row_space(self.g)
-
 
 def _verify_distance(h: BitMatrix, g: BitMatrix, d: int, t: int) -> None:
     """Raise ``ValueError`` when a nonzero codeword is lighter than d: all of

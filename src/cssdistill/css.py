@@ -11,7 +11,7 @@ generalized syndrome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,19 +75,10 @@ def build_css(code_x: LinearCode, code_z: LinearCode) -> CssCode:
                 v ^= red_x.data[r_idx]
         return v
 
-    echelon: dict[int, int] = {}
-    d_rows = []
-    for g_row in code_z.g.data:
-        v0 = reduce_mod_hx(g_row)
-        v = v0
-        while v:
-            p = v.bit_length() - 1
-            if p in echelon:
-                v ^= echelon[p]
-            else:
-                echelon[p] = v
-                d_rows.append(v0)
-                break
+    # The pivots of the rref of [H_X; G_Z]^T past H_X's rows are the G_Z
+    # rows outside the span of the rows above them.
+    _, pivots, _ = gf2.rref(h_x.vstack(code_z.g).transpose())
+    d_rows = [reduce_mod_hx(code_z.g.data[p - h_x.rows]) for p in pivots if p >= h_x.rows]
     if len(d_rows) != k:
         raise ValueError("logical extraction failed")
     d_mat = BitMatrix(k, n, tuple(d_rows))
@@ -126,9 +117,6 @@ class PauliElement:
         for xa, za, xb, zb in zip(self.x, self.z, other.x, other.z):
             acc ^= (xa & zb).bit_count() ^ (za & xb).bit_count()
         return acc % 2 == 0
-
-    def weight(self) -> int:
-        return sum((xa | za).bit_count() for xa, za in zip(self.x, self.z))
 
     def syndrome_bit(self, e: tuple[int, ...], f: tuple[int, ...]) -> int:
         """1 iff this element anticommutes with the frame error X^e Z^f."""
@@ -174,7 +162,6 @@ class AncillaSpec:
     gen_counts2: tuple[int, ...]
     correctors1: tuple[PauliElement, ...]
     correctors2: tuple[PauliElement, ...]
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -196,19 +183,7 @@ class AncillaSpec:
         return self.s1 + self.s2
 
     def weight_table(self, w_cap: int = 4) -> "WeightTable":
-        tab = self._tables.get(w_cap)
-        if tab is None:
-            tab = WeightTable(self, w_cap)
-            self._tables[w_cap] = tab
-        return tab
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_tables"] = {}  # weight tables rebuild cheaply; keep pickles small
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        return WeightTable(self, w_cap)
 
 
 def _round_sets_for_kind(css_blocks, kind, i, j, basis):

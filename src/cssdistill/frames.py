@@ -51,18 +51,6 @@ class PauliFrame:
     def copy(self) -> "PauliFrame":
         return PauliFrame(self.ns, list(self.e), list(self.f))
 
-    def xor(self, other: "PauliFrame") -> "PauliFrame":
-        if self.ns != other.ns:
-            raise ValueError("shape mismatch")
-        return PauliFrame(
-            self.ns,
-            [a ^ b for a, b in zip(self.e, other.e)],
-            [a ^ b for a, b in zip(self.f, other.f)],
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.e) and not any(self.f)
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -101,9 +89,6 @@ class Circuit:
         for s, step in enumerate(self.steps):
             for g, gate in enumerate(step):
                 yield s, g, gate
-
-    def count(self, kind: str) -> int:
-        return sum(1 for _, _, g in self.gates() if g.kind == kind)
 
 
 @dataclass(frozen=True)

@@ -125,26 +125,17 @@ def systematic_form(h: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
 
     Returns ``(A, col_perm)`` such that permuting H's columns by ``col_perm``
     (column j of the permuted matrix is column ``col_perm[j]`` of H) and row
-    reducing yields ``[I_r | A]``.  ``col_perm`` is the identity whenever the
-    first r columns already carry the pivots.
+    reducing yields ``[I_r | A]``.  ``col_perm`` lists H's pivot columns,
+    then its free ones, so it is the identity whenever the first r columns
+    already carry the pivots.  The rref of H holds I_r in its pivot columns,
+    so A is its free columns.
     """
     red, pivots, rnk = rref(h)
     if rnk < h.rows:
         raise ValueError("not full rank")
     free = [c for c in range(h.cols) if c not in set(pivots)]
-    perm = tuple(pivots) + tuple(free)
-    if perm != tuple(range(h.cols)):
-        red, pivots2, _ = rref(h.permute_columns(perm))
-        assert pivots2 == tuple(range(h.rows))
-    a_cols = range(h.rows, h.cols)
-    a_rows = []
-    for r in red.data:
-        bits = 0
-        for jo, c in enumerate(a_cols):
-            if (r >> c) & 1:
-                bits |= 1 << jo
-        a_rows.append(bits)
-    return BitMatrix(h.rows, h.cols - h.rows, tuple(a_rows)), perm
+    a_rows = tuple(sum(((r >> c) & 1) << j for j, c in enumerate(free)) for r in red.data)
+    return BitMatrix(h.rows, h.cols - h.rows, a_rows), tuple(pivots) + tuple(free)
 
 
 def mat_vec(m: BitMatrix, v: int) -> int:
@@ -195,26 +186,15 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
 
 
 def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse of a nonsingular square matrix over GF(2)."""
+    """Inverse of a nonsingular square matrix over GF(2), read off the rref
+    of [M | I]; M is singular exactly when a pivot falls in I."""
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    aug = [m.data[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
-    for c in range(n):
-        sel = -1
-        for i in range(r, n):
-            if (aug[i] >> c) & 1:
-                sel = i
-                break
-        if sel < 0:
-            raise ValueError("singular matrix")
-        aug[r], aug[sel] = aug[sel], aug[r]
-        for i in range(n):
-            if i != r and (aug[i] >> c) & 1:
-                aug[i] ^= aug[r]
-        r += 1
-    return BitMatrix(n, n, tuple(row >> n for row in aug))
+    red, pivots, _ = rref(BitMatrix(n, 2 * n, tuple(r | 1 << (n + i) for i, r in enumerate(m.data))))
+    if pivots != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return BitMatrix(n, n, tuple(r >> n for r in red.data))
 
 
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:

@@ -155,31 +155,21 @@ _WORKER: dict = {}
 
 
 def _init_worker(config: DistillationConfig, p_grid, seed: int, w_cap: int) -> None:
-    _WORKER["runners"] = {}
-    _WORKER["compiled"] = None
     _WORKER["config"] = config
     _WORKER["p_grid"] = list(p_grid)
     _WORKER["seed"] = seed
     _WORKER["table"] = config.spec.weight_table(w_cap)
 
 
-def _runner_for(p_index: int) -> ProtocolRunner:
-    """The worker's runner for one grid point: one compiled protocol,
-    shared by every p."""
-    runner = _WORKER["runners"].get(p_index)
-    if runner is None:
-        if _WORKER["compiled"] is None:
-            _WORKER["compiled"] = ProtocolRunner(_WORKER["config"])
-        p = _WORKER["p_grid"][p_index]
-        runner = _WORKER["compiled"].with_model(FailureModel.uniform(p))
-        _WORKER["runners"][p_index] = runner
-    return runner
-
-
 def _run_chunk(task: tuple[int, int, int]) -> tuple[int, dict]:
     p_index, start, count = task
-    runner = _runner_for(p_index)
-    stats = PStats(p=_WORKER["p_grid"][p_index])
+    if "compiled" not in _WORKER:
+        # One compiled protocol per worker, built here and not in the
+        # initializer: a Pool respawns workers whose initializer raises.
+        _WORKER["compiled"] = ProtocolRunner(_WORKER["config"])
+    p = _WORKER["p_grid"][p_index]
+    runner = _WORKER["compiled"].with_model(FailureModel.uniform(p))
+    stats = PStats(p=p)
     table = _WORKER["table"]
     seed = _WORKER["seed"]
     for first in range(start, start + count, BATCH):

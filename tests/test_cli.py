@@ -336,6 +336,16 @@ def test_readme_table_lists_every_field():
     assert names == list(cli.FIELDS) == [f.name for f in fields(ExperimentConfig)]
 
 
+def test_readme_layout_lists_every_module():
+    # README's Layout block names each module of the package, and no other.
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1]
+    listed = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
+    modules = {path.name for path in (root / "src" / "cssdistill").glob("*.py")}
+    assert listed == modules - {"__init__.py"}
+
+
 @pytest.mark.parametrize("command", ["simulate", "inject"])
 @pytest.mark.parametrize("case", list(BAD_FIELD_VALUES) + list(MORE_BAD_VALUES))
 def test_schema_rejects_before_any_build(tmp_path, capsys, monkeypatch, command, case):
@@ -349,7 +359,10 @@ def test_schema_rejects_before_any_build(tmp_path, capsys, monkeypatch, command,
     scen.write_text("")
     extra = ["--workers", "1"] if command == "simulate" else ["--scenario", str(scen)]
     assert main([command, "--config", str(cfg_path), *extra]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {named}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ")
+    if case in ("d1-null", "d2-null"):  # the message offers every spelling
+        assert "expected 'none', 'ideal', a registry name or {'file': path}" in err
 
 
 def _padded_steane(tmp_path, n):

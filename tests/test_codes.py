@@ -290,7 +290,7 @@ class TestRegistry:
         assert dual.k == 11 and golay.k == 12
         assert gf2.row_space_equal(dual.h, golay.g)
         # Exhaustive minimum-weight scan over all 2^11 dual codewords.
-        min_w = min(w.bit_count() for w in dual.codewords() if w)
+        min_w = min(w.bit_count() for w in gf2.iter_row_space(dual.g) if w)
         assert min_w == 8
 
     def test_unknown_name(self):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cssdistill import codes, distill, frames, gf2, sampling
+from cssdistill.cli import COMBINATIONS
 from cssdistill.codes import LinearCode, build_code, registry
 from cssdistill.css import PauliElement, build_ancilla_spec, build_css, residual_weight
 from cssdistill.distill import (
@@ -797,14 +798,15 @@ class TestBatchSampling:
         assert draw3[:4].tolist() == [2, 1, 0, 2]
 
 
-def _benchmark_runner(golay_css, kind):
+def _benchmark_runner(golay_css, kind, combination="A"):
     """The runner of a benchmark config at p = 0: Golay |0>_L with Golay
-    postselection, or Golay Bell pairs without; combination A, n_extra 6."""
-    bch = registry("bch15_7_5")
+    postselection, or Golay Bell pairs without; combination A (or another
+    one's round codes), n_extra 6."""
+    c1, c2 = (registry(name) for name in COMBINATIONS[combination])
     blocks = golay_css if kind == "zero" else [golay_css, golay_css]
     d1, d2 = (registry("golay23"), registry("golay23_dual")) if kind == "zero" else (None, None)
     return ProtocolRunner(DistillationConfig(
-        spec=build_ancilla_spec(blocks, kind), code_c1=bch, code_c2=bch, code_d1=d1,
+        spec=build_ancilla_spec(blocks, kind), code_c1=c1, code_c2=c2, code_d1=d1,
         code_d2=d2, model=FailureModel.uniform(0.0), n_extra=6,
     ))
 
@@ -862,7 +864,7 @@ def test_runner_build_walks_no_circuit(golay_css, monkeypatch):
     monkeypatch.setattr(frames, "run_noisy", counted)
     monkeypatch.setattr(distill, "run_noisy", counted)
     runner = _benchmark_runner(golay_css, "bell")
-    assert runner.enc_circuit.count("prep_x") + runner.enc_circuit.count("prep_z") == 46
+    assert len(runner.enc_prep_locs) == 46
     assert calls == []
 
 
@@ -890,13 +892,18 @@ def test_detecting_code_builds_no_table():
     assert not {"syndrome_table", "systematic_table"} & set(vars(dual))
 
 
-@pytest.mark.exhaustive
-@pytest.mark.parametrize("kind,configurations", [("zero", 680_512), ("bell", 1_592_549)])
-def test_every_single_fault_is_benign(golay_css, kind, configurations):
-    # The paper's fault-tolerance claim, checked exactly on the benchmark
-    # configs: no single fault aborts or rejects in either round, and every
-    # output keeps residual weight <= 1.
-    runner = _benchmark_runner(golay_css, kind)
+def _single_fault_count(runner) -> int:
+    """The protocol's single faults, read off its fault spaces: 15 Paulis
+    per CNOT, 3 per preparation and a flip per readout."""
+    enc, enc_cnots = runner.n_units * runner.n_enc_locs, runner.n_units * runner.n_enc_cnots
+    return 15 * (runner.gate_space - enc + enc_cnots) + 3 * (enc - enc_cnots) + runner.meas_space
+
+
+def _run_single_faults(runner) -> int:
+    """Run every single fault of the protocol on the batched engine and
+    return their count.  The paper's fault-tolerance claim, checked
+    exactly: no single fault aborts or rejects in either round, and every
+    output keeps residual weight <= 1."""
     table = runner.spec.weight_table(4)
     seen = 0
     for gate, meas, count in sampling.single_faults(runner):
@@ -907,7 +914,23 @@ def test_every_single_fault_is_benign(golay_css, kind, configurations):
         for side, frames in (("x", batch.out_e), ("z", batch.out_f)):
             weights = table.weights(side, frames)
             assert ((weights >= 0) & (weights <= 1)).all(), side
-    assert seen == configurations
+    return seen
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("kind,configurations", [("zero", 680_512), ("bell", 1_592_549)])
+def test_every_single_fault_is_benign(golay_css, kind, configurations):
+    # The claim on the benchmark configs.
+    assert _run_single_faults(_benchmark_runner(golay_css, kind)) == configurations
+
+
+@pytest.mark.parametrize("combination", ["B", "C", "D"])
+def test_every_single_fault_is_benign_per_combination(golay_css, combination):
+    # The claim on Golay |0>_L with Golay postselection and n_extra 6 for
+    # the round codes of combinations B, C and D: about 1 s together, so
+    # every run checks them.
+    runner = _benchmark_runner(golay_css, "zero", combination)
+    assert _run_single_faults(runner) == _single_fault_count(runner)
 
 
 @pytest.mark.parametrize("kind,configurations", [("zero", 680_512), ("bell", 1_592_549)])
@@ -931,8 +954,7 @@ def test_single_faults_enumerates_each_once(golay_css, kind, configurations):
     assert ((meas >= 0) & (meas < runner.meas_space)).all()
     keys = np.concatenate((pos * 15 + pauli, runner.gate_space * 15 + meas))
     assert len(np.unique(keys)) == len(keys) == configurations
-    assert configurations == (15 * (runner.gate_space - enc + enc_cnots) + 3 * (enc - enc_cnots)
-                              + runner.meas_space)
+    assert configurations == _single_fault_count(runner)
 
 
 @pytest.mark.parametrize("k", [2, 3])
